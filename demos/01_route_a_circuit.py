@@ -34,7 +34,7 @@ def main():
     print(f"circuit: {len(circuit.gates)} gates, {len(circuit.slots)} two-qubit slots")
     print(f"device:  line:4 with edges {device.sorted_edges()}")
 
-    solution = solve_global(circuit, device, DriverConfig(strategy="global", n=1))
+    solution = solve_global(circuit, device, DriverConfig(n=1))
     print(f"\nstatus:       {solution.status}")
     print(f"initial map:  q{{i}} -> physical {list(solution.initial_map.placement)}")
     print(f"swaps:        {solution.swaps}")

@@ -25,7 +25,6 @@ from .driver import (
     BestOfOutcome,
     DriverConfig,
     as_cyclic_blocks,
-    brute_force_oracle,
     solve_best,
     solve_cyclic,
     solve_global,
@@ -37,7 +36,6 @@ from .encoder import (
     decode,
     encode,
     instance_stats,
-    swap_effect,
 )
 from .errors import (
     ArchError,
@@ -52,6 +50,7 @@ from .errors import (
     UnroutableError,
 )
 from .maxsat import SolveOutcome, SolveStatus, emit_wcnf, parse_wcnf, solve_builtin, solve_external
+from .oracle import brute_force_oracle
 from .solution import QubitMap, RoutingSolution, SliceStats, apply_routing
 from .verifier import Verdict, Violation, verify, verify_solution
 
@@ -109,7 +108,6 @@ __all__ = [
     "solve_external",
     "solve_global",
     "solve_sliced",
-    "swap_effect",
     "verify",
     "verify_solution",
 ]

@@ -62,9 +62,6 @@ class ConnectivityGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return _canon(u, v) in self.edges
 
-    def neighbors(self, p: int) -> list[int]:
-        return sorted(w for e in self.edges for u, w in (e, e[::-1]) if u == p)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

@@ -101,7 +101,6 @@ def _cmd_map(args) -> int:
         raise _UsageError(f"--solver must be 'builtin' or 'cmd:<template>', got {args.solver!r}")
     sizes = _parse_sizes(args.slice_size) if args.slice_size else (10, 25, 50, 100)
     cfg = DriverConfig(
-        strategy=args.strategy,
         slice_sizes=sizes,
         n=args.n,
         budget=args.budget,

@@ -138,33 +138,11 @@ class InstanceBuilder:
             for j in range(i + 1, len(lits)):
                 self.add_hard([-lits[i], -lits[j]])
 
-    def at_most_one_commander(self, lits: Sequence[int], group_size: int = 4):
-        """Commander at-most-one: group literals, one commander each,
-        recurse on the commanders."""
-        if len(lits) <= group_size:
-            self.at_most_one_pairwise(lits)
-            return
-        commanders = []
-        for i in range(0, len(lits), group_size):
-            group = list(lits[i : i + group_size])
-            self.at_most_one_pairwise(group)
-            c = self.new_var()
-            for lit in group:
-                self.add_hard([-lit, c])  # any group member forces its commander
-            self.add_hard([-c, *group])  # a commander without a member is false
-            commanders.append(c)
-        self.at_most_one_commander(commanders, group_size)
-
-    def exactly_one(self, lits: Sequence[int], mode: str = "pairwise"):
+    def exactly_one(self, lits: Sequence[int]):
         if not lits:
             raise ValueError("exactly_one over an empty set")
         self.at_least_one(lits)
-        if mode == "pairwise":
-            self.at_most_one_pairwise(lits)
-        elif mode == "commander":
-            self.at_most_one_commander(lits)
-        else:
-            raise ValueError(f"unknown exactly-one mode {mode!r}")
+        self.at_most_one_pairwise(lits)
 
     def build(self, var_table=None) -> MaxSatInstance:
         return MaxSatInstance(self._num_vars, tuple(self._hard), tuple(self._soft), var_table)

@@ -12,7 +12,6 @@ from .circuit import Circuit, slice_circuit
 from .encoder import EncodeOptions, decode, encode, instance_stats
 from .errors import SolveTimeoutError, UnroutableError
 from .maxsat import SolveOutcome, SolveStatus, solve_builtin, solve_external
-from .oracle import brute_force_oracle  # noqa: F401  (re-exported: the driver's test oracle)
 from .solution import QubitMap, RoutingSolution, SliceStats
 
 logger = logging.getLogger(__name__)
@@ -27,7 +26,6 @@ class DriverConfig:
     encoding small; the graph diameter guarantees feasibility).
     """
 
-    strategy: str = "sliced"
     slice_sizes: tuple[int, ...] = (10, 25, 50, 100)
     n: int = 1
     budget: float | None = None
@@ -35,9 +33,6 @@ class DriverConfig:
     max_backtracks_per_slice: int = 10
     weighted: NoiseModel | None = None
     weight_scale: int = 1000
-    exactly_one: str = "pairwise"
-    sequential_budget: bool = False  # best-of: run sizes in order with the full remaining budget
-    block_full_model: bool = False  # backtrack by negating whole assignments, not final maps
 
 
 class _Budget:
@@ -51,14 +46,7 @@ class _Budget:
 
 
 def _encode_options(cfg: DriverConfig, **overrides) -> EncodeOptions:
-    base = dict(
-        n=cfg.n,
-        weighted=cfg.weighted,
-        weight_scale=cfg.weight_scale,
-        exactly_one=cfg.exactly_one,
-    )
-    base.update(overrides)
-    return EncodeOptions(**base)
+    return EncodeOptions(n=cfg.n, weighted=cfg.weighted, weight_scale=cfg.weight_scale, **overrides)
 
 
 def _run_solver(instance, cfg: DriverConfig, budget: float | None) -> SolveOutcome:
@@ -115,9 +103,7 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     slices = slice_circuit(circuit, slice_size)
     count = len(slices)
     solutions: list[RoutingSolution | None] = [None] * count
-    models: list[tuple[int, ...] | None] = [None] * count
     blocked_maps: list[list[QubitMap]] = [[] for _ in range(count)]
-    blocked_models: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
     backtracks = [0] * count
     solve_ms = [0.0] * count
     status_word = ["" for _ in range(count)]
@@ -126,12 +112,7 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     i = 0
     while i < count:
         pin = solutions[i - 1].final_map if i > 0 else None
-        opt = _encode_options(
-            cfg,
-            pinned_initial=pin,
-            blocked_final_maps=tuple(blocked_maps[i]),
-            blocked_models=tuple(blocked_models[i]),
-        )
+        opt = _encode_options(cfg, pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i]))
         instance = encode(slices[i], g, opt)
         outcome = _run_solver(instance, cfg, budget.remaining())
         solve_ms[i] += outcome.elapsed * 1000.0
@@ -151,16 +132,12 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
                     f"backtrack budget exhausted at slice {i - 1}; "
                     f"raise n (graph diameter is {diameter(g)}), the slice size, or max_backtracks_per_slice"
                 )
-            if cfg.block_full_model:
-                blocked_models[i - 1].append(models[i - 1])
-            else:
-                blocked_maps[i - 1].append(solutions[i - 1].final_map)
+            blocked_maps[i - 1].append(solutions[i - 1].final_map)
             logger.info("slice %d unsatisfiable; backtracking to slice %d", i, i - 1)
             i -= 1
             continue
         status_word[i] = outcome.status.value
         solutions[i] = decode(outcome.model, instance, slices[i], g, opt)
-        models[i] = tuple(v if outcome.model[v] else -v for v in range(1, instance.num_vars + 1))
         i += 1
 
     stats = tuple(
@@ -295,28 +272,23 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
     """Run the sliced strategy at every configured slice size and keep
     the cheapest verified outcome; ties go to the smaller size.
 
-    The budget is split evenly across sizes unless ``sequential_budget``
-    is set, in which case sizes run in order, each seeing the full
-    remaining budget.
+    Every size of at least the circuit's slot count yields the same
+    single slice, so only the smallest of those runs.  The budget is
+    split evenly across the sizes that run.
     """
     if not cfg.slice_sizes:
         raise ValueError("sliced strategy needs at least one slice size")
     sizes = sorted(set(cfg.slice_sizes))
-    overall = _Budget(cfg.budget)
+    whole = [s for s in sizes if s >= len(circuit.slots)]
+    sizes = [s for s in sizes if s < len(circuit.slots)] + whole[:1]
+    sub_budget = None if cfg.budget is None else cfg.budget / len(sizes)
     runs: list[SizeRun] = []
     best: tuple[int, int] | None = None  # (gates_added, size)
     best_solution: RoutingSolution | None = None
     for size in sizes:
-        if cfg.budget is None:
-            sub_budget = None
-        elif cfg.sequential_budget:
-            sub_budget = overall.remaining()
-        else:
-            sub_budget = cfg.budget / len(sizes)
-        sub_cfg = replace(cfg, budget=sub_budget)
         t0 = time.monotonic()
         try:
-            sol = solve_sliced(circuit, g, sub_cfg, size)
+            sol = solve_sliced(circuit, g, replace(cfg, budget=sub_budget), size)
         except UnroutableError as exc:
             runs.append(SizeRun(size, "unroutable", None, (time.monotonic() - t0) * 1000.0, str(exc)))
             continue

@@ -8,20 +8,26 @@ stands for "no swap".  Slot 0 carries the initial placement, before any
 swaps; the swaps of slot k transform the slot k-1 map into the slot k
 map, under which slot k's gate must act on an edge.
 
-Hard constraints: maps are total injections (A); every slot's gate
-operands sit on an edge (B); each swap position picks exactly one pair
-(C); chosen swaps permute the map accordingly (D).  Soft constraints
-reward no-op swaps, so a minimum-weight solution inserts the fewest
-swaps; in weighted mode the soft side instead charges the negative log
-fidelity of every swap and of every gate placement, so minimizing
-falsified weight maximizes the routed circuit's success probability.
+Hard constraints: the slot 0 map is a total injection (A); every
+slot's gate operands sit on an edge (B); each swap position picks
+exactly one pair (C); each swap position carries one placement layer
+into the next (D).  Layer 0 of slot k is the slot k-1 map, layer n is
+the slot k map, and the layers between are intermediate variables
+mid(q, p, k, i).  A transition is a biconditional: q is on p after the
+swap iff it was on p before, unless a chosen swap touches p (frame
+axioms), and a chosen swap on (u, v) moves whatever is on u to v and
+back (move axioms).  Every transition is thus the permutation its swap
+picks, so the maps of later slots are injective without (A), and the
+encoding grows linearly in n.  Soft constraints reward no-op swaps, so
+a minimum-weight solution inserts the fewest swaps; in weighted mode
+the soft side instead charges the negative log fidelity of every swap
+and of every gate placement, so minimizing falsified weight maximizes
+the routed circuit's success probability.
 """
 
 from __future__ import annotations
 
-import itertools
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, swap_weight
 from .circuit import Circuit, Slice
@@ -29,27 +35,16 @@ from .cnf import InstanceBuilder, MaxSatInstance, Model
 from .errors import EncodingError
 from .solution import Edge, QubitMap, RoutingSolution
 
-logger = logging.getLogger(__name__)
-
-NOOP: Edge = (0, 0)  # synthetic pair: swap p0 with itself
-
-
-def swap_effect(swaps, p: int) -> int:
-    """Where physical qubit ``p`` ends up after applying ``swaps`` in order."""
-    for u, v in swaps:
-        if p == u:
-            p = v
-        elif p == v:
-            p = u
-    return p
+NOOP: Edge = (0, 0)  # synthetic pair: swap p0 with itself; touches nothing
 
 
 class VarTable:
     """Dense bijection between variable ids (from 1) and meaning tags.
 
-    Tags are tuples: ``("map", q, p, k)``, ``("swap", u, v, k, i)``, and
-    ``("aux", k, u, v)`` for the Tseitin selectors of gate-placement
-    disjunctions.
+    Tags are tuples: ``("map", q, p, k)``, ``("swap", u, v, k, i)``,
+    ``("mid", q, p, k, i)`` for the placement after swap position i < n
+    of slot k, and ``("aux", k, u, v)`` for the Tseitin selectors of
+    gate-placement disjunctions.
     """
 
     def __init__(self):
@@ -76,9 +71,6 @@ class VarTable:
     def __len__(self) -> int:
         return len(self._by_id) - 1
 
-    def __contains__(self, tag: tuple) -> bool:
-        return tag in self._by_tag
-
 
 @dataclass(frozen=True)
 class EncodeOptions:
@@ -96,8 +88,6 @@ class EncodeOptions:
     pinned_final: QubitMap | None = None
     cyclic: bool = False
     blocked_final_maps: tuple[QubitMap, ...] = ()
-    blocked_models: tuple[tuple[int, ...], ...] = ()  # whole assignments to exclude
-    exactly_one: str = "pairwise"  # or "commander"
 
     def __post_init__(self):
         if self.n < 1:
@@ -143,8 +133,6 @@ def encode(circuit: Circuit | Slice, g: ConnectivityGraph, opt: EncodeOptions = 
     diam = max(diameter(g), 1)
     if opt.n > diam:
         raise EncodingError(f"n={opt.n} exceeds the graph diameter {diam}; larger values cannot help")
-    if opt.n > 2:
-        logger.warning("n=%d enumerates (|E|+1)^%d swap sequences per slot; expect a large encoding", opt.n, opt.n)
 
     if opt.pinned_initial is not None:
         _check_pin(opt.pinned_initial, circuit, g)
@@ -163,37 +151,41 @@ def encode(circuit: Circuit | Slice, g: ConnectivityGraph, opt: EncodeOptions = 
         assert table.add(tag) == vid
         return vid
 
-    mv: dict[tuple[int, int, int], int] = {}  # (q, p, k) -> var
+    def layer(kind, *index):  # placement variables (q, p) -> var, tagged (kind, q, p, *index)
+        return {(q, p): new_tagged((kind, q, p, *index)) for q in active for p in range(P)}
+
     sv: dict[tuple[Edge, int, int], int] = {}  # (pair, k, i) -> var
     aux: dict[tuple[int, int, int], int] = {}  # (k, u, v) directed -> var
+    hops = []  # (k, i, layer before swap position i, layer after it)
 
-    # Interleave ids slot by slot so the solver's ascending-id branching
+    # Interleave ids slot by slot, each swap position's pairs followed by
+    # the layer they produce, so the solver's ascending-id branching
     # settles each slot's swaps and map before moving to the next.
-    for q in active:
-        for p in range(P):
-            mv[q, p, 0] = new_tagged(("map", q, p, 0))
+    maps = [layer("map", 0)]  # maps[k][q, p]: q sits on p at slot k
     for k in range(1, K + 1):
+        before = maps[k - 1]
         for i in range(1, opt.n + 1):
             for pair in pairs:
                 sv[pair, k, i] = new_tagged(("swap", pair[0], pair[1], k, i))
-        for q in active:
-            for p in range(P):
-                mv[q, p, k] = new_tagged(("map", q, p, k))
+            after = layer("map", k) if i == opt.n else layer("mid", k, i)
+            hops.append((k, i, before, after))
+            before = after
+        maps.append(before)
         for u, v in edges:
             aux[k, u, v] = new_tagged(("aux", k, u, v))
             aux[k, v, u] = new_tagged(("aux", k, v, u))
 
     raw = builder.add_hard_raw
 
-    # Hard A: each map is a total injective function.
-    for k in range(K + 1):
-        for q in active:
-            builder.exactly_one([mv[q, p, k] for p in range(P)], mode=opt.exactly_one)
-        for p in range(P):
-            col = [mv[q, p, k] for q in active]
-            for a in range(len(col)):
-                for b in range(a + 1, len(col)):
-                    raw((-col[a], -col[b]))
+    # Hard A: the initial map is a total injective function.  The
+    # transitions (D) are permutations, so every later map inherits it.
+    for q in active:
+        builder.exactly_one([maps[0][q, p] for p in range(P)])
+    for p in range(P):
+        col = [maps[0][q, p] for q in active]
+        for a in range(len(col)):
+            for b in range(a + 1, len(col)):
+                raw((-col[a], -col[b]))
 
     # Hard B: slot k's gate operands must sit on some edge (both
     # orientations), via one selector per directed edge.
@@ -203,27 +195,40 @@ def encode(circuit: Circuit | Slice, g: ConnectivityGraph, opt: EncodeOptions = 
         for u, v in edges:
             for du, dv in ((u, v), (v, u)):
                 s = aux[k, du, dv]
-                raw((-s, mv[qa, du, k]))
-                raw((-s, mv[qb, dv, k]))
+                raw((-s, maps[k][qa, du]))
+                raw((-s, maps[k][qb, dv]))
                 selectors.append(s)
         builder.at_least_one(selectors)
 
     # Hard C: each swap position picks exactly one pair (possibly the no-op).
     for k in range(1, K + 1):
         for i in range(1, opt.n + 1):
-            builder.exactly_one([sv[pair, k, i] for pair in pairs], mode=opt.exactly_one)
+            builder.exactly_one([sv[pair, k, i] for pair in pairs])
 
-    # Hard D: the chosen swap sequence permutes the previous map into
-    # this slot's map.
-    for k in range(1, K + 1):
-        for seq in itertools.product(pairs, repeat=opt.n):
-            prem = tuple(-sv[seq[i - 1], k, i] for i in range(1, opt.n + 1))
-            dest = [swap_effect(seq, p) for p in range(P)]
+    # Hard D: each swap position carries its layer before into its layer
+    # after.  Frame axioms: q is on p after iff it was on p before,
+    # unless a chosen swap touches p.  Move axioms: a chosen swap on
+    # (u, v) puts q on v after iff q was on u before, and vice versa.
+    # Both halves of each biconditional stay: the backward ones pin the
+    # layer after to exactly the permuted layer before, which is what
+    # lets (A) stop at slot 0, and they let propagation run from later
+    # maps back to earlier ones.  Forward halves plus (A) at every slot
+    # would also be sound, but the search then slows by orders of
+    # magnitude.
+    touching = [[e for e in edges if p in e] for p in range(P)]
+    for k, i, before, after in hops:
+        fires = [tuple(sv[e, k, i] for e in touching[p]) for p in range(P)]
+        for q in active:
+            for p in range(P):
+                b, a = before[q, p], after[q, p]
+                raw((-b, a, *fires[p]))
+                raw((b, -a, *fires[p]))
+        for u, v in edges:
+            s = sv[(u, v), k, i]
             for q in active:
-                for p in range(P):
-                    before, after = mv[q, p, k - 1], mv[q, dest[p], k]
-                    raw(prem + (-before, after))
-                    raw(prem + (before, -after))
+                for src, dst in ((u, v), (v, u)):
+                    raw((-s, -before[q, src], after[q, dst]))
+                    raw((-s, before[q, src], -after[q, dst]))
 
     # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted).
     if opt.weighted is None:
@@ -240,32 +245,23 @@ def encode(circuit: Circuit | Slice, g: ConnectivityGraph, opt: EncodeOptions = 
             qa, qb = gate.operands
             for u, v in edges:
                 w = cx_weight(opt.weighted, (u, v), scale)
-                builder.add_soft([-mv[qa, u, k], -mv[qb, v, k]], w)
-                builder.add_soft([-mv[qa, v, k], -mv[qb, u, k]], w)
+                builder.add_soft([-maps[k][qa, u], -maps[k][qb, v]], w)
+                builder.add_soft([-maps[k][qa, v], -maps[k][qb, u]], w)
 
+    first, last = maps[0], maps[K]
     if opt.pinned_initial is not None:
         for q in active:
-            raw((mv[q, opt.pinned_initial[q], 0],))
+            raw((first[q, opt.pinned_initial[q]],))
     if opt.pinned_final is not None:
         for q in active:
-            raw((mv[q, opt.pinned_final[q], K],))
+            raw((last[q, opt.pinned_final[q]],))
     if opt.cyclic:
         for q in active:
             for p in range(P):
-                raw((-mv[q, p, 0], mv[q, p, K]))
-                raw((mv[q, p, 0], -mv[q, p, K]))
+                raw((-first[q, p], last[q, p]))
+                raw((first[q, p], -last[q, p]))
     for blocked in opt.blocked_final_maps:
-        raw(tuple(-mv[q, blocked[q], K] for q in active))
-    # Blocking a whole model excludes only that one assignment: the same
-    # final map can come back with different internals, so the final-map
-    # projection above is the default for backtracking.
-    for lits in opt.blocked_models:
-        raw(tuple(-lit for lit in lits))
-
-    # the commander exactly-one mode mints helper variables during clause
-    # emission; tag them so the table stays a dense bijection
-    while len(table) < builder.num_vars:
-        table.add(("card", len(table) + 1))
+        raw(tuple(-last[q, blocked[q]] for q in active))
 
     return builder.build(table)
 
@@ -356,6 +352,3 @@ def decode(
     objective = instance.falsified_weight(model) if opt.weighted is not None else None
     return RoutingSolution(initial, tuple(swaps), tuple(maps), status, weighted_objective=objective)
 
-
-def with_status(solution: RoutingSolution, status: str) -> RoutingSolution:
-    return replace(solution, status=status)

@@ -29,12 +29,6 @@ class QubitMap:
     def __len__(self) -> int:
         return len(self.placement)
 
-    def logical_at(self, physical: int) -> int | None:
-        try:
-            return self.placement.index(physical)
-        except ValueError:
-            return None
-
     def apply_swap(self, u: int, v: int) -> "QubitMap":
         """The map after exchanging the contents of physical qubits u and v."""
         moved = tuple(v if p == u else u if p == v else p for p in self.placement)

@@ -135,16 +135,6 @@ def test_sliced_slices_are_locally_optimal(rng):
     check_solution(c, sol, LINE4)
 
 
-def test_sliced_full_model_backtracking_flag():
-    # blocking whole assignments instead of final maps makes weaker
-    # progress per backtrack but must still converge here
-    gates = tuple(Gate("cx", p) for p in [(1, 0), (3, 0), (3, 1), (0, 2), (3, 1)])
-    c = Circuit(4, gates)
-    sol = solve_sliced(c, LINE4, DriverConfig(n=1, block_full_model=True), 1)
-    assert sum(s.backtracks for s in sol.per_slice_stats) >= 1
-    check_solution(c, sol, LINE4)
-
-
 def test_sliced_backtrack_budget_exhaustion():
     gates = tuple(Gate("cx", p) for p in [(1, 0), (3, 0), (3, 1), (0, 2), (3, 1)])
     c = Circuit(4, gates)
@@ -274,9 +264,11 @@ def test_best_of_requires_sizes():
         solve_best(c, LINE2, DriverConfig(slice_sizes=()))
 
 
-def test_best_of_sequential_budget_mode():
+def test_best_of_runs_one_whole_circuit_size():
+    # sizes of at least the slot count all solve the same single slice
     c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2)), Gate("cx", (0, 2))))
-    cfg = DriverConfig(n=1, slice_sizes=(1, 3), budget=30, sequential_budget=True)
-    out = solve_best(c, LINE3, cfg)
-    assert out.solution.gates_added == min(r.gates_added for r in out.runs if r.gates_added is not None)
+    K = len(c.slots)
+    out = solve_best(c, LINE3, DriverConfig(n=1, slice_sizes=(3 * K, K, 2 * K), budget=30))
+    assert [r.slice_size for r in out.runs] == [K]
+    assert out.selected_size == K
     check_solution(c, out.solution, LINE3)

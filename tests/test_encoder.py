@@ -2,14 +2,12 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from swaproute.arch import NoiseModel, diameter, load_arch
 from swaproute.circuit import Circuit, Gate
 from swaproute.cnf import Model
-from swaproute.encoder import EncodeOptions, decode, encode, instance_stats, swap_effect
-from swaproute.errors import EncodingError
+from swaproute.encoder import EncodeOptions, decode, encode, instance_stats
+from swaproute.errors import EncodingError, UnroutableError
 from swaproute.maxsat import SolveStatus, solve_builtin
 from swaproute.oracle import brute_force_oracle
 from swaproute.solution import QubitMap
@@ -31,40 +29,16 @@ def all_hard_models(inst):
             yield m
 
 
-def test_swap_effect():
-    assert swap_effect([(1, 2)], 1) == 2
-    assert swap_effect([(1, 2), (2, 3)], 1) == 3
-    assert swap_effect([(0, 0)], 5) == 5
-
-
-swap_seq = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 5)),
-    max_size=6,
-)
-
-
-@given(seq=swap_seq)
-@settings(max_examples=100, deadline=None)
-def test_swap_effect_is_a_permutation(seq):
-    image = [swap_effect(seq, p) for p in range(6)]
-    assert sorted(image) == list(range(6))
-
-
-@given(seq=swap_seq, p=st.integers(0, 5))
-@settings(max_examples=100, deadline=None)
-def test_swap_effect_reversal_undoes(seq, p):
-    assert swap_effect(list(reversed(seq)), swap_effect(seq, p)) == p
-
-
 def test_single_slot_line2_golden_counts():
     # Hand enumeration: 12 variables (4 maps at slot 0, 2 swap choices,
-    # 4 maps at slot 1, 2 gate selectors) and 35 hard clauses:
-    # injectivity 6 per slot level (2 exactly-one pairs + 2 collision
-    # clauses) x 2 levels = 12, gate execution 5, swap choice 2, swap
-    # effect 2 sequences x 8 biconditional halves = 16.
+    # 4 maps at slot 1, 2 gate selectors) and 29 hard clauses:
+    # injectivity at slot 0 only, 6 (2 exactly-one pairs + 2 collision
+    # clauses); gate execution 5; swap choice 2; the one transition's
+    # frame clauses, 2 per (qubit, place) = 8, and move clauses, 2 per
+    # (edge, qubit, direction) = 8.
     _, inst = single_gate_instance()
     st = instance_stats(inst)
-    assert (st.num_vars, st.hard_count, st.soft_count) == (12, 35, 1)
+    assert (st.num_vars, st.hard_count, st.soft_count) == (12, 29, 1)
 
 
 def test_every_model_has_functional_maps_and_swaps():
@@ -106,9 +80,9 @@ def test_swap_effect_links_adjacent_maps():
     vt = inst.var_table
     for rec in models_with_positions(inst, c):
         m = rec["model"]
-        chosen = next(pair for pair in [(0, 0), (0, 1)] if m[vt.id_of(("swap", pair[0], pair[1], 1, 1))])
+        u, v = next(pair for pair in [(0, 0), (0, 1)] if m[vt.id_of(("swap", pair[0], pair[1], 1, 1))])
         before, after = rec["positions"][0], rec["positions"][1]
-        assert after == tuple(swap_effect([chosen], p) for p in before)
+        assert QubitMap(after) == QubitMap(before).apply_swap(u, v)
 
 
 def test_decode_round_trip_single_gate():
@@ -166,18 +140,6 @@ def test_blocked_final_map_is_excluded():
     assert second.final_map != blocked
 
 
-def test_blocked_model_excludes_exactly_one_assignment():
-    c = Circuit(2, (Gate("cx", (0, 1)),))
-    inst = encode(c, LINE2, EncodeOptions(n=1))
-    out = solve_builtin(inst)
-    lits = tuple(v if out.model[v] else -v for v in range(1, inst.num_vars + 1))
-    again = encode(c, LINE2, EncodeOptions(n=1, blocked_models=(lits,)))
-    assert len(list(all_hard_models(again))) == len(list(all_hard_models(inst))) - 1
-    out2 = solve_builtin(again)
-    assert out2.status is SolveStatus.OPTIMAL
-    assert out2.model.values != out.model.values
-
-
 def test_blocking_every_final_map_is_unsat():
     c = Circuit(2, (Gate("cx", (0, 1)),))
     maps = (QubitMap((0, 1)), QubitMap((1, 0)))
@@ -210,20 +172,6 @@ def test_too_many_logical_qubits():
         encode(c, LINE3, EncodeOptions(n=1))
 
 
-def test_commander_matches_pairwise_optimum():
-    rng = random.Random(4)
-    for _ in range(6):
-        nq = rng.randint(2, 4)
-        gates = tuple(Gate("cx", tuple(rng.sample(range(nq), 2))) for _ in range(rng.randint(1, 4)))
-        c = Circuit(nq, gates)
-        g = load_arch(rng.choice(["line:4", "star:4", "cycle:4"]))
-        n = diameter(g)
-        pw = solve_builtin(encode(c, g, EncodeOptions(n=n, exactly_one="pairwise")))
-        cm = solve_builtin(encode(c, g, EncodeOptions(n=n, exactly_one="commander")))
-        assert pw.status is cm.status is SolveStatus.OPTIMAL
-        assert pw.falsified_weight == cm.falsified_weight
-
-
 def test_hard_count_grows_linearly_with_slots():
     g = load_arch("line:6")
 
@@ -234,6 +182,40 @@ def test_hard_count_grows_linearly_with_slots():
 
     c10, c20 = count(10), count(20)
     assert 1.5 <= c20 / c10 <= 2.5
+
+
+def test_hard_count_grows_linearly_with_swap_positions():
+    # each extra swap position adds one transition and one swap choice,
+    # the same number of clauses every time
+    g = load_arch("tokyo")
+    c = Circuit(8, (Gate("cx", (0, 7)), Gate("cx", (3, 4)), Gate("cx", (1, 2)), Gate("cx", (5, 6))))
+    counts = [instance_stats(encode(c, g, EncodeOptions(n=n))).hard_count for n in range(1, diameter(g) + 1)]
+    steps = {b - a for a, b in zip(counts, counts[1:])}
+    assert len(counts) == 4 and len(steps) == 1 and steps.pop() > 0
+
+
+def test_pinned_maps_below_diameter_match_oracle():
+    rng = random.Random(11)
+    for _ in range(30):
+        g = load_arch(rng.choice(["line:4", "line:5", "cycle:4", "star:4"]))
+        n = rng.randint(1, max(diameter(g) - 1, 1))
+        nq = rng.randint(2, min(4, g.num_physical))
+        gates = tuple(Gate("cx", tuple(rng.sample(range(nq), 2))) for _ in range(rng.randint(1, 4)))
+        c = Circuit(nq, gates)
+        pin = QubitMap(tuple(rng.sample(range(g.num_physical), nq))) if rng.random() < 0.5 else None
+        opt = EncodeOptions(n=n, pinned_initial=pin)
+        inst = encode(c, g, opt)
+        out = solve_builtin(inst)
+        try:
+            expected, _ = brute_force_oracle(c, g, n, initial_map=pin)
+        except UnroutableError:
+            assert out.status is SolveStatus.HARD_UNSAT
+            continue
+        assert out.status is SolveStatus.OPTIMAL and out.falsified_weight == expected
+        sol = decode(out.model, inst, c, g, opt)
+        assert sol.swap_count == expected
+        if pin is not None:
+            assert sol.initial_map == pin
 
 
 def test_weighted_soft_construction():
@@ -280,10 +262,9 @@ def test_variable_ids_stable_under_blocking():
         assert base.var_table.tag_of(v) == blocked.var_table.tag_of(v)
 
 
-@pytest.mark.parametrize("mode", ["pairwise", "commander"])
-def test_var_table_is_dense_bijection(mode):
+def test_var_table_is_dense_bijection():
     c = Circuit(4, (Gate("cx", (0, 1)), Gate("cx", (2, 3))))
-    inst = encode(c, LINE4, EncodeOptions(n=1, exactly_one=mode))
+    inst = encode(c, LINE4, EncodeOptions(n=2))
     vt = inst.var_table
     assert len(vt) == inst.num_vars
     tags = [vt.tag_of(v) for v in range(1, inst.num_vars + 1)]
