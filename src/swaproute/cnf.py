@@ -74,7 +74,9 @@ class MaxSatInstance:
         return sum(w for _, w in self.soft)
 
     def hard_satisfied(self, model: Model) -> bool:
-        return all(any(model.holds(lit) for lit in clause) for clause in self.hard)
+        """True when every hard clause has a literal that holds under ``model``."""
+        true = {v if value else -v for v, value in enumerate(model.values) if v}
+        return all(not true.isdisjoint(clause) for clause in self.hard)
 
     def falsified_weight(self, model: Model) -> int:
         return sum(w for clause, w in self.soft if not any(model.holds(lit) for lit in clause))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 from .arch import ConnectivityGraph, NoiseModel, diameter
 from .circuit import Circuit, slice_circuit
-from .encoder import EncodeOptions, decode, encode, instance_stats
+from .encoder import EncodeOptions, InstanceStats, decode, encode, instance_stats
 from .errors import SolveTimeoutError, UnroutableError
 from .maxsat import SolveOutcome, SolveStatus, solve_builtin, solve_external
 from .solution import QubitMap, RoutingSolution, SliceStats
@@ -37,12 +37,19 @@ class DriverConfig:
 
 class _Budget:
     def __init__(self, seconds: float | None):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
+        self.seconds = seconds
+        self.start = time.monotonic()
+        self.deadline = None if seconds is None else self.start + seconds
 
     def remaining(self) -> float | None:
         if self.deadline is None:
             return None
         return max(self.deadline - time.monotonic(), 0.001)
+
+    def where(self, index: int) -> str:
+        """Failure context: the slice, the seconds spent and the budget."""
+        limit = "none" if self.seconds is None else f"{self.seconds:g} s"
+        return f"slice {index}, {time.monotonic() - self.start:.2f} s spent, budget {limit}"
 
 
 def _encode_options(cfg: DriverConfig, **overrides) -> EncodeOptions:
@@ -57,11 +64,32 @@ def _run_solver(instance, cfg: DriverConfig, budget: float | None) -> SolveOutco
     raise ValueError(f"unknown backend {cfg.backend!r}")
 
 
-def _trivial_solution(circuit: Circuit, g: ConnectivityGraph) -> RoutingSolution:
+def _trivial_solution(circuit: Circuit, g: ConnectivityGraph, budget: _Budget) -> RoutingSolution:
     """Routing for a circuit without two-qubit gates: identity placement."""
     if circuit.num_logical > g.num_physical:
-        raise UnroutableError(f"{circuit.num_logical} logical qubits but only {g.num_physical} physical qubits")
+        raise UnroutableError(
+            f"{circuit.num_logical} logical qubits but only {g.num_physical} physical qubits ({budget.where(0)})"
+        )
     return RoutingSolution(QubitMap.identity(circuit.num_logical), (), (), "optimal")
+
+
+def _slice_stats(index: int, outcomes: list[SolveOutcome], backtracks: int, st: InstanceStats) -> SliceStats:
+    """Accounting for one slice: time and search counters summed over all
+    of its solves, status and incumbent timeline from the last one."""
+    last = outcomes[-1]
+    return SliceStats(
+        index,
+        sum(o.elapsed for o in outcomes) * 1000.0,
+        backtracks,
+        last.status.value,
+        st.num_vars,
+        st.hard_count,
+        st.soft_count,
+        sum(o.decisions for o in outcomes),
+        sum(o.conflicts for o in outcomes),
+        sum(o.propagations for o in outcomes),
+        last.incumbents,
+    )
 
 
 def solve_global(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = DriverConfig()) -> RoutingSolution:
@@ -71,19 +99,21 @@ def solve_global(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Dri
     optimality; with ``n`` set to the graph diameter that optimum is
     the true minimum swap count.
     """
+    budget = _Budget(cfg.budget)
     if not circuit.slots:
-        return _trivial_solution(circuit, g)
+        return _trivial_solution(circuit, g, budget)
     opt = _encode_options(cfg)
     instance = encode(circuit, g, opt)
-    outcome = _run_solver(instance, cfg, _Budget(cfg.budget).remaining())
+    outcome = _run_solver(instance, cfg, budget.remaining())
     if outcome.status is SolveStatus.HARD_UNSAT:
-        raise UnroutableError(f"no routing with n={cfg.n} swaps per slot (graph diameter is {diameter(g)})")
+        raise UnroutableError(
+            f"no routing with n={cfg.n} swaps per slot (graph diameter is {diameter(g)}; {budget.where(0)})"
+        )
     if outcome.status is SolveStatus.UNKNOWN:
-        raise SolveTimeoutError("budget expired before any solution was found")
+        raise SolveTimeoutError(f"budget expired before any solution was found ({budget.where(0)})")
     status = "optimal" if outcome.status is SolveStatus.OPTIMAL else "best_effort"
     solution = decode(outcome.model, instance, circuit, g, opt, status=status)
-    st = instance_stats(instance)
-    stats = SliceStats(0, outcome.elapsed * 1000.0, 0, outcome.status.value, st.num_vars, st.hard_count, st.soft_count)
+    stats = _slice_stats(0, [outcome], 0, instance_stats(instance))
     return replace(solution, per_slice_stats=(stats,))
 
 
@@ -97,17 +127,16 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     by ``max_backtracks_per_slice``.  The result is locally optimal per
     slice but only best-effort overall.
     """
-    if not circuit.slots:
-        return _trivial_solution(circuit, g)
     budget = _Budget(cfg.budget)
+    if not circuit.slots:
+        return _trivial_solution(circuit, g, budget)
     slices = slice_circuit(circuit, slice_size)
     count = len(slices)
     solutions: list[RoutingSolution | None] = [None] * count
     blocked_maps: list[list[QubitMap]] = [[] for _ in range(count)]
     backtracks = [0] * count
-    solve_ms = [0.0] * count
-    status_word = ["" for _ in range(count)]
-    var_counts = [(0, 0, 0)] * count
+    outcomes: list[list[SolveOutcome]] = [[] for _ in range(count)]
+    sizes: list[InstanceStats | None] = [None] * count
 
     i = 0
     while i < count:
@@ -115,34 +144,30 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
         opt = _encode_options(cfg, pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i]))
         instance = encode(slices[i], g, opt)
         outcome = _run_solver(instance, cfg, budget.remaining())
-        solve_ms[i] += outcome.elapsed * 1000.0
-        st = instance_stats(instance)
-        var_counts[i] = (st.num_vars, st.hard_count, st.soft_count)
+        outcomes[i].append(outcome)
+        sizes[i] = instance_stats(instance)
         if outcome.status is SolveStatus.UNKNOWN:
-            raise SolveTimeoutError(f"budget expired on slice {i} with no incumbent")
+            raise SolveTimeoutError(f"budget expired with no incumbent ({budget.where(i)})")
         if outcome.status is SolveStatus.HARD_UNSAT:
             if i == 0:
                 raise UnroutableError(
-                    f"slice 0 is unroutable with n={cfg.n} swaps per slot; "
-                    f"raise n (graph diameter is {diameter(g)}) or the slice size"
+                    f"unroutable with n={cfg.n} swaps per slot; "
+                    f"raise n (graph diameter is {diameter(g)}) or the slice size ({budget.where(0)})"
                 )
             backtracks[i - 1] += 1
             if backtracks[i - 1] > cfg.max_backtracks_per_slice:
                 raise UnroutableError(
-                    f"backtrack budget exhausted at slice {i - 1}; "
-                    f"raise n (graph diameter is {diameter(g)}), the slice size, or max_backtracks_per_slice"
+                    f"backtrack budget exhausted; raise n (graph diameter is {diameter(g)}), "
+                    f"the slice size, or max_backtracks_per_slice ({budget.where(i - 1)})"
                 )
             blocked_maps[i - 1].append(solutions[i - 1].final_map)
             logger.info("slice %d unsatisfiable; backtracking to slice %d", i, i - 1)
             i -= 1
             continue
-        status_word[i] = outcome.status.value
         solutions[i] = decode(outcome.model, instance, slices[i], g, opt)
         i += 1
 
-    stats = tuple(
-        SliceStats(k, solve_ms[k], backtracks[k], status_word[k], *var_counts[k]) for k in range(count)
-    )
+    stats = tuple(_slice_stats(k, outcomes[k], backtracks[k], sizes[k]) for k in range(count))
     return _concatenate(solutions, stats)
 
 
@@ -184,10 +209,9 @@ def solve_cyclic(
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    if not block.slots:
-        return _trivial_solution(block, g)
-
     budget = _Budget(cfg.budget)
+    if not block.slots:
+        return _trivial_solution(block, g, budget)
     base: RoutingSolution | None = None
     if slice_size is not None:
         base = _cyclic_via_slicing(block, g, replace(cfg, budget=budget.remaining()), slice_size)
@@ -196,18 +220,14 @@ def solve_cyclic(
         instance = encode(block, g, opt)
         outcome = _run_solver(instance, cfg, budget.remaining())
         if outcome.status is SolveStatus.HARD_UNSAT:
-            raise UnroutableError(f"no cyclic routing for the block with n={cfg.n} swaps per slot")
+            raise UnroutableError(f"no cyclic routing for the block with n={cfg.n} swaps per slot ({budget.where(0)})")
         if outcome.status is SolveStatus.UNKNOWN:
-            raise SolveTimeoutError("budget expired before any cyclic solution was found")
+            raise SolveTimeoutError(f"budget expired before any cyclic solution was found ({budget.where(0)})")
         base = decode(outcome.model, instance, block, g, opt)
-        st = instance_stats(instance)
-        base = replace(
-            base,
-            per_slice_stats=(SliceStats(0, outcome.elapsed * 1000.0, 0, outcome.status.value, st.num_vars, st.hard_count, st.soft_count),),
-        )
+        base = replace(base, per_slice_stats=(_slice_stats(0, [outcome], 0, instance_stats(instance)),))
 
     if base.final_map != base.initial_map:
-        raise UnroutableError("cyclic solve produced a non-returning block map; this is a bug")
+        raise UnroutableError(f"cyclic solve produced a non-returning block map; this is a bug ({budget.where(0)})")
     objective = None if base.weighted_objective is None else base.weighted_objective * cycles
     return RoutingSolution(
         base.initial_map,

@@ -1,11 +1,15 @@
 """MaxSAT solving: a built-in branch-and-bound reference solver, WCNF
 interchange, and external solver invocation.
 
-The built-in solver is a deliberately small, auditable DPLL search with
-two-watched-literal unit propagation and branch-and-bound over the
-falsified soft weight.  It is exact and anytime: interrupting it at the
-time budget yields the best incumbent found so far.  Scale beyond desk
-size is the job of external solvers via the WCNF interface.
+The built-in solver is conflict-driven branch and bound: clause-learning
+search (first-UIP analysis, non-chronological backjumping) over the hard
+clauses, with the objective enforced by *bound conflicts*.  Whenever the
+falsified soft weight reaches the incumbent's, the falsified soft
+clauses form a clause that every cheaper model must satisfy, and the
+search learns from it exactly as from a violated hard clause.  The
+solver is exact and anytime: interrupting it at the time budget yields
+the best incumbent found so far.  Scale beyond desk size is the job of
+external solvers via the WCNF interface.
 """
 
 from __future__ import annotations
@@ -34,13 +38,21 @@ class SolveOutcome:
     """Result of one solve call.
 
     ``falsified_weight`` is the total weight of falsified soft clauses
-    under ``model`` (present whenever a model is).
+    under ``model`` (present whenever a model is).  The counters describe
+    the search: ``propagations`` counts literals taken off the
+    propagation queue, ``conflicts`` counts hard and bound conflicts, and
+    ``incumbents`` lists every improving model as (seconds since the
+    start, falsified weight).
     """
 
     status: SolveStatus
     model: Model | None
     falsified_weight: int | None
     elapsed: float
+    decisions: int = 0
+    conflicts: int = 0
+    propagations: int = 0
+    incumbents: tuple[tuple[float, int], ...] = ()
 
     def __post_init__(self):
         if self.status in (SolveStatus.OPTIMAL, SolveStatus.SATISFIABLE_BOUND) and self.model is None:
@@ -52,161 +64,284 @@ class _BudgetExpired(Exception):
 
 
 def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> SolveOutcome:
-    """Exact branch-and-bound DPLL over all variables.
+    """Exact conflict-driven branch and bound over all variables.
 
-    Branching is deterministic: variables in ascending id order, and a
-    variable that occurs positively in some soft clause is tried true
-    first, otherwise false first, so the first descent follows the soft
-    preferences.  The lower bound is the weight of already-falsified
-    soft clauses; a branch is pruned as soon as it cannot beat the
-    incumbent.  Exhausting the search proves optimality (or hard
-    unsatisfiability if no model was ever found); an expired budget
-    returns the incumbent as a satisfiable bound, or unknown.
+    Branching is fixed: the lowest unassigned variable id, true first if
+    it occurs positively in some soft clause and false first otherwise,
+    so the first descent follows the soft preferences and the encoder's
+    slot-by-slot id order.  A violated clause -- a hard or learned
+    clause, or the bound clause made of the earliest-falsified soft
+    clauses whose weight reaches the incumbent's -- is analysed to its
+    first unique implication point; the learned clause is kept, and the
+    search jumps back to the level where it becomes unit.  Learned
+    clauses stay valid because the incumbent only falls.  A conflict at
+    level 0 proves optimality (or hard unsatisfiability if no model was
+    ever found); an expired budget returns the incumbent as a
+    satisfiable bound, or unknown.
     """
     t0 = time.monotonic()
     deadline = None if budget is None else t0 + budget
     nv = instance.num_vars
+    size = 2 * nv + 1
 
-    val = [0] * (nv + 1)  # 0 unassigned, 1 true, -1 false
+    # Per-literal arrays are indexed by the signed literal itself: a
+    # positive literal v lands on v, and Python's negative indexing puts
+    # -v on size - v, so the two polarities never collide.
+    lv = [0] * size  # 1 true, -1 false, 0 unassigned
+    lvl = [0] * size  # decision level, stored under the true literal
+    rsn: list = [None] * size  # reason clause, stored under the true literal
+    seen = [False] * size  # conflict analysis marks, under the true literal
+    watches: list[list[list[int]]] = [[] for _ in range(size)]  # clauses to visit when the key turns true
+    implied: list[list[int]] = [[] for _ in range(size)]  # binary clauses: literals the key forces
     trail: list[int] = []
+    trail_lim: list[int] = []  # trail length at each decision
     qhead = 0
-    lb = 0
-    best = float("inf")
-    best_model: list[int] | None = None
+    dl = 0  # current decision level
 
-    # Hard clauses: unit clauses seed the trail, the rest get two watches.
-    # watches[lit + nv] lists clauses in which literal -lit is watched,
-    # i.e. the clauses to visit when lit becomes true.
-    clauses: list[list[int]] = []
-    watches: list[list[int]] = [[] for _ in range(2 * nv + 1)]
     root_units: list[int] = []
     for c in instance.hard:
         if len(c) == 1:
             root_units.append(c[0])
-            continue
-        cl = list(c)
-        ci = len(clauses)
-        clauses.append(cl)
-        watches[nv - cl[0]].append(ci)
-        watches[nv - cl[1]].append(ci)
+        elif len(c) == 2:
+            a, b = c
+            implied[-a].append(b)
+            implied[-b].append(a)
+        else:
+            cl = list(c)
+            watches[-cl[0]].append(cl)
+            watches[-cl[1]].append(cl)
 
     # Soft clauses: count non-false literals; at zero the clause is
-    # falsified and its weight joins the lower bound.
-    sfree = []
+    # falsified, its weight joins the lower bound and its index is pushed
+    # on ``falsified``.  Counting happens as propagation takes a literal
+    # off the trail, so the stack is in trail order and undo pops it.
     sweight = []
-    socc: list[list[int]] = [[] for _ in range(2 * nv + 1)]
+    sfree = []
+    socc: list = [()] * size  # soft clauses containing the key literal
     pref = [False] * (nv + 1)
     for si, (c, w) in enumerate(instance.soft):
-        sfree.append(len(c))
         sweight.append(w)
+        sfree.append(len(c))
         for lit in c:
-            socc[lit + nv].append(si)
+            if not socc[lit]:
+                socc[lit] = []
+            socc[lit].append(si)
             if lit > 0:
                 pref[lit] = True
-
-    ops = 0
-
-    def assign(lit: int):
-        nonlocal lb
-        val[abs(lit)] = 1 if lit > 0 else -1
-        trail.append(lit)
-        for si in socc[nv - lit]:
-            sfree[si] -= 1
-            if sfree[si] == 0:
-                lb += sweight[si]
-
-    def undo_to(mark: int):
-        nonlocal lb, qhead
-        while len(trail) > mark:
-            lit = trail.pop()
-            val[abs(lit)] = 0
-            for si in socc[nv - lit]:
-                if sfree[si] == 0:
-                    lb -= sweight[si]
-                sfree[si] += 1
-        qhead = mark
-
-    def propagate() -> bool:
-        """Unit propagation; returns True on a hard conflict."""
-        nonlocal qhead, ops
-        while qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            ops += 1
-            if deadline is not None and ops % 2048 == 0 and time.monotonic() > deadline:
-                raise _BudgetExpired
-            wl = watches[lit + nv]
-            i = j = 0
-            end = len(wl)
-            while i < end:
-                ci = wl[i]
-                i += 1
-                cl = clauses[ci]
-                if cl[0] == -lit:
-                    cl[0], cl[1] = cl[1], cl[0]
-                first = cl[0]
-                if (val[first] if first > 0 else -val[-first]) == 1:
-                    wl[j] = ci
-                    j += 1
-                    continue
-                for t in range(2, len(cl)):
-                    lt = cl[t]
-                    if (val[lt] if lt > 0 else -val[-lt]) != -1:
-                        cl[1], cl[t] = cl[t], cl[1]
-                        watches[nv - cl[1]].append(ci)
-                        break
-                else:
-                    wl[j] = ci
-                    j += 1
-                    if (val[first] if first > 0 else -val[-first]) == 0:
-                        assign(first)
-                    else:
-                        while i < end:  # conflict: keep the rest of the list
-                            wl[j] = wl[i]
-                            j += 1
-                            i += 1
-                        del wl[j:]
-                        return True
-            del wl[j:]
-        return False
+    falsified: list[int] = []
+    lb = 0
+    best = instance.soft_weight_total + 1  # every model beats this
+    best_vals: list[int] | None = None
+    incumbents: list[tuple[float, int]] = []
+    decisions = conflicts = props = 0
+    nxt = 1  # every variable below it is assigned
 
     def finish(exhausted: bool) -> SolveOutcome:
         elapsed = time.monotonic() - t0
-        if best_model is not None:
-            model = Model(tuple(v == 1 for v in best_model))
+        counters = (decisions, conflicts, props, tuple(incumbents))
+        if best_vals is not None:
+            model = Model((False, *(x == 1 for x in best_vals)))
             status = SolveStatus.OPTIMAL if exhausted else SolveStatus.SATISFIABLE_BOUND
-            return SolveOutcome(status, model, int(best), elapsed)
-        return SolveOutcome(SolveStatus.HARD_UNSAT if exhausted else SolveStatus.UNKNOWN, None, None, elapsed)
+            return SolveOutcome(status, model, best, elapsed, *counters)
+        status = SolveStatus.HARD_UNSAT if exhausted else SolveStatus.UNKNOWN
+        return SolveOutcome(status, None, None, elapsed, *counters)
+
+    def assign(lit: int, reason):
+        lv[lit] = 1
+        lv[-lit] = -1
+        lvl[lit] = dl
+        rsn[lit] = reason
+        trail.append(lit)
+
+    def backjump(level: int):
+        nonlocal dl, qhead, lb, nxt
+        lim = trail_lim[level]
+        nxt = abs(trail[lim])  # the first decision undone
+        for q in trail[lim:qhead]:
+            for si in socc[-q]:
+                if not sfree[si]:
+                    lb -= sweight[si]
+                    falsified.pop()
+                sfree[si] += 1
+        for q in trail[lim:]:
+            lv[q] = lv[-q] = 0
+        del trail[lim:]
+        del trail_lim[level:]
+        dl = level
+        qhead = lim
 
     for lit in root_units:
-        state = val[lit] if lit > 0 else -val[-lit]
-        if state == -1:
+        if lv[lit] == -1:
             return finish(exhausted=True)  # contradictory unit clauses
-        if state == 0:
-            assign(lit)
+        if lv[lit] == 0:
+            assign(lit, None)
 
-    frames: list[list] = []  # [var, trail mark, flipped?]
+    append = trail.append
     try:
         while True:
-            conflict = propagate()
-            if not conflict and lb < best:
-                scan = frames[-1][0] + 1 if frames else 1
-                v = next((u for u in range(scan, nv + 1) if val[u] == 0), None)
-                if v is not None:
-                    frames.append([v, len(trail), False])
-                    assign(v if pref[v] else -v)
-                    continue
-                best = lb  # leaf: every variable assigned
-                best_model = val[:]
-            while frames and frames[-1][2]:
-                fr = frames.pop()
-                undo_to(fr[1])
-            if not frames:
+            # -- unit propagation: binary implications, then watched clauses
+            confl = None
+            while qhead < len(trail):
+                p = trail[qhead]
+                qhead += 1
+                props += 1
+                if deadline is not None and not props & 2047 and time.monotonic() > deadline:
+                    raise _BudgetExpired
+                np = -p
+                for si in socc[np]:
+                    sfree[si] -= 1
+                    if not sfree[si]:
+                        lb += sweight[si]
+                        falsified.append(si)
+                for q in implied[p]:
+                    x = lv[q]
+                    if x == 1:
+                        continue
+                    if x == -1:
+                        confl = (q, np)
+                        break
+                    lv[q] = 1
+                    lv[-q] = -1
+                    lvl[q] = dl
+                    rsn[q] = (q, np)
+                    append(q)
+                if confl is not None:
+                    break
+                ws = watches[p]
+                i = j = 0
+                end = len(ws)
+                while i < end:
+                    c = ws[i]
+                    i += 1
+                    f = c[0]
+                    if f == np:
+                        f = c[1]
+                        if lv[f] == 1:
+                            ws[j] = c
+                            j += 1
+                            continue
+                        c[0] = f
+                        c[1] = np
+                    elif lv[f] == 1:
+                        ws[j] = c
+                        j += 1
+                        continue
+                    for k in range(2, len(c)):
+                        q = c[k]
+                        if lv[q] != -1:
+                            c[1] = q
+                            c[k] = np
+                            watches[-q].append(c)
+                            break
+                    else:
+                        ws[j] = c
+                        j += 1
+                        if lv[f]:
+                            confl = c
+                            break
+                        lv[f] = 1
+                        lv[-f] = -1
+                        lvl[f] = dl
+                        rsn[f] = c
+                        append(f)
+                del ws[j:i]  # drop the watches that moved; the unvisited tail stays
+                if confl is not None:
+                    break
+
+            if confl is None:
+                if lb < best:
+                    v = nxt
+                    while v <= nv and lv[v]:
+                        v += 1
+                    nxt = v
+                    if v <= nv:
+                        decisions += 1
+                        trail_lim.append(len(trail))
+                        dl += 1
+                        assign(v if pref[v] else -v, None)
+                        continue
+                    best = lb  # leaf: every variable assigned
+                    best_vals = lv[1 : nv + 1]
+                    incumbents.append((time.monotonic() - t0, best))
+                # Bound conflict: the earliest-falsified soft clauses whose
+                # weight reaches the incumbent's cannot all stay falsified.
+                acc = 0
+                lits: dict[int, None] = {}
+                for si in falsified:
+                    lits.update(dict.fromkeys(instance.soft[si][0]))
+                    acc += sweight[si]
+                    if acc >= best:
+                        break
+                confl = list(lits)
+
+            # -- conflict analysis at the clause's highest level
+            conflicts += 1
+            top = max((lvl[-q] for q in confl), default=0)
+            if top == 0:
                 return finish(exhausted=True)
-            fr = frames[-1]
-            undo_to(fr[1])
-            fr[2] = True
-            assign(-fr[0] if pref[fr[0]] else fr[0])
+            if top < dl:
+                backjump(top)
+            learnt = [0]
+            path = 0
+            p = 0
+            idx = len(trail) - 1
+            c = confl
+            while True:
+                for q in c:
+                    if q == p:
+                        continue
+                    t = -q
+                    if not seen[t] and lvl[t]:
+                        seen[t] = True
+                        if lvl[t] == dl:
+                            path += 1
+                        else:
+                            learnt.append(q)
+                while not seen[trail[idx]]:
+                    idx -= 1
+                p = trail[idx]
+                idx -= 1
+                seen[p] = False
+                path -= 1
+                if not path:
+                    break
+                c = rsn[p]
+            learnt[0] = -p
+
+            # Local minimization: drop a literal whose reason is covered by
+            # the rest of the clause (or by level-0 facts).
+            kept = [learnt[0]]
+            for q in learnt[1:]:
+                r = rsn[-q]
+                if r is None:
+                    kept.append(q)
+                    continue
+                t = -q
+                for x in r:
+                    if x != t and not seen[-x] and lvl[-x]:
+                        kept.append(q)
+                        break
+            for q in learnt[1:]:
+                seen[-q] = False
+
+            # Jump to the second-highest level and assert the first UIP there.
+            level = 0
+            if len(kept) > 1:
+                at = max(range(1, len(kept)), key=lambda k: lvl[-kept[k]])
+                kept[1], kept[at] = kept[at], kept[1]
+                level = lvl[-kept[1]]
+            backjump(level)
+            u = kept[0]
+            if len(kept) == 1:
+                assign(u, None)
+            elif len(kept) == 2:
+                implied[-u].append(kept[1])
+                implied[-kept[1]].append(u)
+                assign(u, tuple(kept))
+            else:
+                watches[-u].append(kept)
+                watches[-kept[1]].append(kept)
+                assign(u, kept)
     except _BudgetExpired:
         return finish(exhausted=False)
 
@@ -330,20 +465,22 @@ def solve_external(instance: MaxSatInstance, solver_cmd: str, budget: float | No
     if model is not None and not instance.hard_satisfied(model):
         raise SolverIntegrityError("external solver returned a model violating the hard clauses")
     weight = instance.falsified_weight(model) if model is not None else None
+    # The process reports no search counters; its one model is the timeline.
+    timeline = () if model is None else ((elapsed, weight),)
 
     if status_line == "OPTIMUM FOUND":
         if model is None:
             raise SolverOutputError("OPTIMUM FOUND without a model line")
-        return SolveOutcome(SolveStatus.OPTIMAL, model, weight, elapsed)
+        return SolveOutcome(SolveStatus.OPTIMAL, model, weight, elapsed, incumbents=timeline)
     if status_line == "SATISFIABLE":
         if model is None:
             raise SolverOutputError("SATISFIABLE without a model line")
-        return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, weight, elapsed)
+        return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, weight, elapsed, incumbents=timeline)
     if status_line == "UNSATISFIABLE":
         return SolveOutcome(SolveStatus.HARD_UNSAT, None, None, elapsed)
     if status_line in (None, "UNKNOWN"):
         if model is not None:
-            return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, weight, elapsed)
+            return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, weight, elapsed, incumbents=timeline)
         if timed_out or status_line == "UNKNOWN":
             return SolveOutcome(SolveStatus.UNKNOWN, None, None, elapsed)
         raise SolverOutputError(f"no status line in solver output:\n{stdout[:2000]}")

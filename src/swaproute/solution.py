@@ -47,7 +47,12 @@ class QubitMap:
 
 @dataclass(frozen=True)
 class SliceStats:
-    """Per-slice solve accounting for one driver run."""
+    """Per-slice solve accounting for one driver run.
+
+    Time and the search counters are summed over every solve of the
+    slice (backtracking re-solves it); ``incumbents`` is the last solve's
+    timeline of (seconds, falsified weight) pairs.
+    """
 
     index: int
     solve_ms: float
@@ -56,6 +61,10 @@ class SliceStats:
     num_vars: int = 0
     hard_clauses: int = 0
     soft_clauses: int = 0
+    decisions: int = 0
+    conflicts: int = 0
+    propagations: int = 0
+    incumbents: tuple[tuple[float, int], ...] = ()
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,9 @@ def test_map_global_three_gate(tmp_path, capsys):
     assert record["status"] == "optimal"
     assert record["gates_added"] == 3 * record["swap_count"]
     assert out.read_text().startswith("// initial_map:")
+    (slice_record,) = record["per_slice"]
+    assert slice_record["decisions"] > 0 and slice_record["propagations"] > 0
+    assert slice_record["incumbents"][-1][1] == record["swap_count"]
 
 
 def test_map_output_verifies_via_cli(tmp_path):
@@ -149,12 +152,14 @@ def test_map_external_unsat_exits_3(tmp_path):
     assert code == 3
 
 
-def test_map_timeout_exits_2(tmp_path):
-    qasm = tmp_path / "qaoa6.qasm"
-    run(["gen-qaoa", "--qubits", "6", "--cycles", "1", "--seed", "7", "--output", str(qasm)])
-    code = run(["map", "--input", qasm.as_posix(), "--arch", "line:6", "--strategy", "cyclic",
-                "--cyclic-block-slots", "18", "--budget", "0.3"])
+def test_map_timeout_exits_2(tmp_path, capsys):
+    # QAOA-16 on Tokyo as one instance: building it takes a good part of
+    # the budget, and the built-in solver finds no first model within seconds.
+    qasm = tmp_path / "qaoa16.qasm"
+    run(["gen-qaoa", "--qubits", "16", "--cycles", "1", "--seed", "7", "--output", str(qasm)])
+    code = run(["map", "--input", qasm.as_posix(), "--arch", "tokyo", "--strategy", "global", "--budget", "0.3"])
     assert code == 2
+    assert "slice 0," in capsys.readouterr().err
 
 
 def test_map_usage_error_exits_1(tmp_path):

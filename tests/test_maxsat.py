@@ -82,7 +82,10 @@ def random_instance(rng: random.Random, num_vars: int) -> MaxSatInstance:
 
 def pigeonhole_hard(builder: InstanceBuilder, pigeons: int, holes: int) -> list[list[int]]:
     """Place each pigeon in some hole, no two sharing one: unsatisfiable
-    when pigeons > holes, and notoriously slow for plain DPLL."""
+    when pigeons > holes.  Every resolution refutation is exponential in
+    the number of holes (Haken 1985), and clause learning is bounded by
+    resolution, so at 12 pigeons no refutation fits in a fraction of a
+    second."""
     x = [[builder.new_var() for _ in range(holes)] for _ in range(pigeons)]
     for p in range(pigeons):
         builder.add_hard(x[p])
@@ -119,6 +122,57 @@ def test_builtin_matches_exhaustive_enumeration():
             assert inst.falsified_weight(out.model) == expected
 
 
+def test_builtin_weighted_matches_exhaustive_enumeration():
+    # Improving on a first incumbent is what drives bound conflicts, so
+    # enough instances must get past their first model.
+    rng = random.Random(2024)
+    improved = 0
+    for _ in range(400):
+        inst = random_instance(rng, rng.randint(1, 12))
+        expected = exhaustive_optimum(inst)
+        out = solve_builtin(inst)
+        if expected is None:
+            assert out.status is SolveStatus.HARD_UNSAT
+            continue
+        assert out.status is SolveStatus.OPTIMAL
+        assert out.falsified_weight == expected == inst.falsified_weight(out.model)
+        assert inst.hard_satisfied(out.model)
+        improved += len(out.incumbents) >= 2
+    assert improved >= 40
+
+
+def test_incumbent_timeline_falls_to_reported_weight():
+    rng = random.Random(3)
+    for _ in range(40):
+        inst = random_instance(rng, rng.randint(6, 12))
+        out = solve_builtin(inst)
+        if out.model is None:
+            assert out.incumbents == ()
+            continue
+        costs = [cost for _, cost in out.incumbents]
+        times = [t for t, _ in out.incumbents]
+        assert all(a > b for a, b in zip(costs, costs[1:]))
+        assert times == sorted(times) and times[-1] <= out.elapsed
+        assert costs[-1] == out.falsified_weight
+        assert out.propagations > 0
+
+
+def test_hard_satisfied_matches_per_clause_definition():
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(200):
+        inst = random_instance(rng, rng.randint(2, 10))
+        out = solve_builtin(inst)
+        if out.model is not None and rng.random() < 0.5:
+            model = out.model  # satisfying
+        else:
+            model = Model((False, *(rng.random() < 0.5 for _ in range(inst.num_vars))))
+        expected = all(any(model.holds(lit) for lit in clause) for clause in inst.hard)
+        assert inst.hard_satisfied(model) is expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_builtin_deterministic():
     rng = random.Random(21)
     for _ in range(10):
@@ -132,7 +186,7 @@ def test_builtin_deterministic():
 
 def test_budget_without_incumbent_is_unknown():
     b = InstanceBuilder()
-    pigeonhole_hard(b, 8, 7)
+    pigeonhole_hard(b, 12, 11)
     out = solve_builtin(b.build(), budget=0.3)
     assert out.status is SolveStatus.UNKNOWN
     assert out.model is None
@@ -145,12 +199,12 @@ def test_budget_with_incumbent_is_satisfiable_bound():
     # cannot happen within the budget.
     b = InstanceBuilder()
     e = b.new_var()
-    x = [[b.new_var() for _ in range(7)] for _ in range(8)]
-    for p in range(8):
+    x = [[b.new_var() for _ in range(11)] for _ in range(12)]
+    for p in range(12):
         b.add_hard([e, *x[p]])
-    for h in range(7):
-        for p1 in range(8):
-            for p2 in range(p1 + 1, 8):
+    for h in range(11):
+        for p1 in range(12):
+            for p2 in range(p1 + 1, 12):
                 b.add_hard([e, -x[p1][h], -x[p2][h]])
     b.add_soft([-e], 5)
     b.add_soft([e], 1)
@@ -159,6 +213,7 @@ def test_budget_with_incumbent_is_satisfiable_bound():
     assert out.status is SolveStatus.SATISFIABLE_BOUND
     assert inst.hard_satisfied(out.model)
     assert out.falsified_weight == 5  # the escape-hatch incumbent
+    assert out.incumbents[-1][1] == 5
 
 
 # -- WCNF ---------------------------------------------------------------------
