@@ -14,7 +14,6 @@ from .arch import ConnectivityGraph, NoiseModel, diameter, load_arch, load_noise
 from .circuit import (
     Circuit,
     Gate,
-    Slice,
     emit_qasm,
     generate_qaoa_maxcut,
     parse_qasm,
@@ -32,7 +31,6 @@ from .driver import (
 )
 from .encoder import (
     EncodeOptions,
-    VarTable,
     decode,
     encode,
     instance_stats,
@@ -50,7 +48,6 @@ from .errors import (
     UnroutableError,
 )
 from .maxsat import SolveOutcome, SolveStatus, emit_wcnf, parse_wcnf, solve_builtin, solve_external
-from .oracle import brute_force_oracle
 from .solution import QubitMap, RoutingSolution, SliceStats, apply_routing
 from .verifier import Verdict, Violation, verify, verify_solution
 
@@ -75,7 +72,6 @@ __all__ = [
     "QasmError",
     "QubitMap",
     "RoutingSolution",
-    "Slice",
     "SliceStats",
     "SolveOutcome",
     "SolveStatus",
@@ -86,10 +82,8 @@ __all__ = [
     "UnroutableError",
     "Verdict",
     "Violation",
-    "VarTable",
     "apply_routing",
     "as_cyclic_blocks",
-    "brute_force_oracle",
     "decode",
     "diameter",
     "emit_qasm",

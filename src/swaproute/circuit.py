@@ -72,31 +72,9 @@ class Circuit:
         return len(self.gates)
 
 
-@dataclass(frozen=True)
-class Slice:
-    """A contiguous run of a circuit covering slots ``slot_range`` =
-    [lo, hi) of the parent, plus the one-qubit gates attached to them."""
-
-    parent: Circuit
-    slot_range: tuple[int, int]
-    gates: tuple[Gate, ...]
-
-    @property
-    def num_logical(self) -> int:
-        return self.parent.num_logical
-
-    @property
-    def slots(self) -> tuple[int, ...]:
-        """Indices of two-qubit gates within this slice's own gate list."""
-        return tuple(i for i, g in enumerate(self.gates) if g.is_two_qubit)
-
-    @property
-    def slot_gates(self) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.is_two_qubit)
-
-
-def slice_circuit(circuit: Circuit, slice_size: int) -> list[Slice]:
-    """Partition a circuit into slices of at most ``slice_size`` slots.
+def slice_circuit(circuit: Circuit, slice_size: int) -> list[Circuit]:
+    """Partition a circuit into slices of at most ``slice_size`` slots,
+    each a circuit over the same logical qubits.
 
     Each one-qubit gate is attached to the slice of the nearest
     *following* two-qubit gate, so it executes under the map in force
@@ -110,8 +88,7 @@ def slice_circuit(circuit: Circuit, slice_size: int) -> list[Slice]:
     num_slots = len(circuit.slots)
     if num_slots == 0:
         return []
-    bounds = [(lo, min(lo + slice_size, num_slots)) for lo in range(0, num_slots, slice_size)]
-    per_slice: list[list[Gate]] = [[] for _ in bounds]
+    per_slice: list[list[Gate]] = [[] for _ in range(0, num_slots, slice_size)]
     slot_idx = 0
     pending: list[Gate] = []
     for g in circuit.gates:
@@ -124,7 +101,7 @@ def slice_circuit(circuit: Circuit, slice_size: int) -> list[Slice]:
         else:
             pending.append(g)
     per_slice[-1].extend(pending)
-    return [Slice(circuit, rng, tuple(gs)) for rng, gs in zip(bounds, per_slice)]
+    return [Circuit(circuit.num_logical, tuple(gs)) for gs in per_slice]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +361,7 @@ def _format_param(x: float) -> str:
     return repr(x)
 
 
-def emit_qasm(circuit: Circuit | Slice, decompose_swaps: bool = False, *, register: str = "q", comments: list[str] | None = None) -> str:
+def emit_qasm(circuit: Circuit, decompose_swaps: bool = False, *, register: str = "q", comments: list[str] | None = None) -> str:
     """Serialize a circuit to OpenQASM 2.0.
 
     With ``decompose_swaps`` every ``swap a,b`` is written as the

@@ -99,7 +99,7 @@ def _cmd_map(args) -> int:
     backend = args.solver if args.solver.startswith("cmd:") else "builtin"
     if backend == "builtin" and args.solver != "builtin":
         raise _UsageError(f"--solver must be 'builtin' or 'cmd:<template>', got {args.solver!r}")
-    sizes = _parse_sizes(args.slice_size) if args.slice_size else (10, 25, 50, 100)
+    sizes = _parse_sizes(args.slice_size) if args.slice_size else DriverConfig.slice_sizes
     cfg = DriverConfig(
         slice_sizes=sizes,
         n=args.n,
@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="source OpenQASM 2.0 file")
     p.add_argument("--arch", required=True, help="architecture name or edge-list file")
     p.add_argument("--strategy", choices=["global", "sliced", "cyclic"], default="sliced")
-    p.add_argument("--slice-size", default=None, help="comma-separated slice sizes (default 10,25,50,100)")
+    default_sizes = ",".join(map(str, DriverConfig.slice_sizes))
+    p.add_argument("--slice-size", default=None, help=f"comma-separated slice sizes (default {default_sizes})")
     p.add_argument("--n", type=int, default=1, help="swaps allowed before each two-qubit gate")
     p.add_argument("--budget", type=float, default=None, help="total time budget in seconds")
     p.add_argument("--solver", default="builtin", help="'builtin' or 'cmd:<template with {wcnf}>'")

@@ -17,22 +17,25 @@ from .solution import QubitMap, RoutingSolution, SliceStats
 logger = logging.getLogger(__name__)
 
 
+MAX_BACKTRACKS_PER_SLICE = 10  # re-solves of one slice before a sliced run gives up
+
+
 @dataclass(frozen=True)
 class DriverConfig:
     """Strategy knobs for a routing run.
 
     ``slice_sizes`` drives :func:`solve_best`; ``n`` is the swap budget
     per slot (1 is almost always enough in practice and keeps the
-    encoding small; the graph diameter guarantees feasibility).
+    encoding small; the graph diameter guarantees feasibility).  A
+    sliced run re-solves each slice at most
+    :data:`MAX_BACKTRACKS_PER_SLICE` times when a later slice is refuted.
     """
 
     slice_sizes: tuple[int, ...] = (10, 25, 50, 100)
     n: int = 1
     budget: float | None = None
     backend: str = "builtin"  # "builtin" or "cmd:<template with {wcnf}>"
-    max_backtracks_per_slice: int = 10
     weighted: NoiseModel | None = None
-    weight_scale: int = 1000
 
 
 class _Budget:
@@ -46,14 +49,13 @@ class _Budget:
             return None
         return max(self.deadline - time.monotonic(), 0.001)
 
+    def spent(self) -> bool:
+        return self.deadline is not None and time.monotonic() >= self.deadline
+
     def where(self, index: int) -> str:
         """Failure context: the slice, the seconds spent and the budget."""
         limit = "none" if self.seconds is None else f"{self.seconds:g} s"
         return f"slice {index}, {time.monotonic() - self.start:.2f} s spent, budget {limit}"
-
-
-def _encode_options(cfg: DriverConfig, **overrides) -> EncodeOptions:
-    return EncodeOptions(n=cfg.n, weighted=cfg.weighted, weight_scale=cfg.weight_scale, **overrides)
 
 
 def _run_solver(instance, cfg: DriverConfig, budget: float | None) -> SolveOutcome:
@@ -92,6 +94,41 @@ def _slice_stats(index: int, outcomes: list[SolveOutcome], backtracks: int, st: 
     )
 
 
+def _solve_step(
+    piece: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, index: int, **pins
+) -> tuple[RoutingSolution | None, SolveOutcome, InstanceStats]:
+    """Encode ``piece`` (slice ``index`` of a run), solve it with what is
+    left of ``budget``, and decode the model.
+
+    The routing is None when the hard clauses are refuted.  A budget
+    spent before the encode, or before the solver's first model, raises
+    :class:`SolveTimeoutError`.
+    """
+    if budget.spent():
+        raise SolveTimeoutError(f"budget spent before the solve started ({budget.where(index)})")
+    opt = EncodeOptions(n=cfg.n, weighted=cfg.weighted, **pins)
+    instance = encode(piece, g, opt)
+    outcome = _run_solver(instance, cfg, budget.remaining())
+    size = instance_stats(instance)
+    if outcome.status is SolveStatus.UNKNOWN:
+        raise SolveTimeoutError(f"budget expired with no incumbent ({budget.where(index)})")
+    if outcome.status is SolveStatus.HARD_UNSAT:
+        return None, outcome, size
+    status = "optimal" if outcome.status is SolveStatus.OPTIMAL else "best_effort"
+    return decode(outcome.model, instance, piece, g, opt, status=status), outcome, size
+
+
+def _solve_whole(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, *, cyclic: bool = False) -> RoutingSolution:
+    """Solve the circuit as one piece; a refutation means it is unroutable."""
+    solution, outcome, size = _solve_step(circuit, g, cfg, budget, 0, cyclic=cyclic)
+    if solution is None:
+        kind = "cyclic routing of the block" if cyclic else "routing"
+        raise UnroutableError(
+            f"no {kind} with n={cfg.n} swaps per slot (graph diameter is {diameter(g)}; {budget.where(0)})"
+        )
+    return replace(solution, per_slice_stats=(_slice_stats(0, [outcome], 0, size),))
+
+
 def solve_global(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = DriverConfig()) -> RoutingSolution:
     """Encode the whole circuit at once, solve, decode.
 
@@ -102,19 +139,7 @@ def solve_global(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Dri
     budget = _Budget(cfg.budget)
     if not circuit.slots:
         return _trivial_solution(circuit, g, budget)
-    opt = _encode_options(cfg)
-    instance = encode(circuit, g, opt)
-    outcome = _run_solver(instance, cfg, budget.remaining())
-    if outcome.status is SolveStatus.HARD_UNSAT:
-        raise UnroutableError(
-            f"no routing with n={cfg.n} swaps per slot (graph diameter is {diameter(g)}; {budget.where(0)})"
-        )
-    if outcome.status is SolveStatus.UNKNOWN:
-        raise SolveTimeoutError(f"budget expired before any solution was found ({budget.where(0)})")
-    status = "optimal" if outcome.status is SolveStatus.OPTIMAL else "best_effort"
-    solution = decode(outcome.model, instance, circuit, g, opt, status=status)
-    stats = _slice_stats(0, [outcome], 0, instance_stats(instance))
-    return replace(solution, per_slice_stats=(stats,))
+    return _solve_whole(circuit, g, cfg, budget)
 
 
 def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slice_size: int) -> RoutingSolution:
@@ -124,8 +149,8 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     An unsatisfiable slice triggers backtracking: the previous slice's
     final map is blocked by a hard clause and that slice is re-solved,
     recursively further back if needed, each slice's re-solves bounded
-    by ``max_backtracks_per_slice``.  The result is locally optimal per
-    slice but only best-effort overall.
+    by :data:`MAX_BACKTRACKS_PER_SLICE`.  The result is locally optimal
+    per slice but only best-effort overall.
     """
     budget = _Budget(cfg.budget)
     if not circuit.slots:
@@ -141,31 +166,27 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     i = 0
     while i < count:
         pin = solutions[i - 1].final_map if i > 0 else None
-        opt = _encode_options(cfg, pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i]))
-        instance = encode(slices[i], g, opt)
-        outcome = _run_solver(instance, cfg, budget.remaining())
+        solutions[i], outcome, sizes[i] = _solve_step(
+            slices[i], g, cfg, budget, i, pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i])
+        )
         outcomes[i].append(outcome)
-        sizes[i] = instance_stats(instance)
-        if outcome.status is SolveStatus.UNKNOWN:
-            raise SolveTimeoutError(f"budget expired with no incumbent ({budget.where(i)})")
-        if outcome.status is SolveStatus.HARD_UNSAT:
-            if i == 0:
-                raise UnroutableError(
-                    f"unroutable with n={cfg.n} swaps per slot; "
-                    f"raise n (graph diameter is {diameter(g)}) or the slice size ({budget.where(0)})"
-                )
-            backtracks[i - 1] += 1
-            if backtracks[i - 1] > cfg.max_backtracks_per_slice:
-                raise UnroutableError(
-                    f"backtrack budget exhausted; raise n (graph diameter is {diameter(g)}), "
-                    f"the slice size, or max_backtracks_per_slice ({budget.where(i - 1)})"
-                )
-            blocked_maps[i - 1].append(solutions[i - 1].final_map)
-            logger.info("slice %d unsatisfiable; backtracking to slice %d", i, i - 1)
-            i -= 1
+        if solutions[i] is not None:
+            i += 1
             continue
-        solutions[i] = decode(outcome.model, instance, slices[i], g, opt)
-        i += 1
+        if i == 0:
+            raise UnroutableError(
+                f"unroutable with n={cfg.n} swaps per slot; "
+                f"raise n (graph diameter is {diameter(g)}) or the slice size ({budget.where(0)})"
+            )
+        backtracks[i - 1] += 1
+        if backtracks[i - 1] > MAX_BACKTRACKS_PER_SLICE:
+            raise UnroutableError(
+                f"backtrack budget exhausted; raise n (graph diameter is {diameter(g)}) "
+                f"or the slice size ({budget.where(i - 1)})"
+            )
+        blocked_maps[i - 1].append(solutions[i - 1].final_map)
+        logger.info("slice %d unsatisfiable; backtracking to slice %d", i, i - 1)
+        i -= 1
 
     stats = tuple(_slice_stats(k, outcomes[k], backtracks[k], sizes[k]) for k in range(count))
     return _concatenate(solutions, stats)
@@ -216,15 +237,7 @@ def solve_cyclic(
     if slice_size is not None:
         base = _cyclic_via_slicing(block, g, replace(cfg, budget=budget.remaining()), slice_size)
     if base is None:
-        opt = _encode_options(cfg, cyclic=True)
-        instance = encode(block, g, opt)
-        outcome = _run_solver(instance, cfg, budget.remaining())
-        if outcome.status is SolveStatus.HARD_UNSAT:
-            raise UnroutableError(f"no cyclic routing for the block with n={cfg.n} swaps per slot ({budget.where(0)})")
-        if outcome.status is SolveStatus.UNKNOWN:
-            raise SolveTimeoutError(f"budget expired before any cyclic solution was found ({budget.where(0)})")
-        base = decode(outcome.model, instance, block, g, opt)
-        base = replace(base, per_slice_stats=(_slice_stats(0, [outcome], 0, instance_stats(instance)),))
+        base = _solve_whole(block, g, cfg, budget, cyclic=True)
 
     if base.final_map != base.initial_map:
         raise UnroutableError(f"cyclic solve produced a non-returning block map; this is a bug ({budget.where(0)})")
@@ -254,14 +267,12 @@ def _cyclic_via_slicing(block: Circuit, g: ConnectivityGraph, cfg: DriverConfig,
     if len(slices) < 2:
         return None
     last = slices[-1]
-    lo = last.slot_range[0]
-    pin = base.map_sequence[lo - 1]
-    opt = _encode_options(cfg, pinned_initial=pin, pinned_final=base.initial_map)
-    instance = encode(last, g, opt)
-    outcome = _run_solver(instance, cfg, budget.remaining())
-    if outcome.status not in (SolveStatus.OPTIMAL, SolveStatus.SATISFIABLE_BOUND):
+    lo = len(block.slots) - len(last.slots)
+    patched, _, _ = _solve_step(
+        last, g, cfg, budget, len(slices) - 1, pinned_initial=base.map_sequence[lo - 1], pinned_final=base.initial_map
+    )
+    if patched is None:
         return None
-    patched = decode(outcome.model, instance, last, g, opt)
     swaps = base.swaps[:lo] + patched.swaps
     maps = base.map_sequence[:lo] + patched.map_sequence
     candidate = RoutingSolution(base.initial_map, swaps, maps, "best_effort", per_slice_stats=base.per_slice_stats)
@@ -346,5 +357,4 @@ def as_cyclic_blocks(circuit: Circuit, block_slots: int) -> tuple[Circuit, int]:
                     f"slot {j * block_slots + t} does not repeat slot {t}'s qubit pair; "
                     "the circuit is not cyclic with this block length"
                 )
-    block = Circuit(circuit.num_logical, slice_circuit(circuit, block_slots)[0].gates)
-    return block, cycles
+    return slice_circuit(circuit, block_slots)[0], cycles

@@ -30,12 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, swap_weight
-from .circuit import Circuit, Slice
+from .circuit import Circuit
 from .cnf import InstanceBuilder, MaxSatInstance, Model
 from .errors import EncodingError
 from .solution import Edge, QubitMap, RoutingSolution
 
 NOOP: Edge = (0, 0)  # synthetic pair: swap p0 with itself; touches nothing
+WEIGHT_SCALE = 1000  # weighted mode: soft weights are -log fidelity times this, rounded
 
 
 class VarTable:
@@ -83,7 +84,6 @@ class EncodeOptions:
 
     n: int = 1
     weighted: NoiseModel | None = None
-    weight_scale: int = 1000
     pinned_initial: QubitMap | None = None
     pinned_final: QubitMap | None = None
     cyclic: bool = False
@@ -107,14 +107,14 @@ def instance_stats(instance: MaxSatInstance) -> InstanceStats:
     return InstanceStats(instance.num_vars, len(instance.hard), len(instance.soft))
 
 
-def active_qubits(circuit: Circuit | Slice, *, everything: bool = False) -> list[int]:
+def active_qubits(circuit: Circuit, *, everything: bool = False) -> list[int]:
     """Logical qubits that take part in two-qubit gates (or all of them)."""
     if everything:
         return list(range(circuit.num_logical))
     return sorted({q for g in circuit.slot_gates for q in g.operands})
 
 
-def encode(circuit: Circuit | Slice, g: ConnectivityGraph, opt: EncodeOptions = EncodeOptions()) -> MaxSatInstance:
+def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOptions()) -> MaxSatInstance:
     """Build the MaxSAT instance for routing ``circuit`` on ``g``."""
     slot_gates = circuit.slot_gates
     K = len(slot_gates)
@@ -236,15 +236,14 @@ def encode(circuit: Circuit | Slice, g: ConnectivityGraph, opt: EncodeOptions = 
             for i in range(1, opt.n + 1):
                 builder.add_soft([sv[NOOP, k, i]], 1)
     else:
-        scale = opt.weight_scale
         for k in range(1, K + 1):
             for i in range(1, opt.n + 1):
                 for e in edges:
-                    builder.add_soft([-sv[e, k, i]], swap_weight(opt.weighted, e, scale))
+                    builder.add_soft([-sv[e, k, i]], swap_weight(opt.weighted, e, WEIGHT_SCALE))
         for k, gate in enumerate(slot_gates, start=1):
             qa, qb = gate.operands
             for u, v in edges:
-                w = cx_weight(opt.weighted, (u, v), scale)
+                w = cx_weight(opt.weighted, (u, v), WEIGHT_SCALE)
                 builder.add_soft([-maps[k][qa, u], -maps[k][qb, v]], w)
                 builder.add_soft([-maps[k][qa, v], -maps[k][qb, u]], w)
 
@@ -266,7 +265,7 @@ def encode(circuit: Circuit | Slice, g: ConnectivityGraph, opt: EncodeOptions = 
     return builder.build(table)
 
 
-def _check_pin(pin: QubitMap, circuit: Circuit | Slice, g: ConnectivityGraph):
+def _check_pin(pin: QubitMap, circuit: Circuit, g: ConnectivityGraph):
     if len(pin) != circuit.num_logical:
         raise EncodingError(f"pinned map covers {len(pin)} qubits, circuit has {circuit.num_logical}")
     for q in range(len(pin)):
@@ -277,7 +276,7 @@ def _check_pin(pin: QubitMap, circuit: Circuit | Slice, g: ConnectivityGraph):
 def decode(
     model: Model,
     instance: MaxSatInstance,
-    circuit: Circuit | Slice,
+    circuit: Circuit,
     g: ConnectivityGraph,
     opt: EncodeOptions = EncodeOptions(),
     *,

@@ -15,7 +15,7 @@ from collections import deque
 from itertools import permutations
 
 from .arch import ConnectivityGraph
-from .circuit import Circuit, Slice
+from .circuit import Circuit
 from .errors import OracleLimitError, UnroutableError
 from .solution import Edge, QubitMap, RoutingSolution
 
@@ -77,7 +77,7 @@ def _shortest_path(src: State, dst: State, edges: list[Edge], limit: int) -> lis
 
 
 def brute_force_oracle(
-    circuit: Circuit | Slice,
+    circuit: Circuit,
     g: ConnectivityGraph,
     max_swaps_per_slot: int,
     initial_map: QubitMap | None = None,

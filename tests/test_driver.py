@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from swaproute import driver
 from swaproute.arch import diameter, load_arch
 from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
 from swaproute.driver import (
@@ -19,6 +22,7 @@ LINE2 = load_arch("line:2")
 LINE3 = load_arch("line:3")
 LINE4 = load_arch("line:4")
 STAR4 = load_arch("star:4")
+CYCLE6 = load_arch("cycle:6")
 
 THREE_GATE = Circuit(4, (Gate("cx", (0, 1)), Gate("cx", (0, 2)), Gate("cx", (0, 3))))
 
@@ -135,11 +139,37 @@ def test_sliced_slices_are_locally_optimal(rng):
     check_solution(c, sol, LINE4)
 
 
+# Sliced at 3 slots on cycle:6, slice 1 is refuted after each of the first
+# eleven placements slice 0 ends in, so slice 0 runs out of its re-solves.
+EXHAUSTS_BACKTRACKS = Circuit(4, tuple(Gate("cx", p) for p in [(0, 1), (0, 3), (1, 2), (3, 2), (3, 2)]))
+
+
 def test_sliced_backtrack_budget_exhaustion():
-    gates = tuple(Gate("cx", p) for p in [(1, 0), (3, 0), (3, 1), (0, 2), (3, 1)])
-    c = Circuit(4, gates)
     with pytest.raises(UnroutableError, match=r"backtrack .*\(slice \d+, \d+\.\d\d s spent, budget none\)"):
-        solve_sliced(c, LINE4, DriverConfig(n=1, max_backtracks_per_slice=0), 1)
+        solve_sliced(EXHAUSTS_BACKTRACKS, CYCLE6, DriverConfig(n=1), 3)
+
+
+def test_sliced_stops_once_budget_is_spent(monkeypatch):
+    # Slice 0's solve outlasts the whole budget; slice 1 must then be
+    # refused before it is encoded, and the timeout must name it.
+    run_solver, encode = driver._run_solver, driver.encode
+    encoded = []
+
+    def slow_first_solve(instance, cfg, budget):
+        outcome = run_solver(instance, cfg, budget)
+        if len(encoded) == 1:
+            time.sleep(0.3)
+        return outcome
+
+    def counting_encode(*args, **kwargs):
+        encoded.append(args[0])
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "_run_solver", slow_first_solve)
+    monkeypatch.setattr(driver, "encode", counting_encode)
+    with pytest.raises(SolveTimeoutError, match=r"\(slice 1, \d+\.\d\d s spent, budget 0\.2 s\)"):
+        solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1, budget=0.2), 1)
+    assert len(encoded) == 1
 
 
 def test_timeout_without_incumbent():
@@ -237,12 +267,10 @@ def test_best_of_ties_prefer_smaller_size():
 
 
 def test_best_of_reports_failed_sizes():
-    gates = tuple(Gate("cx", p) for p in [(1, 0), (3, 0), (3, 1), (0, 2), (3, 1)])
-    c = Circuit(4, gates)
-    out = solve_best(c, LINE4, DriverConfig(n=1, max_backtracks_per_slice=0, slice_sizes=(1, 5)))
+    out = solve_best(EXHAUSTS_BACKTRACKS, CYCLE6, DriverConfig(n=1, slice_sizes=(3, 5)))
     assert out.selected_size == 5
     by_size = {r.slice_size: r.status for r in out.runs}
-    assert by_size == {1: "unroutable", 5: "ok"}
+    assert by_size == {3: "unroutable", 5: "ok"}
 
 
 def test_best_of_picks_minimum_cost(rng):
