@@ -132,9 +132,6 @@ class InstanceBuilder:
 
     # -- exactly-one encodings ------------------------------------------------
 
-    def at_least_one(self, lits: Sequence[int]):
-        self.add_hard(lits)
-
     def at_most_one_pairwise(self, lits: Sequence[int]):
         for i in range(len(lits)):
             for j in range(i + 1, len(lits)):
@@ -143,7 +140,7 @@ class InstanceBuilder:
     def exactly_one(self, lits: Sequence[int]):
         if not lits:
             raise ValueError("exactly_one over an empty set")
-        self.at_least_one(lits)
+        self.add_hard(lits)
         self.at_most_one_pairwise(lits)
 
     def build(self, var_table=None) -> MaxSatInstance:

@@ -9,10 +9,12 @@ swaps; the swaps of slot k transform the slot k-1 map into the slot k
 map, under which slot k's gate must act on an edge.
 
 Hard constraints: the slot 0 map is a total injection (A); every
-slot's gate operands sit on an edge (B); each swap position picks
-exactly one pair (C); each swap position carries one placement layer
-into the next (D).  Layer 0 of slot k is the slot k-1 map, layer n is
-the slot k map, and the layers between are intermediate variables
+slot's gate operands sit on an edge (B), stated with no new variables
+as one clause per operand q and place p: if q is on p, the other
+operand is on a neighbour of p; each swap position picks exactly one
+pair (C); each swap position carries one placement layer into the next
+(D).  Layer 0 of slot k is the slot k-1 map, layer n is the slot k
+map, and the layers between are intermediate variables
 mid(q, p, k, i).  A transition is a biconditional: q is on p after the
 swap iff it was on p before, unless a chosen swap touches p (frame
 axioms), and a chosen swap on (u, v) moves whatever is on u to v and
@@ -42,10 +44,10 @@ WEIGHT_SCALE = 1000  # weighted mode: soft weights are -log fidelity times this,
 class VarTable:
     """Dense bijection between variable ids (from 1) and meaning tags.
 
-    Tags are tuples: ``("map", q, p, k)``, ``("swap", u, v, k, i)``,
-    ``("mid", q, p, k, i)`` for the placement after swap position i < n
-    of slot k, and ``("aux", k, u, v)`` for the Tseitin selectors of
-    gate-placement disjunctions.
+    Tags are tuples: ``("map", q, p, k)`` for the placement at slot k,
+    ``("swap", u, v, k, i)`` for swap position i of slot k picking the
+    pair (u, v), and ``("mid", q, p, k, i)`` for the placement after
+    swap position i < n of slot k.  Every variable is one of these.
     """
 
     def __init__(self):
@@ -155,7 +157,6 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         return {(q, p): new_tagged((kind, q, p, *index)) for q in active for p in range(P)}
 
     sv: dict[tuple[Edge, int, int], int] = {}  # (pair, k, i) -> var
-    aux: dict[tuple[int, int, int], int] = {}  # (k, u, v) directed -> var
     hops = []  # (k, i, layer before swap position i, layer after it)
 
     # Interleave ids slot by slot, each swap position's pairs followed by
@@ -171,9 +172,6 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
             hops.append((k, i, before, after))
             before = after
         maps.append(before)
-        for u, v in edges:
-            aux[k, u, v] = new_tagged(("aux", k, u, v))
-            aux[k, v, u] = new_tagged(("aux", k, v, u))
 
     raw = builder.add_hard_raw
 
@@ -182,23 +180,17 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     for q in active:
         builder.exactly_one([maps[0][q, p] for p in range(P)])
     for p in range(P):
-        col = [maps[0][q, p] for q in active]
-        for a in range(len(col)):
-            for b in range(a + 1, len(col)):
-                raw((-col[a], -col[b]))
+        builder.at_most_one_pairwise([maps[0][q, p] for q in active])
 
-    # Hard B: slot k's gate operands must sit on some edge (both
-    # orientations), via one selector per directed edge.
+    # Hard B: wherever one operand of slot k's gate sits, the other sits
+    # on a neighbour.  (A) and (D) put each operand on exactly one place,
+    # so one clause per operand and place says the gate acts on an edge.
+    touching = [[e for e in edges if p in e] for p in range(P)]
+    neighbours = [[u + v - p for u, v in touching[p]] for p in range(P)]  # the far end of each edge
     for k, gate in enumerate(slot_gates, start=1):
-        qa, qb = gate.operands
-        selectors = []
-        for u, v in edges:
-            for du, dv in ((u, v), (v, u)):
-                s = aux[k, du, dv]
-                raw((-s, maps[k][qa, du]))
-                raw((-s, maps[k][qb, dv]))
-                selectors.append(s)
-        builder.at_least_one(selectors)
+        for x, y in (gate.operands, gate.operands[::-1]):
+            for p in range(P):
+                raw((-maps[k][x, p], *(maps[k][y, u] for u in neighbours[p])))
 
     # Hard C: each swap position picks exactly one pair (possibly the no-op).
     for k in range(1, K + 1):
@@ -215,7 +207,6 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # maps back to earlier ones.  Forward halves plus (A) at every slot
     # would also be sound, but the search then slows by orders of
     # magnitude.
-    touching = [[e for e in edges if p in e] for p in range(P)]
     for k, i, before, after in hops:
         fires = [tuple(sv[e, k, i] for e in touching[p]) for p in range(P)]
         for q in active:

@@ -30,15 +30,15 @@ def all_hard_models(inst):
 
 
 def test_single_slot_line2_golden_counts():
-    # Hand enumeration: 12 variables (4 maps at slot 0, 2 swap choices,
-    # 4 maps at slot 1, 2 gate selectors) and 29 hard clauses:
-    # injectivity at slot 0 only, 6 (2 exactly-one pairs + 2 collision
-    # clauses); gate execution 5; swap choice 2; the one transition's
+    # Hand enumeration: 10 variables (4 maps at slot 0, 2 swap choices,
+    # 4 maps at slot 1) and 28 hard clauses: injectivity at slot 0 only,
+    # 6 (2 exactly-one pairs + 2 collision clauses); gate execution 4,
+    # one per (operand, place); swap choice 2; the one transition's
     # frame clauses, 2 per (qubit, place) = 8, and move clauses, 2 per
     # (edge, qubit, direction) = 8.
     _, inst = single_gate_instance()
     st = instance_stats(inst)
-    assert (st.num_vars, st.hard_count, st.soft_count) == (12, 29, 1)
+    assert (st.num_vars, st.hard_count, st.soft_count) == (10, 28, 1)
 
 
 def test_every_model_has_functional_maps_and_swaps():
@@ -264,10 +264,16 @@ def test_variable_ids_stable_under_blocking():
 
 def test_var_table_is_dense_bijection():
     c = Circuit(4, (Gate("cx", (0, 1)), Gate("cx", (2, 3))))
-    inst = encode(c, LINE4, EncodeOptions(n=2))
+    n = 2
+    inst = encode(c, LINE4, EncodeOptions(n=n))
     vt = inst.var_table
     assert len(vt) == inst.num_vars
     tags = [vt.tag_of(v) for v in range(1, inst.num_vars + 1)]
     assert len(set(tags)) == inst.num_vars
     for v, tag in enumerate(tags, start=1):
         assert vt.id_of(tag) == v
+    assert {tag[0] for tag in tags} <= {"map", "swap", "mid"}
+    # Maps at slots 0..K, n swap positions of |E| + 1 pairs per slot, and
+    # n - 1 intermediate layers per slot: 48 + 16 + 32 on this instance.
+    K, A, P, E = 2, 4, LINE4.num_physical, len(LINE4.sorted_edges())
+    assert inst.num_vars == (K + 1) * A * P + K * n * (E + 1) + K * (n - 1) * A * P == 96
