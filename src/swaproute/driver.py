@@ -49,6 +49,11 @@ class _Budget:
             return None
         return max(self.deadline - time.monotonic(), 0.001)
 
+    def share(self, parts: int) -> float | None:
+        """What is left, split evenly over ``parts`` runs still to come."""
+        left = self.remaining()
+        return None if left is None else left / parts
+
     def spent(self) -> bool:
         return self.deadline is not None and time.monotonic() >= self.deadline
 
@@ -75,9 +80,16 @@ def _trivial_solution(circuit: Circuit, g: ConnectivityGraph, budget: _Budget) -
     return RoutingSolution(QubitMap.identity(circuit.num_logical), (), (), "optimal")
 
 
+def _unproved_status(swap_count: int, cfg: DriverConfig) -> str:
+    """Status of a routing that no single solve covers: zero swaps is the
+    unweighted minimum all the same."""
+    return "optimal" if cfg.weighted is None and swap_count == 0 else "best_effort"
+
+
 def _slice_stats(index: int, outcomes: list[SolveOutcome], backtracks: int, st: InstanceStats) -> SliceStats:
     """Accounting for one slice: time and search counters summed over all
-    of its solves, status and incumbent timeline from the last one."""
+    of its solves, status, incumbent timeline and lower bound from the
+    last one."""
     last = outcomes[-1]
     return SliceStats(
         index,
@@ -91,24 +103,26 @@ def _slice_stats(index: int, outcomes: list[SolveOutcome], backtracks: int, st: 
         sum(o.conflicts for o in outcomes),
         sum(o.propagations for o in outcomes),
         last.incumbents,
+        last.lower_bound,
     )
 
 
 def _solve_step(
-    piece: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, index: int, **pins
+    piece: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, index: int, slices_left: int = 1, **pins
 ) -> tuple[RoutingSolution | None, SolveOutcome, InstanceStats]:
-    """Encode ``piece`` (slice ``index`` of a run), solve it with what is
-    left of ``budget``, and decode the model.
+    """Encode ``piece`` (slice ``index`` of a run), solve it with its share
+    of what is left of ``budget`` (``slices_left`` slices, this one
+    included, still have to run), and decode the model.
 
     The routing is None when the hard clauses are refuted.  A budget
-    spent before the encode, or before the solver's first model, raises
-    :class:`SolveTimeoutError`.
+    spent before the encode, or a share spent before the solver's first
+    model, raises :class:`SolveTimeoutError`.
     """
     if budget.spent():
         raise SolveTimeoutError(f"budget spent before the solve started ({budget.where(index)})")
     opt = EncodeOptions(n=cfg.n, weighted=cfg.weighted, **pins)
     instance = encode(piece, g, opt)
-    outcome = _run_solver(instance, cfg, budget.remaining())
+    outcome = _run_solver(instance, cfg, budget.share(slices_left))
     size = instance_stats(instance)
     if outcome.status is SolveStatus.UNKNOWN:
         raise SolveTimeoutError(f"budget expired with no incumbent ({budget.where(index)})")
@@ -149,8 +163,13 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     An unsatisfiable slice triggers backtracking: the previous slice's
     final map is blocked by a hard clause and that slice is re-solved,
     recursively further back if needed, each slice's re-solves bounded
-    by :data:`MAX_BACKTRACKS_PER_SLICE`.  The result is locally optimal
-    per slice but only best-effort overall.
+    by :data:`MAX_BACKTRACKS_PER_SLICE`.  Each slice's solve gets what is
+    left of the budget divided by the slices still to run, so it stops at
+    its incumbent instead of spending the later slices' time on a proof.
+
+    The result is locally optimal per slice but only best-effort
+    overall, unless it has zero swaps (unweighted) or is one slice, which
+    is the instance of :func:`solve_global` and keeps that solve's status.
     """
     budget = _Budget(cfg.budget)
     if not circuit.slots:
@@ -167,7 +186,7 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     while i < count:
         pin = solutions[i - 1].final_map if i > 0 else None
         solutions[i], outcome, sizes[i] = _solve_step(
-            slices[i], g, cfg, budget, i, pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i])
+            slices[i], g, cfg, budget, i, count - i, pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i])
         )
         outcomes[i].append(outcome)
         if solutions[i] is not None:
@@ -189,10 +208,12 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
         i -= 1
 
     stats = tuple(_slice_stats(k, outcomes[k], backtracks[k], sizes[k]) for k in range(count))
-    return _concatenate(solutions, stats)
+    if count == 1:
+        return replace(solutions[0], per_slice_stats=stats)
+    return _concatenate(solutions, stats, cfg)
 
 
-def _concatenate(solutions: list[RoutingSolution], stats) -> RoutingSolution:
+def _concatenate(solutions: list[RoutingSolution], stats, cfg: DriverConfig) -> RoutingSolution:
     swaps = []
     maps = []
     objective = None
@@ -205,7 +226,7 @@ def _concatenate(solutions: list[RoutingSolution], stats) -> RoutingSolution:
         solutions[0].initial_map,
         tuple(swaps),
         tuple(maps),
-        "best_effort",  # local optimality never implies global optimality
+        _unproved_status(sum(map(len, swaps)), cfg),  # local optima are no global proof
         per_slice_stats=stats,
         weighted_objective=objective,
     )
@@ -246,7 +267,7 @@ def solve_cyclic(
         base.initial_map,
         base.swaps * cycles,
         base.map_sequence * cycles,
-        "best_effort",
+        _unproved_status(base.swap_count, cfg),
         per_slice_stats=base.per_slice_stats,
         weighted_objective=objective,
     )
@@ -304,22 +325,24 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
     the cheapest verified outcome; ties go to the smaller size.
 
     Every size of at least the circuit's slot count yields the same
-    single slice, so only the smallest of those runs.  The budget is
-    split evenly across the sizes that run.
+    single slice, so only the smallest of those runs.  Each size gets
+    what is left of the budget divided by the sizes still to run, so a
+    size that finishes early hands its unspent share on.  The run stops
+    at the first size whose routing is optimal: no later size can beat it.
     """
     if not cfg.slice_sizes:
         raise ValueError("sliced strategy needs at least one slice size")
     sizes = sorted(set(cfg.slice_sizes))
     whole = [s for s in sizes if s >= len(circuit.slots)]
     sizes = [s for s in sizes if s < len(circuit.slots)] + whole[:1]
-    sub_budget = None if cfg.budget is None else cfg.budget / len(sizes)
+    budget = _Budget(cfg.budget)
     runs: list[SizeRun] = []
     best: tuple[int, int] | None = None  # (gates_added, size)
     best_solution: RoutingSolution | None = None
-    for size in sizes:
+    for k, size in enumerate(sizes):
         t0 = time.monotonic()
         try:
-            sol = solve_sliced(circuit, g, replace(cfg, budget=sub_budget), size)
+            sol = solve_sliced(circuit, g, replace(cfg, budget=budget.share(len(sizes) - k)), size)
         except UnroutableError as exc:
             runs.append(SizeRun(size, "unroutable", None, (time.monotonic() - t0) * 1000.0, str(exc)))
             continue
@@ -330,6 +353,8 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
         if best is None or (sol.gates_added, size) < best:
             best = (sol.gates_added, size)
             best_solution = sol
+        if sol.status == "optimal":
+            break
     if best_solution is None:
         reasons = "; ".join(f"size {r.slice_size}: {r.error}" for r in runs)
         if all(r.status == "timeout" for r in runs):

@@ -7,7 +7,10 @@ clauses, with the objective enforced by *bound conflicts*.  Whenever the
 falsified soft weight reaches the incumbent's, the falsified soft
 clauses form a clause that every cheaper model must satisfy, and the
 search learns from it exactly as from a violated hard clause.  The
-solver is exact and anytime: interrupting it at the time budget yields
+same search with the bound set to the smallest soft weight first probes
+for a model that falsifies nothing, the first step of an UNSAT-to-SAT
+lower-bound search (Martins et al., SAT 2014).  The solver is exact and
+anytime: interrupting it at the time budget yields
 the best incumbent found so far.  Scale beyond desk size is the job of
 external solvers via the WCNF interface.
 """
@@ -42,7 +45,9 @@ class SolveOutcome:
     the search: ``propagations`` counts literals taken off the
     propagation queue, ``conflicts`` counts hard and bound conflicts, and
     ``incumbents`` lists every improving model as (seconds since the
-    start, falsified weight).
+    start, falsified weight).  ``lower_bound`` is a proven lower bound on
+    the falsified weight of every model: it equals ``falsified_weight``
+    when the status is optimal, and is 0 when nothing is proved.
     """
 
     status: SolveStatus
@@ -53,6 +58,7 @@ class SolveOutcome:
     conflicts: int = 0
     propagations: int = 0
     incumbents: tuple[tuple[float, int], ...] = ()
+    lower_bound: int = 0
 
     def __post_init__(self):
         if self.status in (SolveStatus.OPTIMAL, SolveStatus.SATISFIABLE_BOUND) and self.model is None:
@@ -63,8 +69,39 @@ class _BudgetExpired(Exception):
     pass
 
 
+PROBE_SHARE = 0.25  # share of a solve's budget the zero-cost probe may use
+
+
 def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> SolveOutcome:
-    """Exact conflict-driven branch and bound over all variables.
+    """Exact conflict-driven branch and bound, opened by a zero-cost probe.
+
+    The probe asks whether some model falsifies no soft clause: it is the
+    branch and bound below with its incumbent bound set to the smallest
+    soft weight, and it stops once :data:`PROBE_SHARE` of the budget has
+    passed.  A model it finds is optimal at once; a refutation proves that
+    weight a lower bound.  Branch and bound then starts again without the
+    probe's learned clauses (they rest on its bound), and stops as optimal
+    as soon as its incumbent reaches the proven lower bound.
+    """
+    t0 = time.monotonic()
+    deadline = None if budget is None else t0 + budget
+    phases = [(instance.soft_weight_total + 1, deadline)]
+    if instance.soft:
+        cap = None if budget is None else t0 + PROBE_SHARE * budget
+        phases.insert(0, (min(w for _, w in instance.soft), cap))
+    return _search(instance, phases, t0)
+
+
+def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0: float) -> SolveOutcome:
+    """Branch and bound in phases over one clause set-up.
+
+    Phase ``(upper, until)`` searches the models that falsify less than
+    ``upper`` and stops at the time ``until``.  A phase that finds a model
+    ends the solve.  One that is refuted proves every model falsifies at
+    least ``upper``, and each later phase stops as optimal once its
+    incumbent reaches that bound.  Each phase starts with nothing assigned
+    and without the clauses the previous one learned.  The set-up reads
+    the last deadline, and a phase whose time has passed does not start.
 
     Branching is fixed: the lowest unassigned variable id, true first if
     it occurs positively in some soft clause and false first otherwise,
@@ -74,32 +111,32 @@ def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> Solv
     clauses whose weight reaches the incumbent's -- is analysed to its
     first unique implication point; the learned clause is kept, and the
     search jumps back to the level where it becomes unit.  Learned
-    clauses stay valid because the incumbent only falls.  A conflict at
-    level 0 proves optimality (or hard unsatisfiability if no model was
-    ever found); an expired budget returns the incumbent as a
-    satisfiable bound, or unknown.
+    clauses stay valid within a phase because the incumbent only falls.
+    A conflict at level 0 proves the incumbent optimal, or, with no
+    incumbent, refutes the phase (hard unsatisfiability when ``upper``
+    exceeds the total soft weight).  A phase that runs out of time
+    returns its incumbent as a satisfiable bound, or passes on; the last
+    returns unknown.  Times are seconds since ``t0``.
     """
-    t0 = time.monotonic()
-    deadline = None if budget is None else t0 + budget
+    deadline = phases[-1][1]
+    if deadline is not None and time.monotonic() >= deadline:
+        return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
     nv = instance.num_vars
     size = 2 * nv + 1
 
     # Per-literal arrays are indexed by the signed literal itself: a
     # positive literal v lands on v, and Python's negative indexing puts
     # -v on size - v, so the two polarities never collide.
-    lv = [0] * size  # 1 true, -1 false, 0 unassigned
     lvl = [0] * size  # decision level, stored under the true literal
     rsn: list = [None] * size  # reason clause, stored under the true literal
     seen = [False] * size  # conflict analysis marks, under the true literal
     watches: list[list[list[int]]] = [[] for _ in range(size)]  # clauses to visit when the key turns true
     implied: list[list[int]] = [[] for _ in range(size)]  # binary clauses: literals the key forces
-    trail: list[int] = []
-    trail_lim: list[int] = []  # trail length at each decision
-    qhead = 0
-    dl = 0  # current decision level
 
     root_units: list[int] = []
-    for c in instance.hard:
+    for i, c in enumerate(instance.hard):
+        if deadline is not None and not i & 4095 and time.monotonic() >= deadline:
+            return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
         if len(c) == 1:
             root_units.append(c[0])
         elif len(c) == 2:
@@ -116,35 +153,31 @@ def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> Solv
     # on ``falsified``.  Counting happens as propagation takes a literal
     # off the trail, so the stack is in trail order and undo pops it.
     sweight = []
-    sfree = []
     socc: list = [()] * size  # soft clauses containing the key literal
     pref = [False] * (nv + 1)
     for si, (c, w) in enumerate(instance.soft):
         sweight.append(w)
-        sfree.append(len(c))
         for lit in c:
             if not socc[lit]:
                 socc[lit] = []
             socc[lit].append(si)
             if lit > 0:
                 pref[lit] = True
-    falsified: list[int] = []
-    lb = 0
-    best = instance.soft_weight_total + 1  # every model beats this
-    best_vals: list[int] | None = None
+    lower = 0  # every model falsifies at least this much
+    learned: list = []  # clauses learned in the current phase
     incumbents: list[tuple[float, int]] = []
     decisions = conflicts = props = 0
-    nxt = 1  # every variable below it is assigned
 
     def finish(exhausted: bool) -> SolveOutcome:
         elapsed = time.monotonic() - t0
         counters = (decisions, conflicts, props, tuple(incumbents))
         if best_vals is not None:
             model = Model((False, *(x == 1 for x in best_vals)))
-            status = SolveStatus.OPTIMAL if exhausted else SolveStatus.SATISFIABLE_BOUND
-            return SolveOutcome(status, model, best, elapsed, *counters)
+            if exhausted:
+                return SolveOutcome(SolveStatus.OPTIMAL, model, best, elapsed, *counters, lower_bound=best)
+            return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, best, elapsed, *counters, lower_bound=lower)
         status = SolveStatus.HARD_UNSAT if exhausted else SolveStatus.UNKNOWN
-        return SolveOutcome(status, None, None, elapsed, *counters)
+        return SolveOutcome(status, None, None, elapsed, *counters, lower_bound=lower)
 
     def assign(lit: int, reason):
         lv[lit] = 1
@@ -170,180 +203,217 @@ def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> Solv
         dl = level
         qhead = lim
 
-    for lit in root_units:
-        if lv[lit] == -1:
-            return finish(exhausted=True)  # contradictory unit clauses
-        if lv[lit] == 0:
-            assign(lit, None)
+    for phase, (upper, until) in enumerate(phases):
+        # Drop what the previous phase learned, and unassign everything.
+        dead = set()
+        for c in learned:
+            if len(c) == 2:
+                implied[-c[0]].remove(c[1])
+                implied[-c[1]].remove(c[0])
+            else:
+                dead.add(id(c))
+        for key in {-q for c in learned if len(c) > 2 for q in c[:2]}:
+            watches[key] = [c for c in watches[key] if id(c) not in dead]
+        learned = []
+        lv = [0] * size  # 1 true, -1 false, 0 unassigned
+        trail: list[int] = []
+        trail_lim: list[int] = []  # trail length at each decision
+        qhead = 0
+        dl = 0  # current decision level
+        nxt = 1  # every variable below it is assigned
+        sfree = [len(c) for c, _ in instance.soft]
+        falsified: list[int] = []
+        lb = 0
+        best = upper
+        best_vals: list[int] | None = None
 
-    append = trail.append
-    try:
-        while True:
-            # -- unit propagation: binary implications, then watched clauses
-            confl = None
-            while qhead < len(trail):
-                p = trail[qhead]
-                qhead += 1
-                props += 1
-                if deadline is not None and not props & 2047 and time.monotonic() > deadline:
-                    raise _BudgetExpired
-                np = -p
-                for si in socc[np]:
-                    sfree[si] -= 1
-                    if not sfree[si]:
-                        lb += sweight[si]
-                        falsified.append(si)
-                for q in implied[p]:
-                    x = lv[q]
-                    if x == 1:
-                        continue
-                    if x == -1:
-                        confl = (q, np)
+        for lit in root_units:
+            if lv[lit] == -1:
+                return finish(exhausted=True)  # contradictory unit clauses
+            if lv[lit] == 0:
+                assign(lit, None)
+
+        append = trail.append
+        exhausted = False
+        try:
+            if until is not None and time.monotonic() >= until:
+                raise _BudgetExpired
+            while True:
+                # -- unit propagation: binary implications, then watched clauses
+                confl = None
+                while qhead < len(trail):
+                    p = trail[qhead]
+                    qhead += 1
+                    props += 1
+                    if until is not None and not props & 2047 and time.monotonic() > until:
+                        raise _BudgetExpired
+                    np = -p
+                    for si in socc[np]:
+                        sfree[si] -= 1
+                        if not sfree[si]:
+                            lb += sweight[si]
+                            falsified.append(si)
+                    for q in implied[p]:
+                        x = lv[q]
+                        if x == 1:
+                            continue
+                        if x == -1:
+                            confl = (q, np)
+                            break
+                        lv[q] = 1
+                        lv[-q] = -1
+                        lvl[q] = dl
+                        rsn[q] = (q, np)
+                        append(q)
+                    if confl is not None:
                         break
-                    lv[q] = 1
-                    lv[-q] = -1
-                    lvl[q] = dl
-                    rsn[q] = (q, np)
-                    append(q)
-                if confl is not None:
-                    break
-                ws = watches[p]
-                i = j = 0
-                end = len(ws)
-                while i < end:
-                    c = ws[i]
-                    i += 1
-                    f = c[0]
-                    if f == np:
-                        f = c[1]
-                        if lv[f] == 1:
+                    ws = watches[p]
+                    i = j = 0
+                    end = len(ws)
+                    while i < end:
+                        c = ws[i]
+                        i += 1
+                        f = c[0]
+                        if f == np:
+                            f = c[1]
+                            if lv[f] == 1:
+                                ws[j] = c
+                                j += 1
+                                continue
+                            c[0] = f
+                            c[1] = np
+                        elif lv[f] == 1:
                             ws[j] = c
                             j += 1
                             continue
-                        c[0] = f
-                        c[1] = np
-                    elif lv[f] == 1:
-                        ws[j] = c
-                        j += 1
-                        continue
-                    for k in range(2, len(c)):
-                        q = c[k]
-                        if lv[q] != -1:
-                            c[1] = q
-                            c[k] = np
-                            watches[-q].append(c)
-                            break
-                    else:
-                        ws[j] = c
-                        j += 1
-                        if lv[f]:
-                            confl = c
-                            break
-                        lv[f] = 1
-                        lv[-f] = -1
-                        lvl[f] = dl
-                        rsn[f] = c
-                        append(f)
-                del ws[j:i]  # drop the watches that moved; the unvisited tail stays
-                if confl is not None:
-                    break
-
-            if confl is None:
-                if lb < best:
-                    v = nxt
-                    while v <= nv and lv[v]:
-                        v += 1
-                    nxt = v
-                    if v <= nv:
-                        decisions += 1
-                        trail_lim.append(len(trail))
-                        dl += 1
-                        assign(v if pref[v] else -v, None)
-                        continue
-                    best = lb  # leaf: every variable assigned
-                    best_vals = lv[1 : nv + 1]
-                    incumbents.append((time.monotonic() - t0, best))
-                # Bound conflict: the earliest-falsified soft clauses whose
-                # weight reaches the incumbent's cannot all stay falsified.
-                acc = 0
-                lits: dict[int, None] = {}
-                for si in falsified:
-                    lits.update(dict.fromkeys(instance.soft[si][0]))
-                    acc += sweight[si]
-                    if acc >= best:
+                        for k in range(2, len(c)):
+                            q = c[k]
+                            if lv[q] != -1:
+                                c[1] = q
+                                c[k] = np
+                                watches[-q].append(c)
+                                break
+                        else:
+                            ws[j] = c
+                            j += 1
+                            if lv[f]:
+                                confl = c
+                                break
+                            lv[f] = 1
+                            lv[-f] = -1
+                            lvl[f] = dl
+                            rsn[f] = c
+                            append(f)
+                    del ws[j:i]  # drop the watches that moved; the unvisited tail stays
+                    if confl is not None:
                         break
-                confl = list(lits)
 
-            # -- conflict analysis at the clause's highest level
-            conflicts += 1
-            top = max((lvl[-q] for q in confl), default=0)
-            if top == 0:
-                return finish(exhausted=True)
-            if top < dl:
-                backjump(top)
-            learnt = [0]
-            path = 0
-            p = 0
-            idx = len(trail) - 1
-            c = confl
-            while True:
-                for q in c:
-                    if q == p:
+                if confl is None:
+                    if lb < best:
+                        v = nxt
+                        while v <= nv and lv[v]:
+                            v += 1
+                        nxt = v
+                        if v <= nv:
+                            decisions += 1
+                            trail_lim.append(len(trail))
+                            dl += 1
+                            assign(v if pref[v] else -v, None)
+                            continue
+                        best = lb  # leaf: every variable assigned
+                        best_vals = lv[1 : nv + 1]
+                        incumbents.append((time.monotonic() - t0, best))
+                        if best <= lower:
+                            exhausted = True
+                            break
+                    # Bound conflict: the earliest-falsified soft clauses whose
+                    # weight reaches the incumbent's cannot all stay falsified.
+                    acc = 0
+                    lits: dict[int, None] = {}
+                    for si in falsified:
+                        lits.update(dict.fromkeys(instance.soft[si][0]))
+                        acc += sweight[si]
+                        if acc >= best:
+                            break
+                    confl = list(lits)
+
+                # -- conflict analysis at the clause's highest level
+                conflicts += 1
+                top = max((lvl[-q] for q in confl), default=0)
+                if top == 0:
+                    exhausted = True
+                    break
+                if top < dl:
+                    backjump(top)
+                learnt = [0]
+                path = 0
+                p = 0
+                idx = len(trail) - 1
+                c = confl
+                while True:
+                    for q in c:
+                        if q == p:
+                            continue
+                        t = -q
+                        if not seen[t] and lvl[t]:
+                            seen[t] = True
+                            if lvl[t] == dl:
+                                path += 1
+                            else:
+                                learnt.append(q)
+                    while not seen[trail[idx]]:
+                        idx -= 1
+                    p = trail[idx]
+                    idx -= 1
+                    seen[p] = False
+                    path -= 1
+                    if not path:
+                        break
+                    c = rsn[p]
+                learnt[0] = -p
+
+                # Local minimization: drop a literal whose reason is covered by
+                # the rest of the clause (or by level-0 facts).
+                kept = [learnt[0]]
+                for q in learnt[1:]:
+                    r = rsn[-q]
+                    if r is None:
+                        kept.append(q)
                         continue
                     t = -q
-                    if not seen[t] and lvl[t]:
-                        seen[t] = True
-                        if lvl[t] == dl:
-                            path += 1
-                        else:
-                            learnt.append(q)
-                while not seen[trail[idx]]:
-                    idx -= 1
-                p = trail[idx]
-                idx -= 1
-                seen[p] = False
-                path -= 1
-                if not path:
-                    break
-                c = rsn[p]
-            learnt[0] = -p
+                    for x in r:
+                        if x != t and not seen[-x] and lvl[-x]:
+                            kept.append(q)
+                            break
+                for q in learnt[1:]:
+                    seen[-q] = False
 
-            # Local minimization: drop a literal whose reason is covered by
-            # the rest of the clause (or by level-0 facts).
-            kept = [learnt[0]]
-            for q in learnt[1:]:
-                r = rsn[-q]
-                if r is None:
-                    kept.append(q)
-                    continue
-                t = -q
-                for x in r:
-                    if x != t and not seen[-x] and lvl[-x]:
-                        kept.append(q)
-                        break
-            for q in learnt[1:]:
-                seen[-q] = False
-
-            # Jump to the second-highest level and assert the first UIP there.
-            level = 0
-            if len(kept) > 1:
-                at = max(range(1, len(kept)), key=lambda k: lvl[-kept[k]])
-                kept[1], kept[at] = kept[at], kept[1]
-                level = lvl[-kept[1]]
-            backjump(level)
-            u = kept[0]
-            if len(kept) == 1:
-                assign(u, None)
-            elif len(kept) == 2:
-                implied[-u].append(kept[1])
-                implied[-kept[1]].append(u)
-                assign(u, tuple(kept))
-            else:
-                watches[-u].append(kept)
-                watches[-kept[1]].append(kept)
-                assign(u, kept)
-    except _BudgetExpired:
-        return finish(exhausted=False)
+                # Jump to the second-highest level and assert the first UIP there.
+                level = 0
+                if len(kept) > 1:
+                    at = max(range(1, len(kept)), key=lambda k: lvl[-kept[k]])
+                    kept[1], kept[at] = kept[at], kept[1]
+                    level = lvl[-kept[1]]
+                backjump(level)
+                u = kept[0]
+                if len(kept) == 1:
+                    assign(u, None)
+                elif len(kept) == 2:
+                    implied[-u].append(kept[1])
+                    implied[-kept[1]].append(u)
+                    learned.append(kept)
+                    assign(u, tuple(kept))
+                else:
+                    watches[-u].append(kept)
+                    watches[-kept[1]].append(kept)
+                    learned.append(kept)
+                    assign(u, kept)
+        except _BudgetExpired:
+            pass
+        if best_vals is not None or phase == len(phases) - 1:
+            return finish(exhausted)
+        if exhausted:
+            lower = upper
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +541,7 @@ def solve_external(instance: MaxSatInstance, solver_cmd: str, budget: float | No
     if status_line == "OPTIMUM FOUND":
         if model is None:
             raise SolverOutputError("OPTIMUM FOUND without a model line")
-        return SolveOutcome(SolveStatus.OPTIMAL, model, weight, elapsed, incumbents=timeline)
+        return SolveOutcome(SolveStatus.OPTIMAL, model, weight, elapsed, incumbents=timeline, lower_bound=weight)
     if status_line == "SATISFIABLE":
         if model is None:
             raise SolverOutputError("SATISFIABLE without a model line")

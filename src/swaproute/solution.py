@@ -51,7 +51,9 @@ class SliceStats:
 
     Time and the search counters are summed over every solve of the
     slice (backtracking re-solves it); ``incumbents`` is the last solve's
-    timeline of (seconds, falsified weight) pairs.
+    timeline of (seconds, falsified weight) pairs, and ``lower_bound`` its
+    proven lower bound on the falsified weight, so a best-effort slice
+    shows its gap.
     """
 
     index: int
@@ -65,6 +67,7 @@ class SliceStats:
     conflicts: int = 0
     propagations: int = 0
     incumbents: tuple[tuple[float, int], ...] = ()
+    lower_bound: int = 0
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from swaproute.maxsat import SolveStatus, parse_wcnf, solve_builtin
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run from a checkout, not an install
+
+from swaproute.maxsat import SolveStatus, parse_wcnf, solve_builtin  # noqa: E402
 
 
 def main() -> int:

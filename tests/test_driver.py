@@ -3,7 +3,7 @@ import time
 import pytest
 
 from swaproute import driver
-from swaproute.arch import diameter, load_arch
+from swaproute.arch import NoiseModel, diameter, load_arch
 from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
 from swaproute.driver import (
     DriverConfig,
@@ -79,8 +79,25 @@ def test_sliced_fitting_circuit_needs_nothing():
     for size in (1, 2, 3):
         sol = solve_sliced(c, LINE3, DriverConfig(n=1), size)
         assert sol.swap_count == 0
-        assert sol.status == "best_effort"  # sliced results never claim optimality
+        assert sol.status == "optimal"  # no routing has fewer than zero swaps
         check_solution(c, sol, LINE3)
+
+
+def test_sliced_status_is_proved_only_where_it_holds():
+    # Several slices with swaps: best effort, however each slice was solved.
+    sol = solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 1)
+    assert sol.swap_count >= 1 and sol.status == "best_effort"
+    assert all(s.status == "optimal" for s in sol.per_slice_stats)
+    # One slice is the global instance and keeps its proof.
+    one = solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 3)
+    assert one.status == "optimal" and one.swap_count == solve_global(THREE_GATE, LINE4, DriverConfig(n=1)).swap_count
+    (stats,) = one.per_slice_stats
+    assert stats.lower_bound == one.swap_count
+    # Zero swaps is the unweighted minimum only; under a noise model the
+    # placement still carries a cost the slices did not minimize jointly.
+    c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2)), Gate("cx", (0, 1))))
+    weighted = solve_sliced(c, LINE3, DriverConfig(n=1, weighted=NoiseModel.uniform(LINE3, cx=0.99)), 1)
+    assert weighted.status == "best_effort"
 
 
 def test_sliced_star_shows_local_optimum_gap():
@@ -170,6 +187,22 @@ def test_sliced_stops_once_budget_is_spent(monkeypatch):
     with pytest.raises(SolveTimeoutError, match=r"\(slice 1, \d+\.\d\d s spent, budget 0\.2 s\)"):
         solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1, budget=0.2), 1)
     assert len(encoded) == 1
+
+
+def test_sliced_solves_get_a_share_each(monkeypatch):
+    # Each slice's solve gets what is left divided by the slices still to
+    # run (this one included), so the three shares grow 10 -> 15 -> 30.
+    budgets = []
+    real = driver._run_solver
+
+    def recording(instance, cfg, budget):
+        budgets.append(budget)
+        return real(instance, cfg, budget)
+
+    monkeypatch.setattr(driver, "_run_solver", recording)
+    c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2)), Gate("cx", (0, 1))))
+    solve_sliced(c, LINE3, DriverConfig(n=1, budget=30), 1)
+    assert budgets == pytest.approx([10, 15, 30], abs=0.5)
 
 
 def test_timeout_without_incumbent():
@@ -285,6 +318,34 @@ def test_best_of_picks_minimum_cost(rng):
         assert out.solution.gates_added == min(costs.values())
         glob = solve_global(c, LINE4, cfg)
         assert out.solution.gates_added >= glob.gates_added
+
+
+def test_best_of_hands_unspent_share_forward(monkeypatch):
+    # Each size gets what is left divided by the sizes still to run; the
+    # first two finish in milliseconds, so the shares grow 10 -> 15 -> 30.
+    budgets = []
+    real = driver.solve_sliced
+
+    def recording(circuit, g, cfg, size):
+        budgets.append(cfg.budget)
+        return real(circuit, g, cfg, size)
+
+    monkeypatch.setattr(driver, "solve_sliced", recording)
+    out = solve_best(THREE_GATE, LINE4, DriverConfig(n=1, slice_sizes=(1, 2, 3), budget=30))
+    assert [r.slice_size for r in out.runs] == [1, 2, 3]
+    assert [r.status for r in out.runs] == ["ok"] * 3
+    assert budgets[0] == pytest.approx(10, abs=0.5)
+    assert budgets[1] == pytest.approx((30 - out.runs[0].elapsed_ms / 1000) / 2, abs=0.5)
+    assert budgets[2] == pytest.approx(30 - sum(r.elapsed_ms for r in out.runs[:2]) / 1000, abs=0.5)
+
+
+def test_best_of_stops_at_a_zero_swap_routing():
+    c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2)), Gate("cx", (0, 1))))
+    out = solve_best(c, LINE3, DriverConfig(n=1, slice_sizes=(1, 2, 3)))
+    assert [r.slice_size for r in out.runs] == [1]
+    assert out.selected_size == 1
+    assert out.solution.status == "optimal" and out.solution.swap_count == 0
+    check_solution(c, out.solution, LINE3)
 
 
 def test_best_of_requires_sizes():

@@ -1,10 +1,13 @@
+import gc
 import itertools
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from swaproute import maxsat
 from swaproute.cnf import InstanceBuilder, MaxSatInstance, Model
 from swaproute.errors import SolverIntegrityError, SolverOutputError
 from swaproute.maxsat import (
@@ -66,7 +69,7 @@ def test_contradiction_is_hard_unsat():
     assert out.model is None
 
 
-def random_instance(rng: random.Random, num_vars: int) -> MaxSatInstance:
+def random_instance(rng: random.Random, num_vars: int, max_weight: int = 6) -> MaxSatInstance:
     b = InstanceBuilder()
     vs = b.new_vars(num_vars)
     for _ in range(rng.randint(1, 2 * num_vars)):
@@ -76,7 +79,7 @@ def random_instance(rng: random.Random, num_vars: int) -> MaxSatInstance:
     for _ in range(rng.randint(1, num_vars)):
         size = rng.randint(1, min(2, num_vars))
         lits = [v if rng.random() < 0.5 else -v for v in rng.sample(vs, size)]
-        b.add_soft(lits, rng.randint(1, 6))
+        b.add_soft(lits, rng.randint(1, max_weight))
     return b.build()
 
 
@@ -122,23 +125,135 @@ def test_builtin_matches_exhaustive_enumeration():
             assert inst.falsified_weight(out.model) == expected
 
 
+def branch_and_bound(inst: MaxSatInstance):
+    """The second phase of ``solve_builtin`` on its own: no probe, so no
+    proven lower bound to stop at."""
+    return maxsat._search(inst, [(inst.soft_weight_total + 1, None)], time.monotonic())
+
+
 def test_builtin_weighted_matches_exhaustive_enumeration():
     # Improving on a first incumbent is what drives bound conflicts, so
-    # enough instances must get past their first model.
+    # enough instances must get past their first model.  The probe answers
+    # many instances with one model, so that is counted on the branch and
+    # bound run alone.
     rng = random.Random(2024)
     improved = 0
     for _ in range(400):
         inst = random_instance(rng, rng.randint(1, 12))
         expected = exhaustive_optimum(inst)
         out = solve_builtin(inst)
+        bnb = branch_and_bound(inst)
+        if expected is None:
+            assert out.status is bnb.status is SolveStatus.HARD_UNSAT
+            continue
+        for o in (out, bnb):
+            assert o.status is SolveStatus.OPTIMAL
+            assert o.falsified_weight == expected == inst.falsified_weight(o.model)
+            assert inst.hard_satisfied(o.model)
+        improved += len(bnb.incumbents) >= 2
+    assert improved >= 40
+
+
+@pytest.mark.parametrize("max_weight", [1, 6])
+def test_lower_bound_brackets_the_optimum(max_weight):
+    rng = random.Random(4000 + max_weight)
+    refuted = 0
+    for _ in range(400):
+        inst = random_instance(rng, rng.randint(1, 12), max_weight)
+        expected = exhaustive_optimum(inst)
+        out = solve_builtin(inst)
         if expected is None:
             assert out.status is SolveStatus.HARD_UNSAT
             continue
-        assert out.status is SolveStatus.OPTIMAL
-        assert out.falsified_weight == expected == inst.falsified_weight(out.model)
-        assert inst.hard_satisfied(out.model)
-        improved += len(out.incumbents) >= 2
-    assert improved >= 40
+        assert out.lower_bound <= expected
+        if out.status is SolveStatus.OPTIMAL:
+            assert out.lower_bound == out.falsified_weight == expected
+        # The probe finds a model exactly when one falsifies nothing.
+        cheapest = min(w for _, w in inst.soft)
+        probe = maxsat._search(inst, [(cheapest, None)], time.monotonic())
+        assert (probe.model is not None) == (expected == 0)
+        refuted += probe.status is SolveStatus.HARD_UNSAT
+    assert refuted >= 40
+
+
+def test_probe_answers_zero_cost_model():
+    # The first descent sets a (soft preference), which forces b false and
+    # costs 1; the only zero-cost models have a false.  Branch and bound
+    # walks its incumbent down 1 -> 0; the probe's bound conflicts steer
+    # the first model it finds to cost 0.
+    b = InstanceBuilder()
+    a, bb, c = b.new_vars(3)
+    b.add_hard([-a, -bb])
+    b.add_soft([a, c], 1)
+    b.add_soft([bb], 1)
+    inst = b.build()
+    out = solve_builtin(inst)
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.falsified_weight == out.lower_bound == 0
+    assert inst.hard_satisfied(out.model)
+    assert [cost for _, cost in out.incumbents] == [0]
+    assert [cost for _, cost in branch_and_bound(inst).incumbents] == [1, 0]
+
+
+def test_expired_budget_is_unknown_without_search():
+    b = InstanceBuilder()
+    v = b.new_var()
+    b.add_soft([v], 1)
+    out = solve_builtin(b.build(), budget=0.0)
+    assert out.status is SolveStatus.UNKNOWN and out.model is None
+    assert out.propagations == out.decisions == out.conflicts == 0
+
+
+def test_deadline_is_read_during_clause_set_up():
+    # Setting up 200k clauses takes a tenth of a second or more; the set-up
+    # polls the deadline every few thousand clauses, so a 5 ms budget ends
+    # it long before that.
+    n = 30000
+    rng = random.Random(8)
+    hard = tuple(tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)) for _ in range(200000))
+    inst = MaxSatInstance(n, hard, (((1,), 1),))
+    gc.disable()  # a collection pass over the fresh clauses would dwarf the poll interval
+    try:
+        out = solve_builtin(inst, budget=0.005)
+    finally:
+        gc.enable()
+    assert out.status is SolveStatus.UNKNOWN
+    assert out.propagations == 0
+    assert out.elapsed < 0.05
+
+
+def test_branch_and_bound_stops_at_the_probes_bound():
+    # Every model falsifies one of the two soft clauses, which the probe
+    # proves.  The first model of branch and bound costs 1, meets that
+    # bound and is returned as optimal without a conflict of its own.
+    b = InstanceBuilder()
+    e = escaped_pigeonhole(b)
+    b.add_soft([-e], 1)
+    b.add_soft([e], 1)
+    inst = b.build()
+    probe = maxsat._search(inst, [(1, None)], time.monotonic())
+    assert probe.status is SolveStatus.HARD_UNSAT
+    out = solve_builtin(inst)
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.falsified_weight == out.lower_bound == 1
+    assert [cost for _, cost in out.incumbents] == [1]
+    assert out.conflicts == probe.conflicts
+    assert inst.hard_satisfied(out.model)
+
+
+def test_branch_and_bound_forgets_what_the_probe_learned():
+    # Refuting a zero-cost model, the probe learns (-a | -b | -c), the
+    # first soft clause made hard.  Kept for branch and bound, that clause
+    # would forbid the optimum, which falsifies exactly the first soft clause.
+    b = InstanceBuilder()
+    a, bb, c = b.new_vars(3)
+    b.add_soft([-a, -bb, -c], 1)
+    for v in (a, bb, c):
+        b.add_soft([v], 5)
+    out = solve_builtin(b.build())
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.falsified_weight == out.lower_bound == 1
+
 
 
 def test_incumbent_timeline_falls_to_reported_weight():
@@ -192,20 +307,26 @@ def test_budget_without_incumbent_is_unknown():
     assert out.model is None
 
 
-def test_budget_with_incumbent_is_satisfiable_bound():
-    # Every pigeonhole clause is weakened by an escape literal, so setting
-    # the escape variable satisfies everything at soft cost 5; proving that
-    # nothing cheaper exists would mean refuting the pigeonhole core, which
-    # cannot happen within the budget.
-    b = InstanceBuilder()
-    e = b.new_var()
-    x = [[b.new_var() for _ in range(11)] for _ in range(12)]
+def escaped_pigeonhole(builder: InstanceBuilder) -> int:
+    """Twelve pigeons in eleven holes, every clause weakened by an escape
+    variable (returned), which is the first variable of the instance."""
+    e = builder.new_var()
+    x = [[builder.new_var() for _ in range(11)] for _ in range(12)]
     for p in range(12):
-        b.add_hard([e, *x[p]])
+        builder.add_hard([e, *x[p]])
     for h in range(11):
         for p1 in range(12):
             for p2 in range(p1 + 1, 12):
-                b.add_hard([e, -x[p1][h], -x[p2][h]])
+                builder.add_hard([e, -x[p1][h], -x[p2][h]])
+    return e
+
+
+def test_budget_with_incumbent_is_satisfiable_bound():
+    # Setting the escape variable satisfies everything at soft cost 5;
+    # proving that nothing cheaper exists would mean refuting the
+    # pigeonhole core, which cannot happen within the budget.
+    b = InstanceBuilder()
+    e = escaped_pigeonhole(b)
     b.add_soft([-e], 5)
     b.add_soft([e], 1)
     inst = b.build()
@@ -214,6 +335,7 @@ def test_budget_with_incumbent_is_satisfiable_bound():
     assert inst.hard_satisfied(out.model)
     assert out.falsified_weight == 5  # the escape-hatch incumbent
     assert out.incumbents[-1][1] == 5
+    assert out.lower_bound == 1  # the probe refutes a zero-cost model at once
 
 
 # -- WCNF ---------------------------------------------------------------------
