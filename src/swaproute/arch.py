@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -66,10 +67,10 @@ class ConnectivityGraph:
         return sorted(self.edges)
 
 
-def diameter(g: ConnectivityGraph) -> int:
-    """Maximum shortest-path length between any two qubits (BFS all pairs)."""
+def _distances(g: ConnectivityGraph) -> list[list[int]]:
+    """Shortest-path length between every pair of qubits (BFS from each)."""
     adj = g._adjacency()
-    best = 0
+    out = []
     for src in range(g.num_physical):
         dist = [-1] * g.num_physical
         dist[src] = 0
@@ -80,8 +81,114 @@ def diameter(g: ConnectivityGraph) -> int:
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        best = max(best, max(dist))
-    return best
+        out.append(dist)
+    return out
+
+
+def diameter(g: ConnectivityGraph) -> int:
+    """Maximum shortest-path length between any two qubits (BFS all pairs)."""
+    return max((max(row) for row in _distances(g)), default=0)
+
+
+AUTOMORPHISM_SEARCH_STEPS = 20000  # candidate images one search tries before it gives up
+
+
+@functools.lru_cache(maxsize=64)
+def orbit_minima(g: ConnectivityGraph) -> tuple[int, ...]:
+    """The smallest place in each place's orbit under the automorphisms of ``g``.
+
+    An automorphism permutes the places and maps the edge set onto
+    itself.  The group is never enumerated: each place is tried against
+    the smaller orbit representatives that share its distance profile,
+    one search for a single automorphism per pair, and the orbits are
+    merged with union-find from every map found.  Each map is checked
+    against the edge set before use, and a search that runs out of steps
+    merges nothing, so the orbits returned may be finer than the true
+    ones but never coarser.
+    """
+    P = g.num_physical
+    adj = g._adjacency()
+    dist = _distances(g)
+    profile = [sorted(row) for row in dist]
+    root = list(range(P))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for p in range(P):
+        for r in range(p):
+            if find(p) != p:
+                break  # p already joined a smaller place's orbit
+            if find(r) != r or profile[r] != profile[p]:
+                continue
+            sigma = _automorphism_to(p, r, adj, dist)
+            if sigma is None or not _keeps_edges(sigma, g):
+                continue
+            for x in range(P):
+                a, b = find(x), find(sigma[x])
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    return tuple(find(p) for p in range(P))
+
+
+def _automorphism_to(p: int, r: int, adj: list[list[int]], dist: list[list[int]]) -> list[int] | None:
+    """A permutation sending ``p`` to ``r`` that keeps adjacency, or None
+    when none exists or the search runs out of steps.
+
+    Places are assigned in breadth-first layers from ``p``; each place
+    after ``p`` has a neighbour one layer closer, so its image is one of
+    that neighbour's image's neighbours, at the same distance from ``r``.
+    """
+    P = len(adj)
+    order = sorted(range(P), key=lambda x: dist[p][x])
+    anchor = [next((w for w in adj[x] if dist[p][w] < dist[p][x]), -1) for x in range(P)]
+    sigma = [-1] * P
+    used = [False] * P
+
+    def fits(x: int, y: int) -> bool:
+        if used[y] or len(adj[y]) != len(adj[x]) or dist[r][y] != dist[p][x]:
+            return False
+        placed = 0
+        for w in adj[x]:
+            if sigma[w] >= 0:
+                if sigma[w] not in adj[y]:
+                    return False
+                placed += 1
+        return placed == sum(used[z] for z in adj[y])  # no extra edge to a placed image
+
+    choices = [iter([r])] + [iter(())] * (P - 1)
+    depth = steps = 0
+    while depth >= 0:
+        x = order[depth]
+        if sigma[x] >= 0:  # back here: undo the last choice and try the next one
+            used[sigma[x]] = False
+            sigma[x] = -1
+        for y in choices[depth]:
+            steps += 1
+            if steps > AUTOMORPHISM_SEARCH_STEPS:
+                return None
+            if fits(x, y):
+                sigma[x] = y
+                used[y] = True
+                break
+        else:
+            depth -= 1
+            continue
+        depth += 1
+        if depth == P:
+            return sigma
+        choices[depth] = iter(adj[sigma[anchor[order[depth]]]])
+    return None
+
+
+def _keeps_edges(sigma: list[int], g: ConnectivityGraph) -> bool:
+    """Whether ``sigma`` is a permutation mapping every edge of ``g`` onto an edge."""
+    if sorted(sigma) != list(range(len(sigma))):
+        return False
+    return all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+class _Phases:
+    """Wall time of consecutive phases of one command, in ms."""
+
+    def __init__(self):
+        self.ms: dict[str, float] = {}
+        self._mark = time.monotonic()
+
+    def end(self, name: str):
+        """Close phase ``name`` now; the next phase starts here."""
+        now = time.monotonic()
+        self.ms[name] = (now - self._mark) * 1000.0
+        self._mark = now
+
+
 @dataclasses.dataclass
 class StatsRecord:
-    """Machine-readable summary of one ``map`` run."""
+    """Machine-readable summary of one ``map`` run.
+
+    ``phase_ms`` splits the run's wall time: ``parse`` reads the circuit,
+    the device and the noise file; ``route`` runs the strategy;
+    ``verify`` builds the routed circuit and checks it twice; ``emit``
+    writes the routed QASM.
+    """
 
     input: str
     arch: str
@@ -56,6 +76,7 @@ class StatsRecord:
     soft_clauses: int
     initial_map: list[int]
     per_slice: list[dict]
+    phase_ms: dict[str, float]
     weighted_objective: int | None = None
     selected_slice_size: int | None = None
     size_runs: list[dict] | None = None
@@ -93,9 +114,11 @@ def _write(path: str | None, content: str):
 
 def _cmd_map(args) -> int:
     t0 = time.monotonic()
+    phases = _Phases()
     source = _read_circuit(args.input)
     g = load_arch(args.arch)
     noise = load_noise(args.noise, g) if args.noise else None
+    phases.end("parse")
     backend = args.solver if args.solver.startswith("cmd:") else "builtin"
     if backend == "builtin" and args.solver != "builtin":
         raise _UsageError(f"--solver must be 'builtin' or 'cmd:<template>', got {args.solver!r}")
@@ -124,6 +147,7 @@ def _cmd_map(args) -> int:
         solution = solve_cyclic(block, cycles, g, cfg, slice_size=block_slice)
     else:
         raise _UsageError(f"unknown strategy {args.strategy!r}")
+    phases.end("route")
 
     structural = verify_solution(source, solution, g)
     if not structural:
@@ -134,9 +158,11 @@ def _cmd_map(args) -> int:
     if not replay:
         print(f"internal error: routed circuit fails verification: {replay.violation}", file=sys.stderr)
         return EXIT_USAGE
+    phases.end("verify")
 
     comment = f"{_MAP_COMMENT} " + " ".join(str(p) for p in solution.initial_map.placement)
     _write(args.output, emit_qasm(routed, decompose_swaps=args.decompose_swaps, comments=[comment]))
+    phases.end("emit")
 
     record = StatsRecord(
         input=args.input,
@@ -155,6 +181,7 @@ def _cmd_map(args) -> int:
         soft_clauses=sum(s.soft_clauses for s in solution.per_slice_stats),
         initial_map=list(solution.initial_map.placement),
         per_slice=[dataclasses.asdict(s) for s in solution.per_slice_stats],
+        phase_ms=phases.ms,
         weighted_objective=solution.weighted_objective,
         selected_slice_size=selected,
         size_runs=size_runs,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .arch import ConnectivityGraph, NoiseModel, diameter
 from .circuit import Circuit, slice_circuit
@@ -86,61 +87,78 @@ def _unproved_status(swap_count: int, cfg: DriverConfig) -> str:
     return "optimal" if cfg.weighted is None and swap_count == 0 else "best_effort"
 
 
-def _slice_stats(index: int, outcomes: list[SolveOutcome], backtracks: int, st: InstanceStats) -> SliceStats:
-    """Accounting for one slice: time and search counters summed over all
-    of its solves, status, incumbent timeline and lower bound from the
-    last one."""
-    last = outcomes[-1]
+class _Step(NamedTuple):
+    """One encode, solve and decode of a slice, with the time of each end."""
+
+    solution: RoutingSolution | None  # None when the hard clauses are refuted
+    outcome: SolveOutcome
+    size: InstanceStats
+    encode_ms: float
+    decode_ms: float
+
+
+def _slice_stats(index: int, steps: list[_Step], backtracks: int) -> SliceStats:
+    """Accounting for one slice: times and search counters summed over
+    all of its solves; status, size, incumbent timeline and lower bound
+    from the last one."""
+    last = steps[-1]
+    outcomes = [s.outcome for s in steps]
     return SliceStats(
         index,
         sum(o.elapsed for o in outcomes) * 1000.0,
         backtracks,
-        last.status.value,
-        st.num_vars,
-        st.hard_count,
-        st.soft_count,
+        last.outcome.status.value,
+        last.size.num_vars,
+        last.size.hard_count,
+        last.size.soft_count,
         sum(o.decisions for o in outcomes),
         sum(o.conflicts for o in outcomes),
         sum(o.propagations for o in outcomes),
-        last.incumbents,
-        last.lower_bound,
+        last.outcome.incumbents,
+        last.outcome.lower_bound,
+        encode_ms=sum(s.encode_ms for s in steps),
+        decode_ms=sum(s.decode_ms for s in steps),
     )
 
 
 def _solve_step(
-    piece: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, index: int, slices_left: int = 1, **pins
-) -> tuple[RoutingSolution | None, SolveOutcome, InstanceStats]:
-    """Encode ``piece`` (slice ``index`` of a run), solve it with its share
-    of what is left of ``budget`` (``slices_left`` slices, this one
-    included, still have to run), and decode the model.
+    piece: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, index: int, slices_left: int = 1, **options
+) -> _Step:
+    """Encode ``piece`` (slice ``index`` of a run) with the given
+    :class:`EncodeOptions` fields, solve it with its share of what is
+    left of ``budget`` (``slices_left`` slices, this one included, still
+    have to run), and decode the model.
 
-    The routing is None when the hard clauses are refuted.  A budget
-    spent before the encode, or a share spent before the solver's first
-    model, raises :class:`SolveTimeoutError`.
+    A budget spent before the encode, or a share spent before the
+    solver's first model, raises :class:`SolveTimeoutError`.
     """
     if budget.spent():
         raise SolveTimeoutError(f"budget spent before the solve started ({budget.where(index)})")
-    opt = EncodeOptions(n=cfg.n, weighted=cfg.weighted, **pins)
+    opt = EncodeOptions(n=cfg.n, weighted=cfg.weighted, **options)
+    t0 = time.monotonic()
     instance = encode(piece, g, opt)
+    encode_ms = (time.monotonic() - t0) * 1000.0
     outcome = _run_solver(instance, cfg, budget.share(slices_left))
     size = instance_stats(instance)
     if outcome.status is SolveStatus.UNKNOWN:
         raise SolveTimeoutError(f"budget expired with no incumbent ({budget.where(index)})")
     if outcome.status is SolveStatus.HARD_UNSAT:
-        return None, outcome, size
+        return _Step(None, outcome, size, encode_ms, 0.0)
     status = "optimal" if outcome.status is SolveStatus.OPTIMAL else "best_effort"
-    return decode(outcome.model, instance, piece, g, opt, status=status), outcome, size
+    t0 = time.monotonic()
+    solution = decode(outcome.model, instance, piece, g, opt, status=status)
+    return _Step(solution, outcome, size, encode_ms, (time.monotonic() - t0) * 1000.0)
 
 
 def _solve_whole(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, *, cyclic: bool = False) -> RoutingSolution:
     """Solve the circuit as one piece; a refutation means it is unroutable."""
-    solution, outcome, size = _solve_step(circuit, g, cfg, budget, 0, cyclic=cyclic)
-    if solution is None:
+    step = _solve_step(circuit, g, cfg, budget, 0, cyclic=cyclic)
+    if step.solution is None:
         kind = "cyclic routing of the block" if cyclic else "routing"
         raise UnroutableError(
             f"no {kind} with n={cfg.n} swaps per slot (graph diameter is {diameter(g)}; {budget.where(0)})"
         )
-    return replace(solution, per_slice_stats=(_slice_stats(0, [outcome], 0, size),))
+    return replace(step.solution, per_slice_stats=(_slice_stats(0, [step], 0),))
 
 
 def solve_global(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = DriverConfig()) -> RoutingSolution:
@@ -166,6 +184,9 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     by :data:`MAX_BACKTRACKS_PER_SLICE`.  Each slice's solve gets what is
     left of the budget divided by the slices still to run, so it stops at
     its incumbent instead of spending the later slices' time on a proof.
+    Only a run of one slice, the whole circuit, carries the canonical
+    placement clauses: they could change which of its equal-cost optima
+    slice 0 hands on, and with it every later slice.
 
     The result is locally optimal per slice but only best-effort
     overall, unless it has zero swaps (unweighted) or is one slice, which
@@ -179,16 +200,17 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     solutions: list[RoutingSolution | None] = [None] * count
     blocked_maps: list[list[QubitMap]] = [[] for _ in range(count)]
     backtracks = [0] * count
-    outcomes: list[list[SolveOutcome]] = [[] for _ in range(count)]
-    sizes: list[InstanceStats | None] = [None] * count
+    steps: list[list[_Step]] = [[] for _ in range(count)]
 
     i = 0
     while i < count:
         pin = solutions[i - 1].final_map if i > 0 else None
-        solutions[i], outcome, sizes[i] = _solve_step(
-            slices[i], g, cfg, budget, i, count - i, pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i])
+        step = _solve_step(
+            slices[i], g, cfg, budget, i, count - i,
+            pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i]), canonical_placement=count == 1,
         )
-        outcomes[i].append(outcome)
+        steps[i].append(step)
+        solutions[i] = step.solution
         if solutions[i] is not None:
             i += 1
             continue
@@ -207,7 +229,7 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
         logger.info("slice %d unsatisfiable; backtracking to slice %d", i, i - 1)
         i -= 1
 
-    stats = tuple(_slice_stats(k, outcomes[k], backtracks[k], sizes[k]) for k in range(count))
+    stats = tuple(_slice_stats(k, steps[k], backtracks[k]) for k in range(count))
     if count == 1:
         return replace(solutions[0], per_slice_stats=stats)
     return _concatenate(solutions, stats, cfg)
@@ -289,9 +311,9 @@ def _cyclic_via_slicing(block: Circuit, g: ConnectivityGraph, cfg: DriverConfig,
         return None
     last = slices[-1]
     lo = len(block.slots) - len(last.slots)
-    patched, _, _ = _solve_step(
+    patched = _solve_step(
         last, g, cfg, budget, len(slices) - 1, pinned_initial=base.map_sequence[lo - 1], pinned_final=base.initial_map
-    )
+    ).solution
     if patched is None:
         return None
     swaps = base.swaps[:lo] + patched.swaps

@@ -25,13 +25,31 @@ a minimum-weight solution inserts the fewest swaps; in weighted mode
 the soft side instead charges the negative log fidelity of every swap
 and of every gate placement, so minimizing falsified weight maximizes
 the routed circuit's success probability.
+
+Hard E, canonical initial placement, breaks the device's symmetry
+(lex-leader style, after Crawford, Ginsberg, Luks & Roy, KR 1996).  An
+automorphism of the graph maps every model to a model of equal cost:
+it keeps gates on edges, swaps on edges, the no-op a no-op and a cyclic
+block's first map equal to its last.  So the lowest-numbered active
+qubit may start only on one place of its orbit, one unit clause for
+every other place, and an exact solve searches one initial placement
+per orbit.  The place kept is the orbit's largest.  The built-in solver
+branches false first in ascending id order, so without the clauses its
+first descent already puts that qubit on the largest place left open;
+keeping that place leaves the first descent, and with it the early
+incumbents of a solve cut short by its budget, as they were.  The
+clauses are sound only where every constraint is symmetric too, so they
+are left out when a map is pinned or a final map is blocked.  They are
+also left out in weighted mode: an automorphism would have to keep
+every edge's swap and gate weights, and a noise model measured per edge
+leaves none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, swap_weight
+from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, orbit_minima, swap_weight
 from .circuit import Circuit
 from .cnf import InstanceBuilder, MaxSatInstance, Model
 from .errors import EncodingError
@@ -82,6 +100,9 @@ class EncodeOptions:
     ``n`` is the number of swap positions before each slot; setting it
     to the graph diameter guarantees any placement can be repaired, and
     a solution that is optimal for the encoding is then optimal overall.
+    ``canonical_placement`` adds Hard E (see the module docstring).  It
+    keeps the optimum, but it can change which optimal routing a solve
+    returns, so the slices of a multi-slice run leave it off.
     """
 
     n: int = 1
@@ -90,6 +111,7 @@ class EncodeOptions:
     pinned_final: QubitMap | None = None
     cyclic: bool = False
     blocked_final_maps: tuple[QubitMap, ...] = ()
+    canonical_placement: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -252,6 +274,17 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
                 raw((first[q, p], -last[q, p]))
     for blocked in opt.blocked_final_maps:
         raw(tuple(-last[q, blocked[q]] for q in active))
+
+    # Hard E: canonical initial placement (see the module docstring).
+    # Pins and blocked maps name places that an automorphism would move,
+    # and a noise model's weights are left unchecked, so those go without.
+    pinned = opt.pinned_initial is not None or opt.pinned_final is not None or opt.blocked_final_maps
+    if opt.canonical_placement and opt.weighted is None and not pinned:
+        orbit = orbit_minima(g)
+        largest = {o: p for p, o in enumerate(orbit)}
+        for p in range(P):
+            if largest[orbit[p]] != p:
+                raw((-first[active[0], p],))
 
     return builder.build(table)
 

@@ -49,8 +49,10 @@ class QubitMap:
 class SliceStats:
     """Per-slice solve accounting for one driver run.
 
-    Time and the search counters are summed over every solve of the
-    slice (backtracking re-solves it); ``incumbents`` is the last solve's
+    Times and the search counters are summed over every solve of the
+    slice (backtracking re-solves it): ``encode_ms``, ``solve_ms`` and
+    ``decode_ms`` are its encode, solver and decode wall times.  The
+    instance sizes and status are the last solve's; ``incumbents`` is its
     timeline of (seconds, falsified weight) pairs, and ``lower_bound`` its
     proven lower bound on the falsified weight, so a best-effort slice
     shows its gap.
@@ -68,6 +70,8 @@ class SliceStats:
     propagations: int = 0
     incumbents: tuple[tuple[float, int], ...] = ()
     lower_bound: int = 0
+    encode_ms: float = 0.0
+    decode_ms: float = 0.0
 
 
 @dataclass(frozen=True)

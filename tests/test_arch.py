@@ -1,9 +1,12 @@
 import json
 import math
+import random
+from itertools import permutations
 
 import pytest
 
-from swaproute.arch import ConnectivityGraph, NoiseModel, diameter, load_arch, load_noise
+from swaproute import arch
+from swaproute.arch import ConnectivityGraph, NoiseModel, diameter, load_arch, load_noise, orbit_minima
 from swaproute.errors import ArchError, NoiseModelError
 
 
@@ -145,3 +148,50 @@ def test_uniform_noise_helper():
     assert model.covers(g)
     assert model.swap_fidelity[(0, 1)] == pytest.approx(0.95**3)
     assert math.isclose(model.cx_fidelity[(1, 2)], 0.95)
+
+
+@pytest.mark.parametrize("name, minima", [
+    ("line:4", (0, 1, 1, 0)),
+    ("cycle:6", (0,) * 6),
+    ("grid:3x3", (0, 1, 0, 1, 4, 1, 0, 1, 0)),
+    ("star:5", (0, 1, 1, 1, 1)),
+    ("tokyo", tuple(range(10)) + (5, 6, 7, 8, 9, 0, 1, 2, 3, 4)),  # the top-bottom mirror
+])
+def test_orbit_minima_of_built_in_devices(name, minima):
+    assert orbit_minima(load_arch(name)) == minima
+
+
+def test_orbit_counts_of_built_in_devices():
+    counts = {name: len(set(orbit_minima(load_arch(name))))
+              for name in ("line:2", "line:5", "cycle:4", "grid:2x3", "tokyo_minus", "tokyo_plus", "star:20")}
+    assert counts == {"line:2": 1, "line:5": 3, "cycle:4": 1, "grid:2x3": 2,
+                      "tokyo_minus": 6, "tokyo_plus": 6, "star:20": 2}
+
+
+def brute_orbit_minima(g):
+    """Orbit minima from every permutation of the places."""
+    minima = list(range(g.num_physical))
+    for sigma in permutations(range(g.num_physical)):
+        if all(g.has_edge(sigma[u], sigma[v]) for u, v in g.edges):
+            for p in range(g.num_physical):
+                minima[p] = min(minima[p], sigma[p])
+    return tuple(minima)
+
+
+def test_orbit_minima_match_the_whole_group_on_small_graphs():
+    rng = random.Random(77)
+    checked = 0
+    while checked < 60:
+        num = rng.randint(2, 6)
+        edges = {tuple(sorted(rng.sample(range(num), 2))) for _ in range(rng.randint(num - 1, 2 * num))}
+        try:
+            g = ConnectivityGraph(num, frozenset(edges))
+        except ArchError:
+            continue  # disconnected draw
+        assert orbit_minima.__wrapped__(g) == brute_orbit_minima(g)
+        checked += 1
+
+
+def test_orbit_search_that_gives_up_only_loses_merges(monkeypatch):
+    monkeypatch.setattr(arch, "AUTOMORPHISM_SEARCH_STEPS", 1)
+    assert orbit_minima.__wrapped__(load_arch("cycle:6")) == tuple(range(6))

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 from swaproute.cli import main
 
 STUB = str(Path(__file__).parent / "external_stub.py")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(args):
@@ -43,6 +46,29 @@ def test_map_global_three_gate(tmp_path, capsys):
     assert slice_record["incumbents"][-1][1] == record["swap_count"]
 
 
+def test_map_stats_carry_phase_times(tmp_path):
+    src = write_three_gate(tmp_path)
+    stats = tmp_path / "stats.json"
+    code = run(["map", "--input", src, "--arch", "line:4", "--strategy", "sliced", "--slice-size", "1,3",
+                "--output", str(tmp_path / "r.qasm"), "--stats", str(stats)])
+    assert code == 0
+    record = json.loads(stats.read_text())
+    phases = record["phase_ms"]
+    assert set(phases) == {"parse", "route", "verify", "emit"}
+    assert all(ms >= 0 for ms in phases.values()) and phases["route"] > 0
+    assert sum(phases.values()) <= record["total_elapsed_ms"]
+    for slice_record in record["per_slice"]:
+        assert slice_record["encode_ms"] > 0 and slice_record["decode_ms"] > 0
+
+
+def test_cli_import_leaves_heavy_libraries_out():
+    # importing the CLI is part of every run's start-up
+    code = "import sys, swaproute.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'numpy', 'scipy'}))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_map_output_verifies_via_cli(tmp_path):
     src = write_three_gate(tmp_path)
     out = tmp_path / "routed.qasm"
@@ -67,7 +93,10 @@ def test_verify_detects_tampering(tmp_path):
     src = write_three_gate(tmp_path)
     out = tmp_path / "routed.qasm"
     run(["map", "--input", src, "--arch", "line:4", "--strategy", "global", "--output", str(out)])
-    text = out.read_text().replace("swap q[1],q[2];", "swap q[0],q[2];")
+    routed = out.read_text()
+    first_swap = next(ln for ln in routed.splitlines() if ln.startswith("swap "))
+    text = routed.replace(first_swap, "swap q[0],q[3];", 1)  # q[0] and q[3] are never adjacent on line:4
+    assert text != routed
     tampered = tmp_path / "tampered.qasm"
     tampered.write_text(text)
     assert run(["verify", "--source", src, "--routed", str(tampered), "--arch", "line:4"]) == 3

@@ -4,7 +4,7 @@ import pytest
 
 from swaproute import driver
 from swaproute.arch import NoiseModel, diameter, load_arch
-from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
+from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut, slice_circuit
 from swaproute.driver import (
     DriverConfig,
     as_cyclic_blocks,
@@ -13,6 +13,7 @@ from swaproute.driver import (
     solve_global,
     solve_sliced,
 )
+from swaproute.encoder import EncodeOptions, encode, instance_stats
 from swaproute.errors import SolveTimeoutError, UnroutableError
 from swaproute.oracle import brute_force_oracle
 from swaproute.verifier import verify, verify_solution
@@ -81,6 +82,29 @@ def test_sliced_fitting_circuit_needs_nothing():
         assert sol.swap_count == 0
         assert sol.status == "optimal"  # no routing has fewer than zero swaps
         check_solution(c, sol, LINE3)
+
+
+def test_multi_slice_runs_encode_slices_without_canonical_placement():
+    sol = solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 2)
+    assert [s.backtracks for s in sol.per_slice_stats] == [0, 0]
+    slices = slice_circuit(THREE_GATE, 2)
+    done = 0
+    for piece, stats in zip(slices, sol.per_slice_stats):
+        pin = sol.map_sequence[done - 1] if done else None
+        plain = EncodeOptions(n=1, pinned_initial=pin, canonical_placement=False)
+        assert stats.hard_clauses == instance_stats(encode(piece, LINE4, plain)).hard_count
+        done += len(piece.slots)
+    # slice 0 alone would have carried the clauses; one slice does carry them
+    canonical = instance_stats(encode(slices[0], LINE4, EncodeOptions(n=1))).hard_count
+    assert sol.per_slice_stats[0].hard_clauses < canonical
+    (whole,) = solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 3).per_slice_stats
+    assert whole.hard_clauses == instance_stats(encode(THREE_GATE, LINE4, EncodeOptions(n=1))).hard_count
+
+
+def test_slice_stats_time_each_end_of_the_solve():
+    sol = solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 1)
+    for stats in sol.per_slice_stats:
+        assert stats.encode_ms > 0 and stats.solve_ms > 0 and stats.decode_ms > 0
 
 
 def test_sliced_status_is_proved_only_where_it_holds():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -31,26 +32,37 @@ def all_hard_models(inst):
 
 def test_single_slot_line2_golden_counts():
     # Hand enumeration: 10 variables (4 maps at slot 0, 2 swap choices,
-    # 4 maps at slot 1) and 28 hard clauses: injectivity at slot 0 only,
+    # 4 maps at slot 1) and 29 hard clauses: injectivity at slot 0 only,
     # 6 (2 exactly-one pairs + 2 collision clauses); gate execution 4,
     # one per (operand, place); swap choice 2; the one transition's
     # frame clauses, 2 per (qubit, place) = 8, and move clauses, 2 per
-    # (edge, qubit, direction) = 8.
+    # (edge, qubit, direction) = 8; canonical placement 1, keeping q0
+    # off place 0, which the reflection of line:2 sends to place 1.
     _, inst = single_gate_instance()
     st = instance_stats(inst)
-    assert (st.num_vars, st.hard_count, st.soft_count) == (10, 28, 1)
+    assert (st.num_vars, st.hard_count, st.soft_count) == (10, 29, 1)
 
 
-def test_every_model_has_functional_maps_and_swaps():
-    c, inst = single_gate_instance()
+def check_functional_maps_and_swaps(inst, expected_models):
     vt = inst.var_table
     models = list(all_hard_models(inst))
-    assert len(models) == 4  # 2 initial placements x 2 swap choices
+    assert len(models) == expected_models
     for m in models:
         for q in range(2):
             for k in range(2):
                 assert sum(m[vt.id_of(("map", q, p, k))] for p in range(2)) == 1
         assert sum(m[vt.id_of(("swap", u, v, 1, 1))] for u, v in [(0, 0), (0, 1)]) == 1
+
+
+def test_every_model_has_functional_maps_and_swaps():
+    _, inst = single_gate_instance()
+    check_functional_maps_and_swaps(inst, 2)  # 2 swap choices; canonical placement starts q0 on place 1
+
+
+def test_every_model_without_canonical_placement():
+    c = Circuit(2, (Gate("cx", (0, 1)),))
+    inst = encode(c, LINE2, EncodeOptions(n=1, canonical_placement=False))
+    check_functional_maps_and_swaps(inst, 4)  # 2 initial placements x 2 swap choices
 
 
 def test_every_model_executes_the_gate_on_an_edge():
@@ -277,3 +289,106 @@ def test_var_table_is_dense_bijection():
     # n - 1 intermediate layers per slot: 48 + 16 + 32 on this instance.
     K, A, P, E = 2, 4, LINE4.num_physical, len(LINE4.sorted_edges())
     assert inst.num_vars == (K + 1) * A * P + K * n * (E + 1) + K * (n - 1) * A * P == 96
+
+
+def hard_e_count(c, g, opt):
+    """Unit clauses that canonical placement adds to ``opt``'s encoding."""
+    plain = replace(opt, canonical_placement=False)
+    return instance_stats(encode(c, g, opt)).hard_count - instance_stats(encode(c, g, plain)).hard_count
+
+
+def test_canonical_placement_keeps_the_largest_place_of_each_orbit():
+    g = load_arch("grid:3x3")
+    c = Circuit(3, (Gate("cx", (1, 2)), Gate("cx", (2, 0))))
+    inst = encode(c, g, EncodeOptions(n=1))
+    units = {clause for clause in inst.hard if len(clause) == 1}
+    vt = inst.var_table
+    # q0 first acts at slot 2, but as the lowest-numbered active qubit it
+    # is the one held to a corner (8), an edge middle (7) or the centre (4)
+    assert units == {(-vt.id_of(("map", 0, p, 0)),) for p in range(9) if p not in (4, 7, 8)}
+
+
+def test_canonical_placement_is_left_out_where_it_is_unsound():
+    c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
+    pin = QubitMap((0, 1, 2))
+    assert hard_e_count(c, LINE3, EncodeOptions(n=1)) == 1
+    assert hard_e_count(c, LINE3, EncodeOptions(n=1, cyclic=True)) == 1
+    assert hard_e_count(c, LINE3, EncodeOptions(n=1, pinned_initial=pin)) == 0
+    assert hard_e_count(c, LINE3, EncodeOptions(n=1, pinned_final=pin)) == 0
+    assert hard_e_count(c, LINE3, EncodeOptions(n=1, blocked_final_maps=(pin,))) == 0
+    # weighted mode goes without, even under a noise model that the reflection keeps
+    assert hard_e_count(c, LINE3, EncodeOptions(n=1, weighted=NoiseModel.uniform(LINE3, cx=0.99))) == 0
+
+
+SYMMETRIC_ARCHES = ["line:3", "line:4", "cycle:4", "cycle:5", "star:4", "star:5", "grid:2x2", "grid:2x3"]
+
+
+def random_draw(rng):
+    g = load_arch(rng.choice(SYMMETRIC_ARCHES))
+    nq = rng.randint(2, min(4, g.num_physical))
+    c = Circuit(nq, tuple(Gate("cx", tuple(rng.sample(range(nq), 2))) for _ in range(rng.randint(1, 5))))
+    return c, g, rng.randint(1, diameter(g))
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_canonical_placement_keeps_the_optimum(cyclic):
+    rng = random.Random(f"canonical-placement/{'cyclic' if cyclic else 'plain'}")
+    emitted = 0
+    for _ in range(100):
+        c, g, n = random_draw(rng)
+        opt = EncodeOptions(n=n, cyclic=cyclic)
+        emitted += hard_e_count(c, g, opt)
+        inst = encode(c, g, opt)
+        with_e = solve_builtin(inst)
+        without = solve_builtin(encode(c, g, replace(opt, canonical_placement=False)))
+        try:
+            oracle, _ = brute_force_oracle(c, g, n)
+        except UnroutableError:
+            assert with_e.status is without.status is SolveStatus.HARD_UNSAT
+            continue
+        assert with_e.status is without.status
+        if with_e.status is SolveStatus.HARD_UNSAT:
+            assert cyclic  # only the return to the start can fail
+            continue
+        assert with_e.status is SolveStatus.OPTIMAL
+        assert with_e.falsified_weight == without.falsified_weight
+        sol = decode(with_e.model, inst, c, g, opt)
+        if cyclic:
+            assert sol.swap_count >= oracle  # a cyclic optimum is a routing, so it has at least the fewest swaps
+        else:
+            assert sol.swap_count == with_e.falsified_weight == oracle
+    assert emitted > 0
+
+
+def test_canonical_placement_keeps_the_first_incumbent():
+    # Keeping each orbit's largest place leaves the solver's first descent
+    # as it was, so a solve cut short by its budget starts from the same
+    # routing; keeping the smallest fails this on 15 of these 40 draws.
+    rng = random.Random("canonical-placement/first-incumbent")
+    arches = ["line:4", "line:5", "cycle:4", "cycle:6", "grid:2x3", "grid:3x3", "star:5", "tokyo"]
+    compared = 0
+    for _ in range(40):
+        g = load_arch(rng.choice(arches))
+        nq = rng.randint(3, min(6, g.num_physical))
+        c = Circuit(nq, tuple(Gate("cx", tuple(rng.sample(range(nq), 2))) for _ in range(rng.randint(3, 7))))
+        opt = EncodeOptions(n=1)
+        with_e = solve_builtin(encode(c, g, opt), budget=0.5)
+        without = solve_builtin(encode(c, g, replace(opt, canonical_placement=False)), budget=0.5)
+        if with_e.incumbents and without.incumbents:
+            assert with_e.incumbents[0][1] == without.incumbents[0][1]
+            compared += 1
+    assert compared >= 30
+
+
+@pytest.mark.parametrize("noise", ["uniform", "random"])
+def test_weighted_encodings_leave_canonical_placement_out(noise):
+    rng = random.Random(f"canonical-placement/{noise}-noise")
+    for _ in range(50):
+        c, g, n = random_draw(rng)
+        if noise == "uniform":
+            model = NoiseModel.uniform(g, cx=rng.choice([0.9, 0.97, 0.99]))
+        else:
+            model = NoiseModel({e: round(rng.uniform(0.95, 0.995), 4) for e in g.edges}, {})
+        opt = EncodeOptions(n=n, weighted=model, cyclic=rng.random() < 0.5)
+        plain = encode(c, g, replace(opt, canonical_placement=False))
+        assert encode(c, g, opt).hard == plain.hard
