@@ -9,6 +9,7 @@ table describing what each variable means.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 Clause = tuple[int, ...]
@@ -57,14 +58,25 @@ class MaxSatInstance:
     def __post_init__(self):
         object.__setattr__(self, "hard", tuple(self.hard))
         object.__setattr__(self, "soft", tuple(self.soft))
-        for clause in self.hard:
-            self._check(clause)
-        for clause, weight in self.soft:
-            self._check(clause)
-            if weight < 1:
-                raise ValueError(f"soft weight must be >= 1, got {weight}")
+        # One pass over every literal at C speed finds whether anything is
+        # wrong; only then does the clause-by-clause check run, to name the
+        # first fault in clause order.
+        nv = self.num_vars
+        lits = set(chain.from_iterable(self.hard))
+        lits.update(chain.from_iterable(c for c, _ in self.soft))
+        in_range = not lits or (0 not in lits and max(lits) <= nv and min(lits) >= -nv)
+        non_empty = all(self.hard) and all(c for c, _ in self.soft)
+        if not (in_range and non_empty and all(w >= 1 for _, w in self.soft)):
+            for clause in self.hard:
+                self._check(clause)
+            for clause, weight in self.soft:
+                self._check(clause)
+                if weight < 1:
+                    raise ValueError(f"soft weight must be >= 1, got {weight}")
 
     def _check(self, clause: Clause):
+        if not clause:
+            raise ValueError("empty clause")
         for lit in clause:
             if not 1 <= abs(lit) <= self.num_vars:
                 raise ValueError(f"literal {lit} out of range (num_vars={self.num_vars})")
@@ -99,15 +111,18 @@ class InstanceBuilder:
         return self._num_vars
 
     def new_vars(self, count: int) -> list[int]:
-        return [self.new_var() for _ in range(count)]
+        ids = list(range(self._num_vars + 1, self._num_vars + 1 + count))
+        self._num_vars += len(ids)
+        return ids
 
     def add_hard(self, lits: Iterable[int]):
         self._hard.append(make_clause(lits))
 
-    def add_hard_raw(self, clause: Clause):
-        """Append a pre-normalized clause; the caller guarantees it is a
-        non-empty tuple with no duplicate or complementary literals."""
-        self._hard.append(clause)
+    def extend_hard_raw(self, clauses: Iterable[Clause]):
+        """Append pre-normalized clauses in order; the caller guarantees
+        each is a tuple with no duplicate or complementary literals.
+        ``build`` rejects an empty one."""
+        self._hard.extend(clauses)
 
     def add_soft(self, lits: Iterable[int], weight: int):
         if weight == 0:
@@ -133,9 +148,15 @@ class InstanceBuilder:
     # -- exactly-one encodings ------------------------------------------------
 
     def at_most_one_pairwise(self, lits: Sequence[int]):
-        for i in range(len(lits)):
-            for j in range(i + 1, len(lits)):
-                self.add_hard([-lits[i], -lits[j]])
+        """One clause (-a, -b) per pair, in pair order.  A repeated
+        variable makes a pair's clause a unit or a tautology, so only
+        literals over distinct variables skip :func:`make_clause`."""
+        variables = set(map(abs, lits))
+        if len(variables) == len(lits) and 0 not in variables:
+            self._hard.extend(combinations([-lit for lit in lits], 2))
+            return
+        for a, b in combinations(lits, 2):
+            self.add_hard([-a, -b])
 
     def exactly_one(self, lits: Sequence[int]):
         if not lits:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, orbit_minima, swap_weight
 from .circuit import Circuit
-from .cnf import InstanceBuilder, MaxSatInstance, Model
+from .cnf import Clause, InstanceBuilder, MaxSatInstance, Model
 from .errors import EncodingError
 from .solution import Edge, QubitMap, RoutingSolution
 
@@ -72,13 +72,14 @@ class VarTable:
         self._by_id: list[tuple | None] = [None]
         self._by_tag: dict[tuple, int] = {}
 
-    def add(self, tag: tuple) -> int:
-        if tag in self._by_tag:
-            raise ValueError(f"duplicate tag {tag}")
-        self._by_id.append(tag)
-        vid = len(self._by_id) - 1
-        self._by_tag[tag] = vid
-        return vid
+    def extend(self, tags: list[tuple]):
+        """Give ``tags`` the next ids, in order."""
+        first = len(self._by_id)
+        new = dict(zip(tags, range(first, first + len(tags))))
+        if len(new) != len(tags) or not self._by_tag.keys().isdisjoint(new):
+            raise ValueError("duplicate tag")
+        self._by_id.extend(tags)
+        self._by_tag.update(new)
 
     def id_of(self, tag: tuple) -> int:
         return self._by_tag[tag]
@@ -170,54 +171,54 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     builder = InstanceBuilder()
     table = VarTable()
 
-    def new_tagged(tag):
-        vid = builder.new_var()
-        assert table.add(tag) == vid
-        return vid
+    def new_tagged(tags):  # one fresh variable per tag, consecutive ids
+        table.extend(tags)
+        ids = builder.new_vars(len(tags))
+        assert len(table) == builder.num_vars
+        return ids
 
-    def layer(kind, *index):  # placement variables (q, p) -> var, tagged (kind, q, p, *index)
-        return {(q, p): new_tagged((kind, q, p, *index)) for q in active for p in range(P)}
+    def layer(kind, *index):  # placement rows: row[q][p] is the var tagged (kind, q, p, *index)
+        ids = new_tagged([(kind, q, p, *index) for q in active for p in range(P)])
+        return {q: ids[j * P : (j + 1) * P] for j, q in enumerate(active)}
 
-    sv: dict[tuple[Edge, int, int], int] = {}  # (pair, k, i) -> var
-    hops = []  # (k, i, layer before swap position i, layer after it)
+    hops = []  # (swap position's pair vars, in ``pairs`` order; layer before it; layer after it)
 
     # Interleave ids slot by slot, each swap position's pairs followed by
     # the layer they produce, so the solver's ascending-id branching
     # settles each slot's swaps and map before moving to the next.
-    maps = [layer("map", 0)]  # maps[k][q, p]: q sits on p at slot k
+    maps = [layer("map", 0)]  # maps[k][q][p]: q sits on p at slot k
     for k in range(1, K + 1):
         before = maps[k - 1]
         for i in range(1, opt.n + 1):
-            for pair in pairs:
-                sv[pair, k, i] = new_tagged(("swap", pair[0], pair[1], k, i))
+            picks = new_tagged([("swap", u, v, k, i) for u, v in pairs])
             after = layer("map", k) if i == opt.n else layer("mid", k, i)
-            hops.append((k, i, before, after))
+            hops.append((picks, before, after))
             before = after
         maps.append(before)
-
-    raw = builder.add_hard_raw
+    first, last = maps[0], maps[K]
 
     # Hard A: the initial map is a total injective function.  The
     # transitions (D) are permutations, so every later map inherits it.
     for q in active:
-        builder.exactly_one([maps[0][q, p] for p in range(P)])
+        builder.exactly_one(first[q])
     for p in range(P):
-        builder.at_most_one_pairwise([maps[0][q, p] for q in active])
+        builder.at_most_one_pairwise([first[q][p] for q in active])
 
     # Hard B: wherever one operand of slot k's gate sits, the other sits
     # on a neighbour.  (A) and (D) put each operand on exactly one place,
     # so one clause per operand and place says the gate acts on an edge.
-    touching = [[e for e in edges if p in e] for p in range(P)]
-    neighbours = [[u + v - p for u, v in touching[p]] for p in range(P)]  # the far end of each edge
+    touching = [[j for j, e in enumerate(pairs) if j and p in e] for p in range(P)]  # where p's edges sit in pairs
+    neighbours = [[u + v - p for u, v in edges if p in (u, v)] for p in range(P)]  # the far end of each edge
+    hard: list[Clause] = []
     for k, gate in enumerate(slot_gates, start=1):
         for x, y in (gate.operands, gate.operands[::-1]):
-            for p in range(P):
-                raw((-maps[k][x, p], *(maps[k][y, u] for u in neighbours[p])))
+            xrow, yrow = maps[k][x], maps[k][y]
+            hard += [(-xrow[p], *map(yrow.__getitem__, far)) for p, far in enumerate(neighbours)]
+    builder.extend_hard_raw(hard)
 
     # Hard C: each swap position picks exactly one pair (possibly the no-op).
-    for k in range(1, K + 1):
-        for i in range(1, opt.n + 1):
-            builder.exactly_one([sv[pair, k, i] for pair in pairs])
+    for picks, _, _ in hops:
+        builder.exactly_one(picks)
 
     # Hard D: each swap position carries its layer before into its layer
     # after.  Frame axioms: q is on p after iff it was on p before,
@@ -229,51 +230,43 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # maps back to earlier ones.  Forward halves plus (A) at every slot
     # would also be sound, but the search then slows by orders of
     # magnitude.
-    for k, i, before, after in hops:
-        fires = [tuple(sv[e, k, i] for e in touching[p]) for p in range(P)]
+    hard = []
+    for picks, before, after in hops:
+        fires = [tuple(map(picks.__getitem__, at)) for at in touching]
         for q in active:
-            for p in range(P):
-                b, a = before[q, p], after[q, p]
-                raw((-b, a, *fires[p]))
-                raw((b, -a, *fires[p]))
-        for u, v in edges:
-            s = sv[(u, v), k, i]
+            for b, a, f in zip(before[q], after[q], fires):
+                hard += ((-b, a, *f), (b, -a, *f))
+        for s, (u, v) in zip(picks[1:], edges):
             for q in active:
-                for src, dst in ((u, v), (v, u)):
-                    raw((-s, -before[q, src], after[q, dst]))
-                    raw((-s, before[q, src], -after[q, dst]))
+                bu, bv = before[q][u], before[q][v]
+                au, av = after[q][u], after[q][v]
+                hard += ((-s, -bu, av), (-s, bu, -av), (-s, -bv, au), (-s, bv, -au))
 
     # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted).
     if opt.weighted is None:
-        for k in range(1, K + 1):
-            for i in range(1, opt.n + 1):
-                builder.add_soft([sv[NOOP, k, i]], 1)
+        for picks, _, _ in hops:
+            builder.add_soft([picks[0]], 1)
     else:
-        for k in range(1, K + 1):
-            for i in range(1, opt.n + 1):
-                for e in edges:
-                    builder.add_soft([-sv[e, k, i]], swap_weight(opt.weighted, e, WEIGHT_SCALE))
+        for picks, _, _ in hops:
+            for s, e in zip(picks[1:], edges):
+                builder.add_soft([-s], swap_weight(opt.weighted, e, WEIGHT_SCALE))
         for k, gate in enumerate(slot_gates, start=1):
-            qa, qb = gate.operands
+            arow, brow = (maps[k][q] for q in gate.operands)
             for u, v in edges:
                 w = cx_weight(opt.weighted, (u, v), WEIGHT_SCALE)
-                builder.add_soft([-maps[k][qa, u], -maps[k][qb, v]], w)
-                builder.add_soft([-maps[k][qa, v], -maps[k][qb, u]], w)
+                builder.add_soft([-arow[u], -brow[v]], w)
+                builder.add_soft([-arow[v], -brow[u]], w)
 
-    first, last = maps[0], maps[K]
     if opt.pinned_initial is not None:
-        for q in active:
-            raw((first[q, opt.pinned_initial[q]],))
+        hard += [(first[q][opt.pinned_initial[q]],) for q in active]
     if opt.pinned_final is not None:
-        for q in active:
-            raw((last[q, opt.pinned_final[q]],))
+        hard += [(last[q][opt.pinned_final[q]],) for q in active]
     if opt.cyclic:
         for q in active:
-            for p in range(P):
-                raw((-first[q, p], last[q, p]))
-                raw((first[q, p], -last[q, p]))
+            for f, l in zip(first[q], last[q]):
+                hard += ((-f, l), (f, -l))
     for blocked in opt.blocked_final_maps:
-        raw(tuple(-last[q, blocked[q]] for q in active))
+        hard.append(tuple(-last[q][blocked[q]] for q in active))
 
     # Hard E: canonical initial placement (see the module docstring).
     # Pins and blocked maps name places that an automorphism would move,
@@ -282,9 +275,8 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     if opt.canonical_placement and opt.weighted is None and not pinned:
         orbit = orbit_minima(g)
         largest = {o: p for p, o in enumerate(orbit)}
-        for p in range(P):
-            if largest[orbit[p]] != p:
-                raw((-first[active[0], p],))
+        hard += [(-first[active[0]][p],) for p in range(P) if largest[orbit[p]] != p]
+    builder.extend_hard_raw(hard)
 
     return builder.build(table)
 

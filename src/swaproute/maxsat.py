@@ -23,6 +23,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, groupby
 from pathlib import Path
 
 from .cnf import MaxSatInstance, Model
@@ -426,12 +427,16 @@ def emit_wcnf(instance: MaxSatInstance) -> str:
     (1 + total soft weight), soft clauses their own weight."""
     top = 1 + instance.soft_weight_total
     n_clauses = len(instance.hard) + len(instance.soft)
-    lines = [f"p wcnf {instance.num_vars} {n_clauses} {top}"]
-    for c in instance.hard:
-        lines.append(f"{top} {' '.join(map(str, c))} 0")
-    for c, w in instance.soft:
-        lines.append(f"{w} {' '.join(map(str, c))} 0")
-    return "\n".join(lines) + "\n"
+    parts = [f"p wcnf {instance.num_vars} {n_clauses} {top}\n"]
+    # One % call per run of clauses of equal width: the line template is
+    # repeated once per clause and filled with the run's literals.
+    for width, run in groupby(instance.hard, len):
+        run = tuple(run)
+        parts.append((f"{top} " + "%d " * width + "0\n") * len(run) % tuple(chain.from_iterable(run)))
+    for width, run in groupby(instance.soft, lambda soft: len(soft[0])):
+        run = tuple(run)
+        parts.append(("%d " * (width + 1) + "0\n") * len(run) % tuple(chain.from_iterable((w, *c) for c, w in run)))
+    return "".join(parts)
 
 
 def parse_wcnf(text: str) -> MaxSatInstance:

@@ -1,15 +1,17 @@
+import hashlib
 import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from swaproute.arch import NoiseModel, diameter, load_arch
-from swaproute.circuit import Circuit, Gate
+from conftest import random_circuit
+from swaproute.arch import NoiseModel, diameter, load_arch, load_noise
+from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
 from swaproute.cnf import Model
 from swaproute.encoder import EncodeOptions, decode, encode, instance_stats
 from swaproute.errors import EncodingError, UnroutableError
-from swaproute.maxsat import SolveStatus, solve_builtin
+from swaproute.maxsat import SolveStatus, emit_wcnf, solve_builtin
 from swaproute.oracle import brute_force_oracle
 from swaproute.solution import QubitMap
 
@@ -285,6 +287,10 @@ def test_var_table_is_dense_bijection():
     for v, tag in enumerate(tags, start=1):
         assert vt.id_of(tag) == v
     assert {tag[0] for tag in tags} <= {"map", "swap", "mid"}
+    for repeat in ([("mid", 0, 0, 9, 1), ("mid", 0, 0, 9, 1)], [tags[0]]):
+        with pytest.raises(ValueError, match="duplicate tag"):
+            vt.extend(repeat)
+    assert len(vt) == inst.num_vars
     # Maps at slots 0..K, n swap positions of |E| + 1 pairs per slot, and
     # n - 1 intermediate layers per slot: 48 + 16 + 32 on this instance.
     K, A, P, E = 2, 4, LINE4.num_physical, len(LINE4.sorted_edges())
@@ -392,3 +398,52 @@ def test_weighted_encodings_leave_canonical_placement_out(noise):
         opt = EncodeOptions(n=n, weighted=model, cyclic=rng.random() < 0.5)
         plain = encode(c, g, replace(opt, canonical_placement=False))
         assert encode(c, g, opt).hard == plain.hard
+
+
+def golden_noise(tmp_path):
+    path = tmp_path / "line4-noise.json"
+    path.write_text(
+        '[{"edge": [0, 1], "cx": 0.97}, {"edge": [1, 2], "cx": 0.99, "swap": 0.95}, {"edge": [2, 3], "cx": 0.98}]',
+        encoding="utf-8",
+    )
+    return load_noise(str(path), LINE4)
+
+
+def golden_cases(tmp_path):
+    tokyo = load_arch("tokyo")
+    qaoa8 = generate_qaoa_maxcut(8, 1, 7)
+    slice_ = random_circuit(random.Random("golden/slice"), 5, 6)
+    yield "qaoa8-tokyo-n1", qaoa8, tokyo, EncodeOptions(n=1)
+    yield "qaoa8-tokyo-n2", qaoa8, tokyo, EncodeOptions(n=2)
+    yield "rand16x10-tokyo", random_circuit(random.Random("golden/tokyo16x10"), 16, 10), tokyo, EncodeOptions(n=1)
+    line4 = random_circuit(random.Random("golden/line4"), 4, 5)
+    yield "weighted-line4", line4, LINE4, EncodeOptions(n=2, weighted=golden_noise(tmp_path))
+    yield "qaoa4-cycle4-cyclic", generate_qaoa_maxcut(4, 1, 7), load_arch("cycle:4"), EncodeOptions(n=2, cyclic=True)
+    pin = QubitMap((4, 0, 8, 2, 6))
+    yield "pinned-slice-grid3x3", slice_, load_arch("grid:3x3"), EncodeOptions(
+        n=2, pinned_initial=pin, blocked_final_maps=(QubitMap((0, 1, 2, 3, 4)),), canonical_placement=False
+    )
+    yield "patched-slice-grid3x3", slice_, load_arch("grid:3x3"), EncodeOptions(
+        n=2, pinned_initial=pin, pinned_final=QubitMap((1, 3, 5, 7, 4)), canonical_placement=False
+    )
+
+
+# sha256 of emit_wcnf(encode(...)) for each golden case.  The budget-bound
+# Tokyo routings depend on the solver's first descent, which follows the
+# clause and variable order, so any change to that order shows up here.
+GOLDEN_WCNF_SHA256 = {
+    "qaoa8-tokyo-n1": "aee28251712a730ab5660af9378275c5aaa45b07fd53194c4ea5e5de48249d70",
+    "qaoa8-tokyo-n2": "85bb8cbafbeee319849bf87a196c982611c0c6e56d6465d99c78901677c09a01",
+    "rand16x10-tokyo": "da595bc0a75ae06f2c662383fe0a67228dd27a9abbd801c8d3c2b27710592c2d",
+    "weighted-line4": "22676443d7c04c0f09bb410a23644b955e51e93bbecd8ea90708cfb69d0a2e8b",
+    "qaoa4-cycle4-cyclic": "c6d80917916337bad101e88c851b71b64fb75e7d583ed474f736235bf363edfd",
+    "pinned-slice-grid3x3": "b89769caa7f7a405d4dcd724b1020389b5c6300e9a2c50497be8df75d239c6fc",
+    "patched-slice-grid3x3": "fb1e95f2a644ae07c0bdd09130916095e37f7322b1864adc6fbbed40a01c3483",
+}
+
+
+def test_golden_wcnf_digests(tmp_path):
+    got = {}
+    for name, c, g, opt in golden_cases(tmp_path):
+        got[name] = hashlib.sha256(emit_wcnf(encode(c, g, opt)).encode()).hexdigest()
+    assert got == GOLDEN_WCNF_SHA256

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from swaproute import maxsat
-from swaproute.cnf import InstanceBuilder, MaxSatInstance, Model
+from swaproute.cnf import InstanceBuilder, MaxSatInstance, Model, make_clause
 from swaproute.errors import SolverIntegrityError, SolverOutputError
 from swaproute.maxsat import (
     SolveStatus,
@@ -338,6 +339,92 @@ def test_budget_with_incumbent_is_satisfiable_bound():
     assert out.lower_bound == 1  # the probe refutes a zero-cost model at once
 
 
+# -- instances and the builder -------------------------------------------------
+
+
+@pytest.mark.parametrize("lit", [0, 3, -3])
+@pytest.mark.parametrize("side", ["hard", "soft"])
+def test_instance_rejects_literal_out_of_range(side, lit):
+    hard, soft = [(1, -2)], [((2,), 1)]
+    if side == "hard":
+        hard.append((1, lit))
+    else:
+        soft.append(((-1, lit), 2))
+    with pytest.raises(ValueError, match=re.escape(f"literal {lit} out of range (num_vars=2)")):
+        MaxSatInstance(2, tuple(hard), tuple(soft))
+
+
+def test_instance_rejects_zero_soft_weight():
+    with pytest.raises(ValueError, match=re.escape("soft weight must be >= 1, got 0")):
+        MaxSatInstance(2, ((1, 2),), (((1,), 3), ((2,), 0)))
+
+
+def test_instance_names_the_first_fault_in_clause_order():
+    # hard clauses before soft ones; within a soft clause, literals before its weight
+    with pytest.raises(ValueError, match=re.escape("literal 5 out of range")):
+        MaxSatInstance(2, ((1,), (2, 5)), (((7,), 0),))
+    with pytest.raises(ValueError, match=re.escape("literal 7 out of range")):
+        MaxSatInstance(2, ((1,),), (((7,), 0),))
+    with pytest.raises(ValueError, match=re.escape("got 0")):
+        MaxSatInstance(2, ((1,),), (((2,), 0), ((7,), 1)))
+
+
+def test_instance_rejects_empty_clause():
+    # An empty clause can be neither written as a WCNF line nor watched by
+    # the solver, so an instance never holds one.
+    b = InstanceBuilder()
+    b.new_vars(2)
+    b.extend_hard_raw([(1, 2), ()])
+    with pytest.raises(ValueError, match="empty clause"):
+        b.build()
+    with pytest.raises(ValueError, match="empty clause"):
+        MaxSatInstance(2, ((1,),), (((), 1),))
+
+
+def reference_at_most_one(builder: InstanceBuilder, lits):
+    """One normalized clause per pair, one pair at a time."""
+    for i in range(len(lits)):
+        for j in range(i + 1, len(lits)):
+            builder.add_hard([-lits[i], -lits[j]])
+
+
+def pair_clauses(add, lits, num_vars=8):
+    b = InstanceBuilder()
+    b.new_vars(num_vars)
+    add(b, lits)
+    return b.build().hard
+
+
+def test_at_most_one_pairwise_matches_one_clause_per_pair():
+    rng = random.Random("at-most-one")
+    for _ in range(300):
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), rng.randint(0, 8))]
+        want = pair_clauses(reference_at_most_one, lits)
+        assert pair_clauses(InstanceBuilder.at_most_one_pairwise, lits) == want
+        if lits:
+            exactly = pair_clauses(InstanceBuilder.exactly_one, lits)
+            assert exactly == (make_clause(lits), *want)
+    # repeated variables: a repeated literal's pair is a unit, a variable
+    # in both polarities is a tautology, a 0 is no literal
+    assert pair_clauses(InstanceBuilder.at_most_one_pairwise, [3, 3]) == ((-3,),)
+    assert pair_clauses(InstanceBuilder.at_most_one_pairwise, [1, 2, 1]) == ((-1, -2), (-1,), (-2, -1))
+    assert pair_clauses(InstanceBuilder.exactly_one, [4, 4]) == ((4,), (-4,))
+    with pytest.raises(ValueError, match="tautological"):
+        pair_clauses(InstanceBuilder.at_most_one_pairwise, [3, -3])
+    with pytest.raises(ValueError, match="0 is not a literal"):
+        pair_clauses(InstanceBuilder.at_most_one_pairwise, [0, 1])
+    with pytest.raises(ValueError, match="empty set"):
+        pair_clauses(InstanceBuilder.exactly_one, [])
+
+
+def test_new_vars_continues_the_numbering():
+    b = InstanceBuilder()
+    assert b.new_var() == 1
+    assert b.new_vars(3) == [2, 3, 4]
+    assert b.new_vars(0) == [] and b.num_vars == 4
+    assert b.new_var() == 5
+
+
 # -- WCNF ---------------------------------------------------------------------
 
 
@@ -354,6 +441,39 @@ def test_emit_wcnf_empty_soft_top_is_one():
     v = b.new_var()
     b.add_hard([v])
     assert emit_wcnf(b.build()).startswith("p wcnf 1 1 1\n")
+
+
+def reference_emit_wcnf(instance: MaxSatInstance) -> str:
+    """One formatted line per clause."""
+    top = 1 + instance.soft_weight_total
+    lines = [f"p wcnf {instance.num_vars} {len(instance.hard) + len(instance.soft)} {top}"]
+    lines += [f"{top} {' '.join(map(str, c))} 0" for c in instance.hard]
+    lines += [f"{w} {' '.join(map(str, c))} 0" for c, w in instance.soft]
+    return "\n".join(lines) + "\n"
+
+
+def clause_runs(rng: random.Random, num_vars: int, max_width: int) -> list[tuple[int, ...]]:
+    """Runs of clauses of one width each, widths interleaved, signs mixed."""
+    clauses = []
+    for _ in range(rng.randint(1, 6)):
+        width = rng.randint(1, min(max_width, num_vars))
+        for _ in range(rng.randint(1, 5)):
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), width)))
+    return clauses
+
+
+def test_emit_wcnf_matches_one_line_per_clause():
+    rng = random.Random("emit-wcnf")
+    for i in range(200):
+        num_vars = rng.randint(6, 40)
+        hard = () if i % 10 == 1 else tuple(clause_runs(rng, num_vars, 6))
+        soft = () if i % 10 == 0 else tuple((c, rng.randint(1, 50)) for c in clause_runs(rng, num_vars, 4))
+        inst = MaxSatInstance(num_vars, hard, soft)
+        text = emit_wcnf(inst)
+        assert text == reference_emit_wcnf(inst)
+        again = parse_wcnf(text)
+        assert (again.num_vars, again.hard, again.soft) == (num_vars, hard, soft)
+
 
 
 def test_wcnf_round_trip_preserves_optimum():
