@@ -2,8 +2,9 @@
 
 Clauses are tuples of non-zero signed integers in the usual DIMACS
 convention (positive literal = variable true).  A weighted instance
-keeps hard clauses, weighted soft clauses, and optionally a variable
-table describing what each variable means.
+keeps hard clauses, weighted soft clauses, and optionally the layout of
+its variables: for an instance built by the encoder, the rows of ids
+that say which placement or swap choice each variable stands for.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class MaxSatInstance:
     num_vars: int
     hard: tuple[Clause, ...]
     soft: tuple[tuple[Clause, int], ...]
-    var_table: "object | None" = None  # encoder.VarTable when built by the encoder
+    layout: "object | None" = None  # encoder.Layout when built by the encoder; None when parsed
 
     def __post_init__(self):
         object.__setattr__(self, "hard", tuple(self.hard))
@@ -164,5 +165,5 @@ class InstanceBuilder:
         self.add_hard(lits)
         self.at_most_one_pairwise(lits)
 
-    def build(self, var_table=None) -> MaxSatInstance:
-        return MaxSatInstance(self._num_vars, tuple(self._hard), tuple(self._soft), var_table)
+    def build(self, layout=None) -> MaxSatInstance:
+        return MaxSatInstance(self._num_vars, tuple(self._hard), tuple(self._soft), layout)

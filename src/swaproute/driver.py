@@ -4,6 +4,7 @@ stitching, and best-of-slice-sizes selection."""
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -37,6 +38,10 @@ class DriverConfig:
     budget: float | None = None
     backend: str = "builtin"  # "builtin" or "cmd:<template with {wcnf}>"
     weighted: NoiseModel | None = None
+
+    def __post_init__(self):
+        if self.budget is not None and not 0 < self.budget < math.inf:
+            raise ValueError(f"budget must be a positive, finite number of seconds, got {self.budget}")
 
 
 class _Budget:
@@ -268,8 +273,9 @@ def solve_cyclic(
     the previous one ended, the block's swap schedule replays verbatim
     in every copy and the total cost is exactly ``cycles`` times the
     per-block cost.  With ``slice_size`` the block itself is solved
-    sliced and only its last slice is re-solved against the boundary; if
-    that fails the whole block is re-encoded cyclically.
+    sliced and only its last slice is re-solved against the boundary,
+    within half the budget; if that fails the whole block is re-encoded
+    cyclically with what is left.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
@@ -278,7 +284,7 @@ def solve_cyclic(
         return _trivial_solution(block, g, budget)
     base: RoutingSolution | None = None
     if slice_size is not None:
-        base = _cyclic_via_slicing(block, g, replace(cfg, budget=budget.remaining()), slice_size)
+        base = _cyclic_via_slicing(block, g, replace(cfg, budget=budget.share(2)), slice_size)
     if base is None:
         base = _solve_whole(block, g, cfg, budget, cyclic=True)
 
@@ -298,7 +304,8 @@ def solve_cyclic(
 def _cyclic_via_slicing(block: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slice_size: int) -> RoutingSolution | None:
     """Solve the block sliced, then re-solve its last slice pinned back
     to the observed initial map.  Returns None when the boundary cannot
-    be patched this way (caller falls back to the whole-block encode)."""
+    be patched this way within ``cfg.budget`` (caller falls back to the
+    whole-block encode)."""
     budget = _Budget(cfg.budget)
     try:
         base = solve_sliced(block, g, cfg, slice_size)
@@ -311,9 +318,12 @@ def _cyclic_via_slicing(block: Circuit, g: ConnectivityGraph, cfg: DriverConfig,
         return None
     last = slices[-1]
     lo = len(block.slots) - len(last.slots)
-    patched = _solve_step(
-        last, g, cfg, budget, len(slices) - 1, pinned_initial=base.map_sequence[lo - 1], pinned_final=base.initial_map
-    ).solution
+    try:
+        patched = _solve_step(
+            last, g, cfg, budget, len(slices) - 1, pinned_initial=base.map_sequence[lo - 1], pinned_final=base.initial_map
+        ).solution
+    except SolveTimeoutError:
+        return None  # cut short by the budget: fall back as for a refuted patch
     if patched is None:
         return None
     swaps = base.swaps[:lo] + patched.swaps

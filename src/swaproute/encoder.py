@@ -48,6 +48,7 @@ leaves none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, orbit_minima, swap_weight
 from .circuit import Circuit
@@ -59,39 +60,22 @@ NOOP: Edge = (0, 0)  # synthetic pair: swap p0 with itself; touches nothing
 WEIGHT_SCALE = 1000  # weighted mode: soft weights are -log fidelity times this, rounded
 
 
-class VarTable:
-    """Dense bijection between variable ids (from 1) and meaning tags.
+class Layout(NamedTuple):
+    """Where :func:`encode` put every variable, for :func:`decode`.
 
-    Tags are tuples: ``("map", q, p, k)`` for the placement at slot k,
-    ``("swap", u, v, k, i)`` for swap position i of slot k picking the
-    pair (u, v), and ``("mid", q, p, k, i)`` for the placement after
-    swap position i < n of slot k.  Every variable is one of these.
+    A placement layer maps each active qubit q to its row of places:
+    ``layer[q][p]`` is the variable "q sits on p".  ``maps[k]`` is the
+    layer at slot k.  ``hops`` holds one entry per swap position, slot by
+    slot: the row of its pair variables, in ``pairs`` order, and the
+    layer it produces, an intermediate one or, at the slot's last
+    position, the slot's map.  Every variable is in ``maps[0]`` or in
+    exactly one hop.
     """
 
-    def __init__(self):
-        self._by_id: list[tuple | None] = [None]
-        self._by_tag: dict[tuple, int] = {}
-
-    def extend(self, tags: list[tuple]):
-        """Give ``tags`` the next ids, in order."""
-        first = len(self._by_id)
-        new = dict(zip(tags, range(first, first + len(tags))))
-        if len(new) != len(tags) or not self._by_tag.keys().isdisjoint(new):
-            raise ValueError("duplicate tag")
-        self._by_id.extend(tags)
-        self._by_tag.update(new)
-
-    def id_of(self, tag: tuple) -> int:
-        return self._by_tag[tag]
-
-    def tag_of(self, vid: int) -> tuple:
-        tag = self._by_id[vid]
-        if tag is None:
-            raise KeyError(vid)
-        return tag
-
-    def __len__(self) -> int:
-        return len(self._by_id) - 1
+    active: list[int]
+    pairs: list[Edge]
+    maps: list[dict[int, list[int]]]
+    hops: list[tuple[list[int], dict[int, list[int]]]]
 
 
 @dataclass(frozen=True)
@@ -140,7 +124,11 @@ def active_qubits(circuit: Circuit, *, everything: bool = False) -> list[int]:
 
 
 def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOptions()) -> MaxSatInstance:
-    """Build the MaxSAT instance for routing ``circuit`` on ``g``."""
+    """Build the MaxSAT instance for routing ``circuit`` on ``g``.
+
+    The instance carries the :class:`Layout` of its variables, which is
+    all that :func:`decode` needs to read a model back.
+    """
     slot_gates = circuit.slot_gates
     K = len(slot_gates)
     if K == 0:
@@ -169,32 +157,20 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     edges = g.sorted_edges()
     pairs = [NOOP] + edges
     builder = InstanceBuilder()
-    table = VarTable()
 
-    def new_tagged(tags):  # one fresh variable per tag, consecutive ids
-        table.extend(tags)
-        ids = builder.new_vars(len(tags))
-        assert len(table) == builder.num_vars
-        return ids
-
-    def layer(kind, *index):  # placement rows: row[q][p] is the var tagged (kind, q, p, *index)
-        ids = new_tagged([(kind, q, p, *index) for q in active for p in range(P)])
+    def layer():  # one fresh placement layer
+        ids = builder.new_vars(len(active) * P)
         return {q: ids[j * P : (j + 1) * P] for j, q in enumerate(active)}
-
-    hops = []  # (swap position's pair vars, in ``pairs`` order; layer before it; layer after it)
 
     # Interleave ids slot by slot, each swap position's pairs followed by
     # the layer they produce, so the solver's ascending-id branching
-    # settles each slot's swaps and map before moving to the next.
-    maps = [layer("map", 0)]  # maps[k][q][p]: q sits on p at slot k
-    for k in range(1, K + 1):
-        before = maps[k - 1]
-        for i in range(1, opt.n + 1):
-            picks = new_tagged([("swap", u, v, k, i) for u, v in pairs])
-            after = layer("map", k) if i == opt.n else layer("mid", k, i)
-            hops.append((picks, before, after))
-            before = after
-        maps.append(before)
+    # settles each slot's swaps and map before moving to the next.  The
+    # layer before a swap position is the one its predecessor produced.
+    maps = [layer()]  # maps[k][q][p]: q sits on p at slot k
+    hops = []  # (swap position's pair vars, in ``pairs`` order; layer after it)
+    for _ in range(K):
+        hops += [(builder.new_vars(len(pairs)), layer()) for _ in range(opt.n)]
+        maps.append(hops[-1][1])
     first, last = maps[0], maps[K]
 
     # Hard A: the initial map is a total injective function.  The
@@ -217,7 +193,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     builder.extend_hard_raw(hard)
 
     # Hard C: each swap position picks exactly one pair (possibly the no-op).
-    for picks, _, _ in hops:
+    for picks, _ in hops:
         builder.exactly_one(picks)
 
     # Hard D: each swap position carries its layer before into its layer
@@ -231,7 +207,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # would also be sound, but the search then slows by orders of
     # magnitude.
     hard = []
-    for picks, before, after in hops:
+    for (picks, after), before in zip(hops, [first, *(a for _, a in hops)]):
         fires = [tuple(map(picks.__getitem__, at)) for at in touching]
         for q in active:
             for b, a, f in zip(before[q], after[q], fires):
@@ -244,10 +220,10 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
 
     # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted).
     if opt.weighted is None:
-        for picks, _, _ in hops:
+        for picks, _ in hops:
             builder.add_soft([picks[0]], 1)
     else:
-        for picks, _, _ in hops:
+        for picks, _ in hops:
             for s, e in zip(picks[1:], edges):
                 builder.add_soft([-s], swap_weight(opt.weighted, e, WEIGHT_SCALE))
         for k, gate in enumerate(slot_gates, start=1):
@@ -278,7 +254,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         hard += [(-first[active[0]][p],) for p in range(P) if largest[orbit[p]] != p]
     builder.extend_hard_raw(hard)
 
-    return builder.build(table)
+    return builder.build(Layout(active, pairs, maps, hops))
 
 
 def _check_pin(pin: QubitMap, circuit: Circuit, g: ConnectivityGraph):
@@ -300,25 +276,25 @@ def decode(
 ) -> RoutingSolution:
     """Extract the routing described by a model of the hard constraints.
 
-    Rebuilds the full map sequence (inactive qubits included), replays
-    every slot's swaps, and cross-checks the result against the model,
-    so a defective model or encoding fails loudly rather than decoding
-    into a bogus routing.
+    Reads the model through the instance's :class:`Layout`, rebuilds
+    the full map sequence (inactive qubits included), replays every
+    slot's swaps, and cross-checks the result against the model, so a
+    defective model or encoding fails loudly rather than decoding into
+    a bogus routing.
     """
     if not instance.hard_satisfied(model):
         raise EncodingError("model does not satisfy the hard constraints")
-    table: VarTable = instance.var_table
-    if table is None:
-        raise EncodingError("instance carries no variable table; cannot decode")
+    layout: Layout | None = instance.layout
+    if layout is None:
+        raise EncodingError("instance carries no variable layout; cannot decode")
 
-    slot_gates = circuit.slot_gates
-    K = len(slot_gates)
-    active = active_qubits(circuit, everything=opt.cyclic)
+    K = len(circuit.slot_gates)
+    active, pairs, layers, hops = layout
     P = g.num_physical
-    pairs = [NOOP] + g.sorted_edges()
 
     def chosen_pair(k: int, i: int) -> Edge:
-        hits = [pair for pair in pairs if model[table.id_of(("swap", pair[0], pair[1], k, i))]]
+        picks = hops[(k - 1) * opt.n + i - 1][0]
+        hits = [pair for pair, s in zip(pairs, picks) if model[s]]
         if len(hits) != 1:
             raise EncodingError(f"slot {k} swap {i}: expected exactly one chosen pair, got {hits}")
         return hits[0]
@@ -326,7 +302,7 @@ def decode(
     def active_map(k: int) -> dict[int, int]:
         out: dict[int, int] = {}
         for q in active:
-            spots = [p for p in range(P) if model[table.id_of(("map", q, p, k))]]
+            spots = [p for p, v in enumerate(layers[k][q]) if model[v]]
             if len(spots) != 1:
                 raise EncodingError(f"q{q} occupies {len(spots)} places at slot {k}")
             out[q] = spots[0]

@@ -475,6 +475,8 @@ def parse_wcnf(text: str) -> MaxSatInstance:
             parts = parts[1:]
             if top is not None and weight == top:
                 is_hard = True
+            elif weight < 1:
+                raise SolverOutputError(f"soft weight must be >= 1: {line!r}")
         if not parts or parts[-1] != "0":
             raise SolverOutputError(f"clause line must end in 0: {line!r}")
         try:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from swaproute.cli import main
 
 STUB = str(Path(__file__).parent / "external_stub.py")
@@ -196,6 +198,13 @@ def test_map_usage_error_exits_1(tmp_path):
     src = write_three_gate(tmp_path)
     assert run(["map", "--input", src, "--arch", "not_an_arch"]) == 1
     assert run(["map", "--input", src, "--arch", "line:4", "--solver", "magic"]) == 1
+
+
+@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+def test_map_rejects_a_budget_that_is_not_a_positive_number(tmp_path, capsys, budget):
+    src = write_three_gate(tmp_path)
+    assert run(["map", "--input", src, "--arch", "line:4", "--budget", budget]) == 1
+    assert "budget must be a positive, finite number" in capsys.readouterr().err
 
 
 def test_emit_wcnf(tmp_path):

@@ -15,6 +15,7 @@ from swaproute.driver import (
 )
 from swaproute.encoder import EncodeOptions, encode, instance_stats
 from swaproute.errors import SolveTimeoutError, UnroutableError
+from swaproute.maxsat import SolveOutcome, SolveStatus
 from swaproute.oracle import brute_force_oracle
 from swaproute.verifier import verify, verify_solution
 from swaproute.solution import apply_routing
@@ -296,6 +297,33 @@ def test_cyclic_via_slicing_path():
     assert sol.final_map == sol.initial_map
     full = Circuit(6, block.gates * 2)
     check_solution(full, sol, g)
+
+
+def test_cyclic_patch_timeout_falls_back_to_whole_block(monkeypatch):
+    # The sliced block does not return to its start, so its last slice is
+    # re-solved pinned at both ends; that solve answers UNKNOWN, as an
+    # external solver can, and the whole-block encode must take over.
+    block = generate_qaoa_maxcut(4, 1, 7)
+    real_encode, real_run = driver.encode, driver._run_solver
+    patches = []
+
+    def encode_noting_patches(circuit, graph, opt):
+        instance = real_encode(circuit, graph, opt)
+        if opt.pinned_final is not None:
+            patches.append(instance)
+        return instance
+
+    def run_without_patches(instance, cfg, budget):
+        if any(instance is p for p in patches):
+            return SolveOutcome(SolveStatus.UNKNOWN, None, None, 0.0)
+        return real_run(instance, cfg, budget)
+
+    monkeypatch.setattr(driver, "encode", encode_noting_patches)
+    monkeypatch.setattr(driver, "_run_solver", run_without_patches)
+    sol = solve_cyclic(block, 2, LINE4, DriverConfig(n=1), slice_size=2)
+    assert patches
+    assert sol.final_map == sol.initial_map
+    check_solution(Circuit(4, block.gates * 2), sol, LINE4)
 
 
 def test_as_cyclic_blocks_accepts_generated_circuits():

@@ -11,7 +11,7 @@ from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
 from swaproute.cnf import Model
 from swaproute.encoder import EncodeOptions, decode, encode, instance_stats
 from swaproute.errors import EncodingError, UnroutableError
-from swaproute.maxsat import SolveStatus, emit_wcnf, solve_builtin
+from swaproute.maxsat import SolveStatus, emit_wcnf, parse_wcnf, solve_builtin
 from swaproute.oracle import brute_force_oracle
 from swaproute.solution import QubitMap
 
@@ -46,14 +46,15 @@ def test_single_slot_line2_golden_counts():
 
 
 def check_functional_maps_and_swaps(inst, expected_models):
-    vt = inst.var_table
+    layout = inst.layout
+    assert layout.pairs == [(0, 0), (0, 1)]
     models = list(all_hard_models(inst))
     assert len(models) == expected_models
     for m in models:
         for q in range(2):
             for k in range(2):
-                assert sum(m[vt.id_of(("map", q, p, k))] for p in range(2)) == 1
-        assert sum(m[vt.id_of(("swap", u, v, 1, 1))] for u, v in [(0, 0), (0, 1)]) == 1
+                assert sum(m[v] for v in layout.maps[k][q]) == 1
+        assert sum(m[v] for v in layout.hops[0][0]) == 1
 
 
 def test_every_model_has_functional_maps_and_swaps():
@@ -69,21 +70,19 @@ def test_every_model_without_canonical_placement():
 
 def test_every_model_executes_the_gate_on_an_edge():
     c, inst = single_gate_instance()
-    vt = inst.var_table
     for m in models_with_positions(inst, c):
         positions = m["positions"]
         assert LINE2.has_edge(positions[1][0], positions[1][1])
 
 
 def models_with_positions(inst, c):
-    vt = inst.var_table
+    maps = inst.layout.maps
     out = []
     for m in all_hard_models(inst):
         positions = {}
         for k in range(len(c.slots) + 1):
             positions[k] = tuple(
-                next(p for p in range(LINE2.num_physical) if m[vt.id_of(("map", q, p, k))])
-                for q in range(c.num_logical)
+                next(p for p in range(LINE2.num_physical) if m[maps[k][q][p]]) for q in range(c.num_logical)
             )
         out.append({"model": m, "positions": positions})
     return out
@@ -91,10 +90,10 @@ def models_with_positions(inst, c):
 
 def test_swap_effect_links_adjacent_maps():
     c, inst = single_gate_instance()
-    vt = inst.var_table
+    layout = inst.layout
     for rec in models_with_positions(inst, c):
         m = rec["model"]
-        u, v = next(pair for pair in [(0, 0), (0, 1)] if m[vt.id_of(("swap", pair[0], pair[1], 1, 1))])
+        u, v = next(pair for pair, s in zip(layout.pairs, layout.hops[0][0]) if m[s])
         before, after = rec["positions"][0], rec["positions"][1]
         assert QubitMap(after) == QubitMap(before).apply_swap(u, v)
 
@@ -146,9 +145,9 @@ def test_blocked_final_map_is_excluded():
     blocked = first.final_map
     opt = EncodeOptions(n=1, blocked_final_maps=(blocked,))
     inst2 = encode(c, LINE2, opt)
-    vt = inst2.var_table
+    final_row = inst2.layout.maps[1]
     for m in all_hard_models(inst2):
-        final = tuple(next(p for p in range(2) if m[vt.id_of(("map", q, p, 1))]) for q in range(2))
+        final = tuple(next(p for p in range(2) if m[final_row[q][p]]) for q in range(2))
         assert final != blocked.placement
     second = decode(solve_builtin(inst2).model, inst2, c, LINE2, opt)
     assert second.final_map != blocked
@@ -265,6 +264,15 @@ def test_decode_rejects_model_violating_hard_clauses():
         decode(bogus, inst, c, LINE2, EncodeOptions(n=1))
 
 
+def test_decode_needs_the_encoder_layout():
+    c, inst = single_gate_instance()
+    model = solve_builtin(inst).model
+    parsed = parse_wcnf(emit_wcnf(inst))
+    assert parsed.hard == inst.hard and parsed.layout is None
+    with pytest.raises(EncodingError, match="layout"):
+        decode(model, parsed, c, LINE2, EncodeOptions(n=1))
+
+
 def test_variable_ids_stable_under_blocking():
     # blocking only adds clauses; backtracking relies on re-encodes of the
     # same slice assigning identical meanings to identical ids
@@ -272,29 +280,40 @@ def test_variable_ids_stable_under_blocking():
     base = encode(c, LINE3, EncodeOptions(n=1))
     blocked = encode(c, LINE3, EncodeOptions(n=1, blocked_final_maps=(QubitMap((0, 1, 2)),)))
     assert base.num_vars == blocked.num_vars
-    for v in range(1, base.num_vars + 1):
-        assert base.var_table.tag_of(v) == blocked.var_table.tag_of(v)
+    assert base.layout == blocked.layout
 
 
-def test_var_table_is_dense_bijection():
+def layout_ids(layout):
+    """Every variable id in the layout's rows, with repeats: the slot 0
+    map, then each swap position's pairs and the layer it produces."""
+    ids = [v for row in layout.maps[0].values() for v in row]
+    for picks, after in layout.hops:
+        ids += picks
+        ids += [v for row in after.values() for v in row]
+    return ids
+
+
+@pytest.mark.parametrize(
+    "n, options",
+    [
+        pytest.param(1, {}, id="plain"),
+        pytest.param(2, {}, id="n2"),
+        pytest.param(1, {"cyclic": True}, id="cyclic"),
+        pytest.param(2, {"pinned_initial": QubitMap((0, 1, 2, 3)), "pinned_final": QubitMap((3, 2, 1, 0))}, id="pinned"),
+        pytest.param(3, {}, id="diameter"),  # n = diameter of line:4
+    ],
+)
+def test_layout_rows_hold_every_variable_once(n, options):
     c = Circuit(4, (Gate("cx", (0, 1)), Gate("cx", (2, 3))))
-    n = 2
-    inst = encode(c, LINE4, EncodeOptions(n=n))
-    vt = inst.var_table
-    assert len(vt) == inst.num_vars
-    tags = [vt.tag_of(v) for v in range(1, inst.num_vars + 1)]
-    assert len(set(tags)) == inst.num_vars
-    for v, tag in enumerate(tags, start=1):
-        assert vt.id_of(tag) == v
-    assert {tag[0] for tag in tags} <= {"map", "swap", "mid"}
-    for repeat in ([("mid", 0, 0, 9, 1), ("mid", 0, 0, 9, 1)], [tags[0]]):
-        with pytest.raises(ValueError, match="duplicate tag"):
-            vt.extend(repeat)
-    assert len(vt) == inst.num_vars
+    inst = encode(c, LINE4, EncodeOptions(n=n, **options))
+    layout = inst.layout
+    assert sorted(layout_ids(layout)) == list(range(1, inst.num_vars + 1))
+    assert layout.active == [0, 1, 2, 3] and layout.pairs == [(0, 0), *LINE4.sorted_edges()]
+    assert [layout.hops[k * n - 1][1] for k in (1, 2)] == layout.maps[1:]
     # Maps at slots 0..K, n swap positions of |E| + 1 pairs per slot, and
-    # n - 1 intermediate layers per slot: 48 + 16 + 32 on this instance.
+    # n - 1 intermediate layers per slot: 48 + 8n + 32(n - 1) on this instance.
     K, A, P, E = 2, 4, LINE4.num_physical, len(LINE4.sorted_edges())
-    assert inst.num_vars == (K + 1) * A * P + K * n * (E + 1) + K * (n - 1) * A * P == 96
+    assert inst.num_vars == (K + 1) * A * P + K * n * (E + 1) + K * (n - 1) * A * P == 40 * n + 16
 
 
 def hard_e_count(c, g, opt):
@@ -308,10 +327,10 @@ def test_canonical_placement_keeps_the_largest_place_of_each_orbit():
     c = Circuit(3, (Gate("cx", (1, 2)), Gate("cx", (2, 0))))
     inst = encode(c, g, EncodeOptions(n=1))
     units = {clause for clause in inst.hard if len(clause) == 1}
-    vt = inst.var_table
+    first = inst.layout.maps[0]
     # q0 first acts at slot 2, but as the lowest-numbered active qubit it
     # is the one held to a corner (8), an edge middle (7) or the centre (4)
-    assert units == {(-vt.id_of(("map", 0, p, 0)),) for p in range(9) if p not in (4, 7, 8)}
+    assert units == {(-first[0][p],) for p in range(9) if p not in (4, 7, 8)}
 
 
 def test_canonical_placement_is_left_out_where_it_is_unsound():

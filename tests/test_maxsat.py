@@ -506,6 +506,9 @@ def test_parse_wcnf_rejects_garbage():
         parse_wcnf("p wcnf nope\n")
     with pytest.raises(SolverOutputError):
         parse_wcnf("p wcnf 2 1 5\n5 1 2\n")  # no trailing 0
+    for weight in ("0", "-3"):
+        with pytest.raises(SolverOutputError, match=f"{weight} 1 2 0"):
+            parse_wcnf(f"p wcnf 2 2 5\n5 1 0\n{weight} 1 2 0\n")
 
 
 # -- external solver ----------------------------------------------------------
