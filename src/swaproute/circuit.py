@@ -11,6 +11,7 @@ qubit occupies at the time.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -222,8 +223,6 @@ class _Params:
         if kind == "num":
             return float(value)
         if kind == "id" and value == "pi":
-            import math
-
             return math.pi
         raise QasmError(f"bad parameter token {value!r}", ln, cl)
 
@@ -240,7 +239,6 @@ def parse_qasm(text: str) -> Circuit:
     """
     tokens = list(_tokenize(text))
     regs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
-    cregs: set[str] = set()
     total = 0
     gates: list[Gate] = []
     pos = 0
@@ -258,7 +256,7 @@ def parse_qasm(text: str) -> Circuit:
             raise QasmError("missing ';' at end of input", stmt[0][2], stmt[0][3])
         return None
 
-    def parse_operand(stmt, at, *, expect_quantum=True):
+    def parse_operand(stmt, at):
         if at >= len(stmt) or stmt[at][0] != "id":
             tok = stmt[min(at, len(stmt) - 1)]
             raise QasmError("expected register operand", tok[2], tok[3])
@@ -267,14 +265,12 @@ def parse_qasm(text: str) -> Circuit:
         if at + 3 >= len(stmt) or stmt[at + 1][1] != "[" or stmt[at + 2][0] != "num" or stmt[at + 3][1] != "]":
             raise QasmError(f"operand {name!r} must be indexed, e.g. {name}[0]", ln, cl)
         idx = int(stmt[at + 2][1])
-        if expect_quantum:
-            if name not in regs:
-                raise QasmError(f"unknown quantum register {name!r}", ln, cl)
-            offset, size = regs[name]
-            if idx >= size:
-                raise QasmError(f"index {idx} out of range for {name}[{size}]", ln, cl)
-            return offset + idx, at + 4
-        return None, at + 4
+        if name not in regs:
+            raise QasmError(f"unknown quantum register {name!r}", ln, cl)
+        offset, size = regs[name]
+        if idx >= size:
+            raise QasmError(f"index {idx} out of range for {name}[{size}]", ln, cl)
+        return offset + idx, at + 4
 
     while (stmt := statement_tokens()) is not None:
         if not stmt:
@@ -291,7 +287,6 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError(f"malformed {word} declaration", ln, cl)
             name, size = stmt[1][1], int(stmt[3][1])
             if word == "creg":
-                cregs.add(name)
                 logger.warning("line %d: dropping creg %s[%d] (classical state is ignored)", ln, name, size)
                 continue
             if name in regs:
@@ -357,10 +352,6 @@ def parse_qasm(text: str) -> Circuit:
     return Circuit(total, tuple(gates))
 
 
-def _format_param(x: float) -> str:
-    return repr(x)
-
-
 def emit_qasm(circuit: Circuit, decompose_swaps: bool = False, *, register: str = "q", comments: list[str] | None = None) -> str:
     """Serialize a circuit to OpenQASM 2.0.
 
@@ -381,7 +372,7 @@ def emit_qasm(circuit: Circuit, decompose_swaps: bool = False, *, register: str 
             lines.append(f"cx {register}[{a}],{register}[{b}];")
             continue
         if g.params:
-            lines.append(f"{g.name}({','.join(_format_param(p) for p in g.params)}) {ops};")
+            lines.append(f"{g.name}({','.join(map(repr, g.params))}) {ops};")
         else:
             lines.append(f"{g.name} {ops};")
     return "\n".join(lines) + "\n"

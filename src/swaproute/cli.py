@@ -119,15 +119,12 @@ def _cmd_map(args) -> int:
     g = load_arch(args.arch)
     noise = load_noise(args.noise, g) if args.noise else None
     phases.end("parse")
-    backend = args.solver if args.solver.startswith("cmd:") else "builtin"
-    if backend == "builtin" and args.solver != "builtin":
-        raise _UsageError(f"--solver must be 'builtin' or 'cmd:<template>', got {args.solver!r}")
     sizes = _parse_sizes(args.slice_size) if args.slice_size else DriverConfig.slice_sizes
     cfg = DriverConfig(
         slice_sizes=sizes,
         n=args.n,
         budget=args.budget,
-        backend=backend,
+        backend=args.solver,
         weighted=noise,
     )
 
@@ -253,7 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True, help="architecture name or edge-list file")
     p.add_argument("--strategy", choices=["global", "sliced", "cyclic"], default="sliced")
     default_sizes = ",".join(map(str, DriverConfig.slice_sizes))
-    p.add_argument("--slice-size", default=None, help=f"comma-separated slice sizes (default {default_sizes})")
+    p.add_argument(
+        "--slice-size",
+        default=None,
+        help=f"comma-separated slice sizes (default {default_sizes}); with --strategy cyclic the block is "
+        "sliced at the largest listed size, and encoded whole without this option or if that fails",
+    )
     p.add_argument("--n", type=int, default=1, help="swaps allowed before each two-qubit gate")
     p.add_argument("--budget", type=float, default=None, help="total time budget in seconds")
     p.add_argument("--solver", default="builtin", help="'builtin' or 'cmd:<template with {wcnf}>'")

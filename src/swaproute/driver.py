@@ -26,22 +26,24 @@ MAX_BACKTRACKS_PER_SLICE = 10  # re-solves of one slice before a sliced run give
 class DriverConfig:
     """Strategy knobs for a routing run.
 
-    ``slice_sizes`` drives :func:`solve_best`; ``n`` is the swap budget
-    per slot (1 is almost always enough in practice and keeps the
-    encoding small; the graph diameter guarantees feasibility).  A
-    sliced run re-solves each slice at most
-    :data:`MAX_BACKTRACKS_PER_SLICE` times when a later slice is refuted.
+    ``slice_sizes`` drives :func:`solve_best`; the default tries 10-slot
+    slices, then the whole circuit if it has at most 50 slots.  ``n`` is
+    the swap budget per slot (1 is almost always enough and keeps the
+    encoding small; the graph diameter guarantees feasibility).
+    ``backend`` is ``"builtin"`` or ``"cmd:<template with {wcnf}>"``.
     """
 
-    slice_sizes: tuple[int, ...] = (10, 25, 50, 100)
+    slice_sizes: tuple[int, ...] = (10, 50)
     n: int = 1
     budget: float | None = None
-    backend: str = "builtin"  # "builtin" or "cmd:<template with {wcnf}>"
+    backend: str = "builtin"
     weighted: NoiseModel | None = None
 
     def __post_init__(self):
         if self.budget is not None and not 0 < self.budget < math.inf:
             raise ValueError(f"budget must be a positive, finite number of seconds, got {self.budget}")
+        if self.backend != "builtin" and not self.backend.startswith("cmd:"):
+            raise ValueError(f"backend must be 'builtin' or 'cmd:<template>', got {self.backend!r}")
 
 
 class _Budget:
@@ -72,9 +74,7 @@ class _Budget:
 def _run_solver(instance, cfg: DriverConfig, budget: float | None) -> SolveOutcome:
     if cfg.backend == "builtin":
         return solve_builtin(instance, budget)
-    if cfg.backend.startswith("cmd:"):
-        return solve_external(instance, cfg.backend[4:], budget)
-    raise ValueError(f"unknown backend {cfg.backend!r}")
+    return solve_external(instance, cfg.backend[4:], budget)
 
 
 def _trivial_solution(circuit: Circuit, g: ConnectivityGraph, budget: _Budget) -> RoutingSolution:
@@ -155,28 +155,15 @@ def _solve_step(
     return _Step(solution, outcome, size, encode_ms, (time.monotonic() - t0) * 1000.0)
 
 
-def _solve_whole(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, *, cyclic: bool = False) -> RoutingSolution:
-    """Solve the circuit as one piece; a refutation means it is unroutable."""
-    step = _solve_step(circuit, g, cfg, budget, 0, cyclic=cyclic)
-    if step.solution is None:
-        kind = "cyclic routing of the block" if cyclic else "routing"
-        raise UnroutableError(
-            f"no {kind} with n={cfg.n} swaps per slot (graph diameter is {diameter(g)}; {budget.where(0)})"
-        )
-    return replace(step.solution, per_slice_stats=(_slice_stats(0, [step], 0),))
-
-
 def solve_global(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = DriverConfig()) -> RoutingSolution:
-    """Encode the whole circuit at once, solve, decode.
+    """Encode the whole circuit at once, solve, decode: the one-slice
+    case of :func:`solve_sliced`.
 
     The solution is flagged optimal exactly when the backend proved
     optimality; with ``n`` set to the graph diameter that optimum is
     the true minimum swap count.
     """
-    budget = _Budget(cfg.budget)
-    if not circuit.slots:
-        return _trivial_solution(circuit, g, budget)
-    return _solve_whole(circuit, g, cfg, budget)
+    return solve_sliced(circuit, g, cfg, len(circuit.slots) or 1)
 
 
 def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slice_size: int) -> RoutingSolution:
@@ -220,9 +207,10 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
             i += 1
             continue
         if i == 0:
+            larger = "" if count == 1 else " or the slice size"  # one slice is the whole circuit
             raise UnroutableError(
                 f"unroutable with n={cfg.n} swaps per slot; "
-                f"raise n (graph diameter is {diameter(g)}) or the slice size ({budget.where(0)})"
+                f"raise n (graph diameter is {diameter(g)}){larger} ({budget.where(0)})"
             )
         backtracks[i - 1] += 1
         if backtracks[i - 1] > MAX_BACKTRACKS_PER_SLICE:
@@ -286,7 +274,13 @@ def solve_cyclic(
     if slice_size is not None:
         base = _cyclic_via_slicing(block, g, replace(cfg, budget=budget.share(2)), slice_size)
     if base is None:
-        base = _solve_whole(block, g, cfg, budget, cyclic=True)
+        step = _solve_step(block, g, cfg, budget, 0, cyclic=True)
+        if step.solution is None:
+            raise UnroutableError(
+                f"no cyclic routing of the block with n={cfg.n} swaps per slot "
+                f"(graph diameter is {diameter(g)}; {budget.where(0)})"
+            )
+        base = replace(step.solution, per_slice_stats=(_slice_stats(0, [step], 0),))
 
     if base.final_map != base.initial_map:
         raise UnroutableError(f"cyclic solve produced a non-returning block map; this is a bug ({budget.where(0)})")
@@ -361,6 +355,10 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
     what is left of the budget divided by the sizes still to run, so a
     size that finishes early hands its unspent share on.  The run stops
     at the first size whose routing is optimal: no later size can beat it.
+
+    When no size routes, the run raises :class:`UnroutableError` if the
+    whole circuit was refuted or every size was, and otherwise
+    :class:`SolveTimeoutError`: some size ran out of budget.
     """
     if not cfg.slice_sizes:
         raise ValueError("sliced strategy needs at least one slice size")
@@ -389,8 +387,9 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
             break
     if best_solution is None:
         reasons = "; ".join(f"size {r.slice_size}: {r.error}" for r in runs)
-        if all(r.status == "timeout" for r in runs):
-            raise SolveTimeoutError(f"every slice size timed out ({reasons})")
+        refuted = runs[-1].status == "unroutable" and runs[-1].slice_size >= len(circuit.slots)
+        if not refuted and any(r.status == "timeout" for r in runs):
+            raise SolveTimeoutError(f"no slice size routed within the budget ({reasons})")
         raise UnroutableError(f"every slice size failed ({reasons})")
     return BestOfOutcome(best_solution, best[1], tuple(runs))
 

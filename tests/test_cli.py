@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from swaproute import driver
 from swaproute.cli import main
+from swaproute.errors import SolveTimeoutError, UnroutableError
 
 STUB = str(Path(__file__).parent / "external_stub.py")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -191,6 +193,21 @@ def test_map_timeout_exits_2(tmp_path, capsys):
     code = run(["map", "--input", qasm.as_posix(), "--arch", "tokyo", "--strategy", "global", "--budget", "0.3"])
     assert code == 2
     assert "slice 0," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("whole, code", [("timeout", 2), ("unroutable", 3)])
+def test_map_best_of_failure_exit_class(tmp_path, monkeypatch, capsys, whole, code):
+    # Slice size 1 runs out of re-solves; what the whole circuit did
+    # decides between "no solution within budget" and "unroutable".
+    def failing(circuit, g, cfg, size):
+        if size < len(circuit.slots):
+            raise UnroutableError("backtrack budget exhausted")
+        raise SolveTimeoutError("budget expired") if whole == "timeout" else UnroutableError("refuted")
+
+    monkeypatch.setattr(driver, "solve_sliced", failing)
+    src = write_three_gate(tmp_path)
+    assert run(["map", "--input", src, "--arch", "line:4", "--slice-size", "1,3"]) == code
+    assert "size 1: backtrack budget exhausted" in capsys.readouterr().err
 
 
 def test_map_usage_error_exits_1(tmp_path):

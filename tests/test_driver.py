@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -57,16 +58,44 @@ def test_global_triangle_on_line3():
     check_solution(c, sol, LINE3)
 
 
-def test_global_matches_oracle_at_diameter(rng):
+def _one_slice(circuit, g, cfg):
+    return solve_sliced(circuit, g, cfg, len(circuit.slots))
+
+
+@pytest.mark.parametrize("solve", [solve_global, _one_slice], ids=["global", "one_slice"])
+def test_global_matches_oracle_at_diameter(rng, solve):
+    # solve_global is the one-slice run of solve_sliced: same routing,
+    # same proof, one slice's stats
     for _ in range(25):
         g = load_arch(rng.choice(["line:3", "line:4", "cycle:4", "star:4"]))
         nq = rng.randint(2, min(4, g.num_physical))
         c = Circuit(nq, tuple(Gate("cx", tuple(rng.sample(range(nq), 2))) for _ in range(rng.randint(1, 4))))
         n = diameter(g)
-        sol = solve_global(c, g, DriverConfig(n=n))
+        sol = solve(c, g, DriverConfig(n=n))
         oracle, _ = brute_force_oracle(c, g, n)
         assert sol.status == "optimal" and sol.swap_count == oracle
+        glob = solve_global(c, g, DriverConfig(n=n))
+        assert (sol.initial_map, sol.swaps, sol.map_sequence) == (glob.initial_map, glob.swaps, glob.map_sequence)
+        assert [(s.index, s.backtracks, s.status) for s in sol.per_slice_stats] == [(0, 0, "optimal")]
         check_solution(c, sol, g)
+
+
+def test_global_refutation_names_n_not_the_slice_size(monkeypatch):
+    # One slice is the whole circuit: a larger slice size cannot help.
+    refuted = SolveOutcome(SolveStatus.HARD_UNSAT, None, None, 0.0)
+    monkeypatch.setattr(driver, "_run_solver", lambda instance, cfg, budget: refuted)
+    with pytest.raises(UnroutableError) as info:
+        solve_global(THREE_GATE, LINE4, DriverConfig(n=1))
+    assert re.search(r"n=1 .*graph diameter is 3.*\(slice 0, \d+\.\d\d s spent, budget none\)", str(info.value))
+    assert "slice size" not in str(info.value)
+    with pytest.raises(UnroutableError, match="or the slice size"):
+        solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 1)
+
+
+def test_config_rejects_an_unknown_backend():
+    with pytest.raises(ValueError, match="backend must be 'builtin' or 'cmd:<template>'"):
+        DriverConfig(backend="magic")
+    assert DriverConfig(backend="cmd:solver {wcnf}").backend == "cmd:solver {wcnf}"
 
 
 def test_global_one_qubit_circuit():
@@ -404,6 +433,42 @@ def test_best_of_requires_sizes():
     c = Circuit(2, (Gate("cx", (0, 1)),))
     with pytest.raises(ValueError):
         solve_best(c, LINE2, DriverConfig(slice_sizes=()))
+
+
+def test_best_of_default_is_ten_slot_slices_then_the_whole_circuit(monkeypatch):
+    runs = []
+
+    def recording(circuit, g, cfg, size):
+        runs.append((len(circuit.slots), size))
+        raise SolveTimeoutError("no model")
+
+    monkeypatch.setattr(driver, "solve_sliced", recording)
+    for num_slots in (8, 36):
+        with pytest.raises(SolveTimeoutError):
+            solve_best(Circuit(2, (Gate("cx", (0, 1)),) * num_slots), LINE2, DriverConfig())
+    assert runs == [(8, 10), (36, 10), (36, 50)]
+
+
+@pytest.mark.parametrize(
+    "failures, raised",
+    [
+        ({1: "unroutable", 3: "timeout"}, SolveTimeoutError),  # the circuit may still route
+        ({1: "timeout", 3: "unroutable"}, UnroutableError),  # the whole circuit is refuted: a proof
+        ({1: "unroutable", 3: "unroutable"}, UnroutableError),
+        ({1: "timeout", 3: "timeout"}, SolveTimeoutError),
+        ({1: "unroutable", 2: "timeout"}, SolveTimeoutError),  # no size covers the whole circuit
+    ],
+    ids=["refuted-timeout", "timeout-refuted", "refuted-refuted", "timeout-timeout", "refuted-timeout-sliced"],
+)
+def test_best_of_failure_class(monkeypatch, failures, raised):
+    def failing(circuit, g, cfg, size):
+        if failures[size] == "timeout":
+            raise SolveTimeoutError("budget expired")
+        raise UnroutableError("refuted")
+
+    monkeypatch.setattr(driver, "solve_sliced", failing)
+    with pytest.raises(raised):
+        solve_best(THREE_GATE, LINE4, DriverConfig(slice_sizes=tuple(failures)))
 
 
 def test_best_of_runs_one_whole_circuit_size():
