@@ -204,6 +204,10 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
         steps[i].append(step)
         solutions[i] = step.solution
         if solutions[i] is not None:
+            logger.info(
+                "slice %d of %d: %s, %d gates added, %d conflicts",
+                i, count, solutions[i].status, solutions[i].gates_added, step.outcome.conflicts,
+            )
             i += 1
             continue
         if i == 0:
@@ -219,7 +223,10 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
                 f"or the slice size ({budget.where(i - 1)})"
             )
         blocked_maps[i - 1].append(solutions[i - 1].final_map)
-        logger.info("slice %d unsatisfiable; backtracking to slice %d", i, i - 1)
+        logger.info(
+            "slice %d of %d: unsatisfiable after %d conflicts; backtracking to slice %d",
+            i, count, step.outcome.conflicts, i - 1,
+        )
         i -= 1
 
     stats = tuple(_slice_stats(k, steps[k], backtracks[k]) for k in range(count))

@@ -34,11 +34,14 @@ block's first map equal to its last.  So the lowest-numbered active
 qubit may start only on one place of its orbit, one unit clause for
 every other place, and an exact solve searches one initial placement
 per orbit.  The place kept is the orbit's largest.  The built-in solver
-branches false first in ascending id order, so without the clauses its
-first descent already puts that qubit on the largest place left open;
-keeping that place leaves the first descent, and with it the early
-incumbents of a solve cut short by its budget, as they were.  The
-clauses are sound only where every constraint is symmetric too, so they
+decides map variables in ascending id order, false first until it has
+saved a value, so without the clauses the first descent of a search
+that starts with nothing saved -- the probe, or branch and bound run
+alone -- already puts that qubit on the largest place left open; keeping
+that place leaves that descent as it was.  After the probe, branch and
+bound starts from the values the probe saved, and those change once the
+clauses prune, so a whole solve's early incumbents may move either way.
+The clauses are sound only where every constraint is symmetric too, so they
 are left out when a map is pinned or a final map is blocked.  They are
 also left out in weighted mode: an automorphism would have to keep
 every edge's swap and gate weights, and a noise model measured per edge

@@ -9,14 +9,19 @@ clauses form a clause that every cheaper model must satisfy, and the
 search learns from it exactly as from a violated hard clause.  The
 same search with the bound set to the smallest soft weight first probes
 for a model that falsifies nothing, the first step of an UNSAT-to-SAT
-lower-bound search (Martins et al., SAT 2014).  The solver is exact and
-anytime: interrupting it at the time budget yields
-the best incumbent found so far.  Scale beyond desk size is the job of
-external solvers via the WCNF interface.
+lower-bound search (Martins et al., SAT 2014).  Decisions follow a fixed
+variable order; a variable in some soft clause always takes its
+soft-preferred value, and every other variable takes the value it last
+had (phase saving, Pipatsrisawat & Darwiche, SAT 2007), kept from the
+probe into branch and bound.  The solver is exact and anytime:
+interrupting it at the time budget yields the best incumbent found so
+far.  Scale beyond desk size is the job of external solvers via the
+WCNF interface.
 """
 
 from __future__ import annotations
 
+import logging
 import shlex
 import subprocess
 import tempfile
@@ -28,6 +33,8 @@ from pathlib import Path
 
 from .cnf import MaxSatInstance, Model
 from .errors import SolverIntegrityError, SolverOutputError
+
+logger = logging.getLogger(__name__)
 
 
 class SolveStatus(Enum):
@@ -81,8 +88,9 @@ def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> Solv
     soft weight, and it stops once :data:`PROBE_SHARE` of the budget has
     passed.  A model it finds is optimal at once; a refutation proves that
     weight a lower bound.  Branch and bound then starts again without the
-    probe's learned clauses (they rest on its bound), and stops as optimal
-    as soon as its incumbent reaches the proven lower bound.
+    probe's learned clauses (they rest on its bound) but with its saved
+    polarities, and stops as optimal as soon as its incumbent reaches the
+    proven lower bound.
     """
     t0 = time.monotonic()
     deadline = None if budget is None else t0 + budget
@@ -101,17 +109,22 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     ends the solve.  One that is refuted proves every model falsifies at
     least ``upper``, and each later phase stops as optimal once its
     incumbent reaches that bound.  Each phase starts with nothing assigned
-    and without the clauses the previous one learned.  The set-up reads
-    the last deadline, and a phase whose time has passed does not start.
+    and without the clauses the previous one learned, but with the
+    polarities the previous one saved.  The set-up reads the last
+    deadline, and a phase whose time has passed does not start.
 
-    Branching is fixed: the lowest unassigned variable id, true first if
-    it occurs positively in some soft clause and false first otherwise,
-    so the first descent follows the soft preferences and the encoder's
-    slot-by-slot id order.  A violated clause -- a hard or learned
-    clause, or the bound clause made of the earliest-falsified soft
-    clauses whose weight reaches the incumbent's -- is analysed to its
-    first unique implication point; the learned clause is kept, and the
-    search jumps back to the level where it becomes unit.  Learned
+    Branching takes the lowest unassigned variable id.  A variable that
+    occurs in a soft clause is set true if it occurs positively in one
+    and false otherwise.  Any other variable takes its saved polarity:
+    the value it had when a backjump last unassigned it, false before that.
+    So the first descent of the first phase follows the soft preferences
+    and the encoder's slot-by-slot id order, and later descents return to
+    the values the search last reached for every variable no soft clause
+    scores.  A violated clause -- a hard or learned clause, or the bound
+    clause made of the earliest-falsified soft clauses whose weight
+    reaches the incumbent's -- is analysed to its first unique
+    implication point; the learned clause is kept, and the search jumps
+    back to the level where it becomes unit.  Learned
     clauses stay valid within a phase because the incumbent only falls.
     A conflict at level 0 proves the incumbent optimal, or, with no
     incumbent, refutes the phase (hard unsatisfiability when ``upper``
@@ -155,7 +168,7 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     # off the trail, so the stack is in trail order and undo pops it.
     sweight = []
     socc: list = [()] * size  # soft clauses containing the key literal
-    pref = [False] * (nv + 1)
+    polarity = [-v for v in range(nv + 1)]  # the literal each variable is decided to
     for si, (c, w) in enumerate(instance.soft):
         sweight.append(w)
         for lit in c:
@@ -163,7 +176,7 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                 socc[lit] = []
             socc[lit].append(si)
             if lit > 0:
-                pref[lit] = True
+                polarity[lit] = lit
     lower = 0  # every model falsifies at least this much
     learned: list = []  # clauses learned in the current phase
     incumbents: list[tuple[float, int]] = []
@@ -199,6 +212,8 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                 sfree[si] += 1
         for q in trail[lim:]:
             lv[q] = lv[-q] = 0
+            if not socc[q] and not socc[-q]:  # a soft clause's variable keeps its preference
+                polarity[q if q > 0 else -q] = q
         del trail[lim:]
         del trail_lim[level:]
         dl = level
@@ -227,6 +242,7 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
         lb = 0
         best = upper
         best_vals: list[int] | None = None
+        stage = "probe" if upper <= instance.soft_weight_total else "branch and bound"
 
         for lit in root_units:
             if lv[lit] == -1:
@@ -319,11 +335,12 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                             decisions += 1
                             trail_lim.append(len(trail))
                             dl += 1
-                            assign(v if pref[v] else -v, None)
+                            assign(polarity[v], None)
                             continue
                         best = lb  # leaf: every variable assigned
                         best_vals = lv[1 : nv + 1]
                         incumbents.append((time.monotonic() - t0, best))
+                        logger.info("incumbent: cost %d at %.3f s (%s)", best, incumbents[-1][0], stage)
                         if best <= lower:
                             exhausted = True
                             break

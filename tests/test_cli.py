@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,23 @@ def test_cli_import_leaves_heavy_libraries_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_verbose_logs_each_incumbent_and_slice(tmp_path):
+    src = write_three_gate(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    args = ["map", "--input", src, "--arch", "line:4", "--slice-size", "1,3", "--output", str(tmp_path / "r.qasm")]
+    for flags in ([], ["--verbose"]):
+        cmd = [sys.executable, "-m", "swaproute.cli", *flags, *args]
+        err = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True).stderr
+        incumbents = re.findall(r"incumbent: cost (\d+) at \d+\.\d{3} s \((probe|branch and bound)\)", err)
+        slices = re.findall(r"slice (\d+) of (\d+): (optimal|best_effort), (\d+) gates added, \d+ conflicts", err)
+        if not flags:
+            assert not incumbents and not slices
+            continue
+        # The whole circuit is one slice of three slots; size 1 runs first.
+        assert ("0", "1", "optimal", "3") in slices and ("0", "3", "optimal", "0") in slices
+        assert ("0", "probe") in incumbents and ("1", "branch and bound") in incumbents
 
 
 def test_map_output_verifies_via_cli(tmp_path):

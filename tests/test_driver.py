@@ -280,6 +280,18 @@ def test_interrupted_global_solve_still_verifies():
     check_solution(block, sol, g)
 
 
+def test_global_proves_the_tokyo_rand8x10_optimum():
+    # The two-qubit structure of the benchmark's rand8x10-global row.  Its
+    # probe refutes zero swaps; branch and bound then has to find a
+    # one-swap routing, which it does by following the probe's saved phases.
+    pairs = [(6, 4), (3, 7), (1, 2), (0, 5), (0, 6), (5, 3), (3, 6), (0, 1), (4, 1), (7, 4)]
+    c = Circuit(8, tuple(Gate("cx", p) for p in pairs))
+    g = load_arch("tokyo")
+    sol = solve_global(c, g, DriverConfig(n=1, budget=30))
+    assert sol.status == "optimal" and sol.gates_added == 3
+    check_solution(c, sol, g)
+
+
 # -- cyclic ------------------------------------------------------------------
 
 
