@@ -5,7 +5,8 @@ to where the previous slice ended.  Each slice is routed optimally in
 isolation, but a placement that is perfect for one slice can be a trap
 for the next -- the classic demonstration is a star-shaped device where
 the first gate fits anywhere but only the hub placement serves both
-gates.  Backtracking handles slices that become outright unsolvable.
+gates.  A slice that becomes outright unsolvable is merged into the
+slice before it, and the joined slice is solved again.
 """
 
 from swaproute import (
@@ -31,14 +32,15 @@ def star_gap():
     print(f"  slice-by-slice:        {sliced.swap_count} swap(s)  <- locally optimal only")
 
 
-def backtracking():
+def merge():
     device = load_arch("line:4")
     gates = tuple(Gate("cx", p) for p in [(1, 0), (3, 0), (3, 1), (0, 2), (3, 1)])
     circuit = Circuit(4, gates)
     sol = solve_sliced(circuit, device, DriverConfig(n=1), slice_size=1)
-    backtracks = sum(s.backtracks for s in sol.per_slice_stats)
     print("\nline:4, five gates, slice size 1, one swap allowed per slot")
-    print(f"  solved with {sol.swap_count} swaps after {backtracks} backtrack(s)")
+    for s in sol.per_slice_stats:
+        print(f"  slice {s.index}: {s.status}, {s.backtracks} refuted slice(s) merged in")
+    print(f"  five slices merged down to {len(sol.per_slice_stats)}, {sol.swap_count} swaps")
 
 
 def best_of_sizes():
@@ -55,5 +57,5 @@ def best_of_sizes():
 
 if __name__ == "__main__":
     star_gap()
-    backtracking()
+    merge()
     best_of_sizes()

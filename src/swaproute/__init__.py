@@ -5,10 +5,11 @@ logical-to-physical placement and the swaps to insert before two-qubit
 gates so every such gate acts on adjacent physical qubits, minimizing
 the number of swaps (or, in weighted mode, the routed circuit's log
 infidelity).  The package root exports the library API: parsing,
-devices, the reduction, the strategies (whole-circuit, slicing with
-backtracking, cyclic stitching, best-of), the solver, the verifier and
-the errors.  Every other name is importable from its own module; the
-``swaproute`` CLI ties them together.
+devices, the reduction, the strategies (whole-circuit, slicing that
+merges a refuted slice into its predecessor, cyclic stitching,
+best-of), the solver, the verifier and the errors.  Every other name is
+importable from its own module; the ``swaproute`` CLI ties them
+together.
 """
 
 from .arch import NoiseModel, diameter, load_arch

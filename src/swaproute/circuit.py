@@ -256,6 +256,12 @@ def parse_qasm(text: str) -> Circuit:
             raise QasmError("missing ';' at end of input", stmt[0][2], stmt[0][3])
         return None
 
+    def integer(tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise QasmError(f"expected an integer, got {tok[1]!r}", tok[2], tok[3]) from None
+
     def parse_operand(stmt, at):
         if at >= len(stmt) or stmt[at][0] != "id":
             tok = stmt[min(at, len(stmt) - 1)]
@@ -264,7 +270,7 @@ def parse_qasm(text: str) -> Circuit:
         ln, cl = stmt[at][2], stmt[at][3]
         if at + 3 >= len(stmt) or stmt[at + 1][1] != "[" or stmt[at + 2][0] != "num" or stmt[at + 3][1] != "]":
             raise QasmError(f"operand {name!r} must be indexed, e.g. {name}[0]", ln, cl)
-        idx = int(stmt[at + 2][1])
+        idx = integer(stmt[at + 2])
         if name not in regs:
             raise QasmError(f"unknown quantum register {name!r}", ln, cl)
         offset, size = regs[name]
@@ -285,7 +291,7 @@ def parse_qasm(text: str) -> Circuit:
         if word in ("qreg", "creg"):
             if len(stmt) != 5 or stmt[1][0] != "id" or stmt[2][1] != "[" or stmt[3][0] != "num" or stmt[4][1] != "]":
                 raise QasmError(f"malformed {word} declaration", ln, cl)
-            name, size = stmt[1][1], int(stmt[3][1])
+            name, size = stmt[1][1], integer(stmt[3])
             if word == "creg":
                 logger.warning("line %d: dropping creg %s[%d] (classical state is ignored)", ln, name, size)
                 continue

@@ -22,7 +22,7 @@ from .verifier import verify, verify_solution
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_SOLUTION = 2  # budget expired without any incumbent
-EXIT_UNROUTABLE = 3  # hard-unsat or backtracking exhausted
+EXIT_UNROUTABLE = 3  # hard-unsat: no routing with n swaps per slot
 
 _MAP_COMMENT = "initial_map:"
 
@@ -130,18 +130,21 @@ def _cmd_map(args) -> int:
 
     selected = None
     size_runs = None
+    used_sizes = None  # the slice sizes the strategy ran with
     if args.strategy == "global":
         solution = solve_global(source, g, cfg)
     elif args.strategy == "sliced":
         outcome = solve_best(source, g, cfg)
         solution, selected = outcome.solution, outcome.selected_size
         size_runs = [dataclasses.asdict(run) for run in outcome.runs]
+        used_sizes = list(sizes)
     elif args.strategy == "cyclic":
         if args.cyclic_block_slots is None:
             raise _UsageError("--strategy cyclic requires --cyclic-block-slots")
         block, cycles = as_cyclic_blocks(source, args.cyclic_block_slots)
         block_slice = max(sizes) if args.slice_size else None
         solution = solve_cyclic(block, cycles, g, cfg, slice_size=block_slice)
+        used_sizes = None if block_slice is None else [block_slice]
     else:
         raise _UsageError(f"unknown strategy {args.strategy!r}")
     phases.end("route")
@@ -165,7 +168,7 @@ def _cmd_map(args) -> int:
         input=args.input,
         arch=args.arch,
         strategy=args.strategy,
-        slice_sizes=list(sizes) if args.strategy != "global" else None,
+        slice_sizes=used_sizes,
         n=args.n,
         backend=args.solver,
         swap_count=solution.swap_count,
@@ -300,7 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        logging.basicConfig(stream=sys.stderr, level=logging.INFO if args.verbose else logging.WARNING)
+        logging.basicConfig(stream=sys.stderr)  # a no-op once the root logger has a handler
+        logging.getLogger("swaproute").setLevel(logging.INFO if args.verbose else logging.WARNING)
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Solving strategies: whole-circuit, sliced with backtracking, cyclic
-stitching, and best-of-slice-sizes selection."""
+"""Solving strategies: whole-circuit, sliced with merging of refuted
+slices, cyclic stitching, and best-of-slice-sizes selection."""
 
 from __future__ import annotations
 
@@ -17,9 +17,6 @@ from .maxsat import SolveOutcome, SolveStatus, solve_builtin, solve_external
 from .solution import QubitMap, RoutingSolution, SliceStats
 
 logger = logging.getLogger(__name__)
-
-
-MAX_BACKTRACKS_PER_SLICE = 10  # re-solves of one slice before a sliced run gives up
 
 
 @dataclass(frozen=True)
@@ -102,16 +99,16 @@ class _Step(NamedTuple):
     decode_ms: float
 
 
-def _slice_stats(index: int, steps: list[_Step], backtracks: int) -> SliceStats:
+def _slice_stats(index: int, steps: list[_Step]) -> SliceStats:
     """Accounting for one slice: times and search counters summed over
-    all of its solves; status, size, incumbent timeline and lower bound
-    from the last one."""
+    all of its solves, the refuted solves merged into it included;
+    status, size, incumbent timeline and lower bound from the last one."""
     last = steps[-1]
     outcomes = [s.outcome for s in steps]
     return SliceStats(
         index,
         sum(o.elapsed for o in outcomes) * 1000.0,
-        backtracks,
+        sum(s.solution is None for s in steps),
         last.outcome.status.value,
         last.size.num_vars,
         last.size.hard_count,
@@ -170,15 +167,16 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     """Solve the circuit slice by slice, pinning each slice's starting
     placement to the previous slice's final one.
 
-    An unsatisfiable slice triggers backtracking: the previous slice's
-    final map is blocked by a hard clause and that slice is re-solved,
-    recursively further back if needed, each slice's re-solves bounded
-    by :data:`MAX_BACKTRACKS_PER_SLICE`.  Each slice's solve gets what is
-    left of the budget divided by the slices still to run, so it stops at
-    its incumbent instead of spending the later slices' time on a proof.
-    Only a run of one slice, the whole circuit, carries the canonical
-    placement clauses: they could change which of its equal-cost optima
-    slice 0 hands on, and with it every later slice.
+    A refuted slice is merged into its predecessor, and the joined slice
+    is re-solved from the final map before it, or unpinned once it is
+    slice 0.  Each refutation removes one slice, so the run ends; a
+    refuted slice 0 is a refuted prefix of the circuit, which proves the
+    whole circuit unroutable at this ``n``.  Each slice's solve gets what
+    is left of the budget divided by the slices still to run, so it stops
+    at its incumbent instead of spending the later slices' time on a
+    proof.  Only a run down to one slice, the whole circuit, carries the
+    canonical placement clauses: they could change which of its
+    equal-cost optima slice 0 hands on, and with it every later slice.
 
     The result is locally optimal per slice but only best-effort
     overall, unless it has zero swaps (unweighted) or is one slice, which
@@ -188,49 +186,36 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     if not circuit.slots:
         return _trivial_solution(circuit, g, budget)
     slices = slice_circuit(circuit, slice_size)
-    count = len(slices)
-    solutions: list[RoutingSolution | None] = [None] * count
-    blocked_maps: list[list[QubitMap]] = [[] for _ in range(count)]
-    backtracks = [0] * count
-    steps: list[list[_Step]] = [[] for _ in range(count)]
+    solutions: list[RoutingSolution] = []
+    steps: list[list[_Step]] = [[] for _ in slices]  # each slice's solves, merged refutations included
 
-    i = 0
-    while i < count:
-        pin = solutions[i - 1].final_map if i > 0 else None
-        step = _solve_step(
-            slices[i], g, cfg, budget, i, count - i,
-            pinned_initial=pin, blocked_final_maps=tuple(blocked_maps[i]), canonical_placement=count == 1,
-        )
+    while len(solutions) < len(slices):
+        i, count = len(solutions), len(slices)
+        pin = solutions[-1].final_map if solutions else None
+        step = _solve_step(slices[i], g, cfg, budget, i, count - i, pinned_initial=pin, canonical_placement=count == 1)
         steps[i].append(step)
-        solutions[i] = step.solution
-        if solutions[i] is not None:
+        if step.solution is not None:
             logger.info(
                 "slice %d of %d: %s, %d gates added, %d conflicts",
-                i, count, solutions[i].status, solutions[i].gates_added, step.outcome.conflicts,
+                i, count, step.solution.status, step.solution.gates_added, step.outcome.conflicts,
             )
-            i += 1
+            solutions.append(step.solution)
             continue
         if i == 0:
-            larger = "" if count == 1 else " or the slice size"  # one slice is the whole circuit
             raise UnroutableError(
                 f"unroutable with n={cfg.n} swaps per slot; "
-                f"raise n (graph diameter is {diameter(g)}){larger} ({budget.where(0)})"
+                f"raise n (graph diameter is {diameter(g)}) ({budget.where(0)})"
             )
-        backtracks[i - 1] += 1
-        if backtracks[i - 1] > MAX_BACKTRACKS_PER_SLICE:
-            raise UnroutableError(
-                f"backtrack budget exhausted; raise n (graph diameter is {diameter(g)}) "
-                f"or the slice size ({budget.where(i - 1)})"
-            )
-        blocked_maps[i - 1].append(solutions[i - 1].final_map)
         logger.info(
-            "slice %d of %d: unsatisfiable after %d conflicts; backtracking to slice %d",
+            "slice %d of %d: unsatisfiable after %d conflicts; merging it into slice %d",
             i, count, step.outcome.conflicts, i - 1,
         )
-        i -= 1
+        solutions.pop()
+        slices[i - 1 : i + 1] = [Circuit(circuit.num_logical, slices[i - 1].gates + slices[i].gates)]
+        steps[i - 1 : i + 1] = [steps[i - 1] + steps[i]]
 
-    stats = tuple(_slice_stats(k, steps[k], backtracks[k]) for k in range(count))
-    if count == 1:
+    stats = tuple(_slice_stats(k, s) for k, s in enumerate(steps))
+    if len(solutions) == 1:
         return replace(solutions[0], per_slice_stats=stats)
     return _concatenate(solutions, stats, cfg)
 
@@ -270,7 +255,8 @@ def solve_cyclic(
     per-block cost.  With ``slice_size`` the block itself is solved
     sliced and only its last slice is re-solved against the boundary,
     within half the budget; if that fails the whole block is re-encoded
-    cyclically with what is left.
+    cyclically with what is left.  A sliced run that refutes the block
+    raises at once: no routing of the open block means no cyclic one.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
@@ -287,7 +273,7 @@ def solve_cyclic(
                 f"no cyclic routing of the block with n={cfg.n} swaps per slot "
                 f"(graph diameter is {diameter(g)}; {budget.where(0)})"
             )
-        base = replace(step.solution, per_slice_stats=(_slice_stats(0, [step], 0),))
+        base = replace(step.solution, per_slice_stats=(_slice_stats(0, [step]),))
 
     if base.final_map != base.initial_map:
         raise UnroutableError(f"cyclic solve produced a non-returning block map; this is a bug ({budget.where(0)})")
@@ -306,11 +292,12 @@ def _cyclic_via_slicing(block: Circuit, g: ConnectivityGraph, cfg: DriverConfig,
     """Solve the block sliced, then re-solve its last slice pinned back
     to the observed initial map.  Returns None when the boundary cannot
     be patched this way within ``cfg.budget`` (caller falls back to the
-    whole-block encode)."""
+    whole-block encode); the sliced run's :class:`UnroutableError`
+    propagates."""
     budget = _Budget(cfg.budget)
     try:
         base = solve_sliced(block, g, cfg, slice_size)
-    except (UnroutableError, SolveTimeoutError):
+    except SolveTimeoutError:
         return None
     if base.final_map == base.initial_map:
         return base
@@ -340,7 +327,7 @@ class SizeRun:
     """Outcome of one slice size within a best-of run."""
 
     slice_size: int
-    status: str  # "ok", "unroutable", or "timeout"
+    status: str  # "ok" or "timeout"
     gates_added: int | None
     elapsed_ms: float
     error: str | None = None
@@ -363,9 +350,10 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
     size that finishes early hands its unspent share on.  The run stops
     at the first size whose routing is optimal: no later size can beat it.
 
-    When no size routes, the run raises :class:`UnroutableError` if the
-    whole circuit was refuted or every size was, and otherwise
-    :class:`SolveTimeoutError`: some size ran out of budget.
+    A size's :class:`UnroutableError` proves the whole circuit
+    unroutable (see :func:`solve_sliced`), so it ends the run at once.
+    When no size routes, every size ran out of budget, and the run
+    raises :class:`SolveTimeoutError`.
     """
     if not cfg.slice_sizes:
         raise ValueError("sliced strategy needs at least one slice size")
@@ -380,9 +368,6 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
         t0 = time.monotonic()
         try:
             sol = solve_sliced(circuit, g, replace(cfg, budget=budget.share(len(sizes) - k)), size)
-        except UnroutableError as exc:
-            runs.append(SizeRun(size, "unroutable", None, (time.monotonic() - t0) * 1000.0, str(exc)))
-            continue
         except SolveTimeoutError as exc:
             runs.append(SizeRun(size, "timeout", None, (time.monotonic() - t0) * 1000.0, str(exc)))
             continue
@@ -394,10 +379,7 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
             break
     if best_solution is None:
         reasons = "; ".join(f"size {r.slice_size}: {r.error}" for r in runs)
-        refuted = runs[-1].status == "unroutable" and runs[-1].slice_size >= len(circuit.slots)
-        if not refuted and any(r.status == "timeout" for r in runs):
-            raise SolveTimeoutError(f"no slice size routed within the budget ({reasons})")
-        raise UnroutableError(f"every slice size failed ({reasons})")
+        raise SolveTimeoutError(f"no slice size routed within the budget ({reasons})")
     return BestOfOutcome(best_solution, best[1], tuple(runs))
 
 

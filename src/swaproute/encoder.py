@@ -41,11 +41,10 @@ alone -- already puts that qubit on the largest place left open; keeping
 that place leaves that descent as it was.  After the probe, branch and
 bound starts from the values the probe saved, and those change once the
 clauses prune, so a whole solve's early incumbents may move either way.
-The clauses are sound only where every constraint is symmetric too, so they
-are left out when a map is pinned or a final map is blocked.  They are
-also left out in weighted mode: an automorphism would have to keep
-every edge's swap and gate weights, and a noise model measured per edge
-leaves none.
+The clauses are sound only where every constraint is symmetric too, so
+they are left out when a map is pinned.  They are also left out in
+weighted mode: an automorphism would have to keep every edge's swap and
+gate weights, and a noise model measured per edge leaves none.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ class EncodeOptions:
     pinned_initial: QubitMap | None = None
     pinned_final: QubitMap | None = None
     cyclic: bool = False
-    blocked_final_maps: tuple[QubitMap, ...] = ()
     canonical_placement: bool = True
 
     def __post_init__(self):
@@ -244,13 +242,11 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         for q in active:
             for f, l in zip(first[q], last[q]):
                 hard += ((-f, l), (f, -l))
-    for blocked in opt.blocked_final_maps:
-        hard.append(tuple(-last[q][blocked[q]] for q in active))
 
     # Hard E: canonical initial placement (see the module docstring).
-    # Pins and blocked maps name places that an automorphism would move,
-    # and a noise model's weights are left unchecked, so those go without.
-    pinned = opt.pinned_initial is not None or opt.pinned_final is not None or opt.blocked_final_maps
+    # Pins name places that an automorphism would move, and a noise
+    # model's weights are left unchecked, so those go without.
+    pinned = opt.pinned_initial is not None or opt.pinned_final is not None
     if opt.canonical_placement and opt.weighted is None and not pinned:
         orbit = orbit_minima(g)
         largest = {o: p for p, o in enumerate(orbit)}

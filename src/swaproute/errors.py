@@ -37,7 +37,7 @@ class SolverOutputError(SwaprouteError):
 
 
 class UnroutableError(SwaprouteError):
-    """No routing exists within the configured limits (swaps per slot, backtracks)."""
+    """No routing of the circuit exists with the configured swaps per slot."""
 
 
 class SolveTimeoutError(SwaprouteError):

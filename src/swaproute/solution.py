@@ -50,8 +50,9 @@ class SliceStats:
     """Per-slice solve accounting for one driver run.
 
     Times and the search counters are summed over every solve of the
-    slice (backtracking re-solves it): ``encode_ms``, ``solve_ms`` and
-    ``decode_ms`` are its encode, solver and decode wall times.  The
+    slice, and of each refuted slice merged into it: ``encode_ms``,
+    ``solve_ms`` and ``decode_ms`` are its encode, solver and decode wall
+    times, and ``backtracks`` counts the refuted solves merged in.  The
     instance sizes and status are the last solve's; ``incumbents`` is its
     timeline of (seconds, falsified weight) pairs, and ``lower_bound`` its
     proven lower bound on the falsified weight, so a best-effort slice

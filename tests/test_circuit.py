@@ -54,6 +54,11 @@ def test_syntax_error_carries_position():
     with pytest.raises(QasmError) as err:
         parse_qasm("qreg q[2];\nh q[;\n")
     assert err.value.line == 2
+    # a register size or an index that is not an integer
+    for text, line, col in [("qreg q[2.5];\n", 1, 8), ("qreg q[2];\ncx q[0],q[1.0];\n", 2, 11)]:
+        with pytest.raises(QasmError, match="expected an integer") as err:
+            parse_qasm(text)
+        assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_multiple_qregs_flatten_in_order():

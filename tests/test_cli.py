@@ -91,6 +91,17 @@ def test_verbose_logs_each_incumbent_and_slice(tmp_path):
         assert ("0", "probe") in incumbents and ("1", "branch and bound") in incumbents
 
 
+def test_verbose_holds_for_each_in_process_call(tmp_path, caplog):
+    # The first call installs the stderr handler; each later call must
+    # still set its own level.
+    src = write_three_gate(tmp_path)
+    args = ["map", "--input", src, "--arch", "line:4", "--strategy", "global", "--output", str(tmp_path / "r.qasm")]
+    for flags, logged in (([], False), (["--verbose"], True), ([], False)):
+        caplog.clear()
+        assert run([*flags, *args]) == 0
+        assert any(r.getMessage().startswith("incumbent: cost") for r in caplog.records) == logged
+
+
 def test_map_output_verifies_via_cli(tmp_path):
     src = write_three_gate(tmp_path)
     out = tmp_path / "routed.qasm"
@@ -145,16 +156,19 @@ def test_map_cyclic_strategy(tmp_path):
     assert code == 0
     record = json.loads(stats.read_text())
     assert record["swap_count"] % 2 == 0  # identical copies, identical cost
+    assert record["slice_sizes"] is None  # the block was encoded whole
 
 
 def test_map_cyclic_with_sliced_block(tmp_path):
     qasm = tmp_path / "qaoa6.qasm"
     assert run(["gen-qaoa", "--qubits", "6", "--cycles", "2", "--seed", "7", "--output", str(qasm)]) == 0
     out = tmp_path / "routed.qasm"
+    stats = tmp_path / "stats.json"
     code = run(["map", "--input", str(qasm), "--arch", "grid:2x3", "--strategy", "cyclic",
-                "--cyclic-block-slots", "18", "--slice-size", "6", "--budget", "60",
-                "--output", str(out)])
+                "--cyclic-block-slots", "18", "--slice-size", "3,6", "--budget", "60",
+                "--output", str(out), "--stats", str(stats)])
     assert code == 0
+    assert json.loads(stats.read_text())["slice_sizes"] == [6]  # the block is sliced at the largest size only
     assert run(["verify", "--source", str(qasm), "--routed", str(out), "--arch", "grid:2x3"]) == 0
 
 
@@ -215,17 +229,21 @@ def test_map_timeout_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("whole, code", [("timeout", 2), ("unroutable", 3)])
 def test_map_best_of_failure_exit_class(tmp_path, monkeypatch, capsys, whole, code):
-    # Slice size 1 runs out of re-solves; what the whole circuit did
+    # Slice size 1 runs out of its share; what the whole circuit did
     # decides between "no solution within budget" and "unroutable".
     def failing(circuit, g, cfg, size):
         if size < len(circuit.slots):
-            raise UnroutableError("backtrack budget exhausted")
+            raise SolveTimeoutError("share spent")
         raise SolveTimeoutError("budget expired") if whole == "timeout" else UnroutableError("refuted")
 
     monkeypatch.setattr(driver, "solve_sliced", failing)
     src = write_three_gate(tmp_path)
     assert run(["map", "--input", src, "--arch", "line:4", "--slice-size", "1,3"]) == code
-    assert "size 1: backtrack budget exhausted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if whole == "timeout":
+        assert "no solution within budget: no slice size routed within the budget (size 1: share spent; size 3: budget expired)" in err
+    else:
+        assert "unroutable: refuted" in err
 
 
 def test_map_usage_error_exits_1(tmp_path):

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 
@@ -20,6 +21,8 @@ from swaproute.maxsat import SolveOutcome, SolveStatus
 from swaproute.oracle import brute_force_oracle
 from swaproute.verifier import verify, verify_solution
 from swaproute.solution import apply_routing
+
+from conftest import random_circuit
 
 LINE2 = load_arch("line:2")
 LINE3 = load_arch("line:3")
@@ -81,15 +84,16 @@ def test_global_matches_oracle_at_diameter(rng, solve):
 
 
 def test_global_refutation_names_n_not_the_slice_size(monkeypatch):
-    # One slice is the whole circuit: a larger slice size cannot help.
+    # A refutation is of slice 0, unpinned: a prefix of the circuit, or
+    # all of it.  A larger slice size cannot help either way.
     refuted = SolveOutcome(SolveStatus.HARD_UNSAT, None, None, 0.0)
     monkeypatch.setattr(driver, "_run_solver", lambda instance, cfg, budget: refuted)
-    with pytest.raises(UnroutableError) as info:
-        solve_global(THREE_GATE, LINE4, DriverConfig(n=1))
-    assert re.search(r"n=1 .*graph diameter is 3.*\(slice 0, \d+\.\d\d s spent, budget none\)", str(info.value))
-    assert "slice size" not in str(info.value)
-    with pytest.raises(UnroutableError, match="or the slice size"):
-        solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 1)
+    for solve in (lambda: solve_global(THREE_GATE, LINE4, DriverConfig(n=1)),
+                  lambda: solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 1)):
+        with pytest.raises(UnroutableError) as info:
+            solve()
+        assert re.search(r"n=1 .*graph diameter is 3.*\(slice 0, \d+\.\d\d s spent, budget none\)", str(info.value))
+        assert "slice size" not in str(info.value)
 
 
 def test_config_rejects_an_unknown_backend():
@@ -182,7 +186,7 @@ def test_sliced_dominates_global_generally(rng):
 
 
 def test_sliced_slices_are_locally_optimal(rng):
-    # without backtracking, every slice's swap spend must equal the
+    # without a merge, every slice's swap spend must equal the
     # exhaustive minimum for that slice under its pinned starting map
     from swaproute.circuit import slice_circuit
 
@@ -210,14 +214,58 @@ def test_sliced_slices_are_locally_optimal(rng):
     check_solution(c, sol, LINE4)
 
 
-# Sliced at 3 slots on cycle:6, slice 1 is refuted after each of the first
-# eleven placements slice 0 ends in, so slice 0 runs out of its re-solves.
-EXHAUSTS_BACKTRACKS = Circuit(4, tuple(Gate("cx", p) for p in [(0, 1), (0, 3), (1, 2), (3, 2), (3, 2)]))
+# Sliced at 3 slots on cycle:6, slice 1 is refuted from the placement
+# slice 0 ends in, and from many others that slice 0 could end in.
+NEEDS_A_MERGE = Circuit(4, tuple(Gate("cx", p) for p in [(0, 1), (0, 3), (1, 2), (3, 2), (3, 2)]))
 
 
-def test_sliced_backtrack_budget_exhaustion():
-    with pytest.raises(UnroutableError, match=r"backtrack .*\(slice \d+, \d+\.\d\d s spent, budget none\)"):
-        solve_sliced(EXHAUSTS_BACKTRACKS, CYCLE6, DriverConfig(n=1), 3)
+def test_sliced_merges_a_refuted_slice_into_its_predecessor():
+    sol = solve_sliced(NEEDS_A_MERGE, CYCLE6, DriverConfig(n=1), 3)
+    check_solution(NEEDS_A_MERGE, sol, CYCLE6)
+    # Merged down to one slice, the run solves the instance of
+    # solve_global and keeps its routing and its proof.
+    glob = solve_global(NEEDS_A_MERGE, CYCLE6, DriverConfig(n=1))
+    assert (sol.initial_map, sol.swaps, sol.status) == (glob.initial_map, glob.swaps, "optimal")
+    (stats,) = sol.per_slice_stats
+    assert (stats.index, stats.backtracks, stats.hard_clauses) == (0, 1, glob.per_slice_stats[0].hard_clauses)
+
+
+SLICED_ORACLE_ARCHES = ["line:4", "cycle:5", "star:4", "grid:2x2", "grid:2x3"]
+# q0 meets q1..q5 in turn, twice over and once more: on line:6 at n=1 no
+# routing of the first ten gates reaches the eleventh.
+ROUND_ROBIN = Circuit(6, tuple(Gate("cx", (0, k)) for k in [1, 2, 3, 4, 5] * 2 + [1]))
+
+
+def sliced_oracle_draws():
+    rng = random.Random("sliced/oracle")
+    for _ in range(60):
+        g = load_arch(rng.choice(SLICED_ORACLE_ARCHES))
+        c = random_circuit(rng, rng.randint(2, min(4, g.num_physical)), rng.randint(2, 6))
+        yield c, g, rng.randint(1, diameter(g)), rng.randint(1, 3)
+    for n in (1, 2):
+        for size in (1, 2, 3):
+            yield ROUND_ROBIN, load_arch("line:6"), n, size
+    yield NEEDS_A_MERGE, CYCLE6, 1, 3
+
+
+def test_sliced_refutes_exactly_what_the_oracle_refutes():
+    # Merging a refuted slice into its predecessor never gives up on a
+    # routable circuit, and refutes only a prefix that no routing has.
+    refuted = routed = merged = 0
+    for c, g, n, size in sliced_oracle_draws():
+        try:
+            oracle, _ = brute_force_oracle(c, g, n)
+        except UnroutableError:
+            with pytest.raises(UnroutableError):
+                solve_sliced(c, g, DriverConfig(n=n), size)
+            refuted += 1
+            continue
+        sol = solve_sliced(c, g, DriverConfig(n=n), size)
+        check_solution(c, sol, g)
+        assert sol.swap_count >= oracle
+        routed += 1
+        merged += any(s.backtracks for s in sol.per_slice_stats)
+    assert (refuted, routed) == (3, 64) and merged >= 1
 
 
 def test_sliced_stops_once_budget_is_spent(monkeypatch):
@@ -392,11 +440,18 @@ def test_best_of_ties_prefer_smaller_size():
     assert out.solution.swap_count == 0
 
 
-def test_best_of_reports_failed_sizes():
-    out = solve_best(EXHAUSTS_BACKTRACKS, CYCLE6, DriverConfig(n=1, slice_sizes=(3, 5)))
+def test_best_of_reports_failed_sizes(monkeypatch):
+    real = driver.solve_sliced
+
+    def three_times_out(circuit, g, cfg, size):
+        if size == 3:
+            raise SolveTimeoutError("budget expired")
+        return real(circuit, g, cfg, size)
+
+    monkeypatch.setattr(driver, "solve_sliced", three_times_out)
+    out = solve_best(NEEDS_A_MERGE, CYCLE6, DriverConfig(n=1, slice_sizes=(3, 5)))
     assert out.selected_size == 5
-    by_size = {r.slice_size: r.status for r in out.runs}
-    assert by_size == {3: "unroutable", 5: "ok"}
+    assert [(r.slice_size, r.status, r.error) for r in out.runs] == [(3, "timeout", "budget expired"), (5, "ok", None)]
 
 
 def test_best_of_picks_minimum_cost(rng):
@@ -462,18 +517,22 @@ def test_best_of_default_is_ten_slot_slices_then_the_whole_circuit(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "failures, raised",
+    "failures, raised, ran",
     [
-        ({1: "unroutable", 3: "timeout"}, SolveTimeoutError),  # the circuit may still route
-        ({1: "timeout", 3: "unroutable"}, UnroutableError),  # the whole circuit is refuted: a proof
-        ({1: "unroutable", 3: "unroutable"}, UnroutableError),
-        ({1: "timeout", 3: "timeout"}, SolveTimeoutError),
-        ({1: "unroutable", 2: "timeout"}, SolveTimeoutError),  # no size covers the whole circuit
+        # any size's refutation is a whole-circuit proof: it ends the run
+        ({1: "unroutable", 3: "timeout"}, UnroutableError, [1]),
+        ({1: "timeout", 3: "unroutable"}, UnroutableError, [1, 3]),
+        ({1: "unroutable", 3: "unroutable"}, UnroutableError, [1]),
+        ({1: "timeout", 3: "timeout"}, SolveTimeoutError, [1, 3]),
+        ({1: "unroutable", 2: "timeout"}, UnroutableError, [1]),  # no size covers the whole circuit
     ],
     ids=["refuted-timeout", "timeout-refuted", "refuted-refuted", "timeout-timeout", "refuted-timeout-sliced"],
 )
-def test_best_of_failure_class(monkeypatch, failures, raised):
+def test_best_of_failure_class(monkeypatch, failures, raised, ran):
+    sizes = []
+
     def failing(circuit, g, cfg, size):
+        sizes.append(size)
         if failures[size] == "timeout":
             raise SolveTimeoutError("budget expired")
         raise UnroutableError("refuted")
@@ -481,6 +540,7 @@ def test_best_of_failure_class(monkeypatch, failures, raised):
     monkeypatch.setattr(driver, "solve_sliced", failing)
     with pytest.raises(raised):
         solve_best(THREE_GATE, LINE4, DriverConfig(slice_sizes=tuple(failures)))
+    assert sizes == ran
 
 
 def test_best_of_runs_one_whole_circuit_size():

@@ -140,28 +140,6 @@ def test_pinned_initial_unreachable_gate_is_unsat():
     assert solve_builtin(inst).status is SolveStatus.HARD_UNSAT
 
 
-def test_blocked_final_map_is_excluded():
-    c = Circuit(2, (Gate("cx", (0, 1)),))
-    inst = encode(c, LINE2, EncodeOptions(n=1))
-    first = decode(solve_builtin(inst).model, inst, c, LINE2, EncodeOptions(n=1))
-    blocked = first.final_map
-    opt = EncodeOptions(n=1, blocked_final_maps=(blocked,))
-    inst2 = encode(c, LINE2, opt)
-    final_row = inst2.layout.maps[1]
-    for m in all_hard_models(inst2):
-        final = tuple(next(p for p in range(2) if m[final_row[q][p]]) for q in range(2))
-        assert final != blocked.placement
-    second = decode(solve_builtin(inst2).model, inst2, c, LINE2, opt)
-    assert second.final_map != blocked
-
-
-def test_blocking_every_final_map_is_unsat():
-    c = Circuit(2, (Gate("cx", (0, 1)),))
-    maps = (QubitMap((0, 1)), QubitMap((1, 0)))
-    inst = encode(c, LINE2, EncodeOptions(n=1, blocked_final_maps=maps))
-    assert solve_builtin(inst).status is SolveStatus.HARD_UNSAT
-
-
 def test_cyclic_boundary_forces_return():
     c = Circuit(2, (Gate("cx", (0, 1)), Gate("cx", (1, 0)),))
     opt = EncodeOptions(n=1, cyclic=True)
@@ -275,16 +253,6 @@ def test_decode_needs_the_encoder_layout():
         decode(model, parsed, c, LINE2, EncodeOptions(n=1))
 
 
-def test_variable_ids_stable_under_blocking():
-    # blocking only adds clauses; backtracking relies on re-encodes of the
-    # same slice assigning identical meanings to identical ids
-    c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (0, 2))))
-    base = encode(c, LINE3, EncodeOptions(n=1))
-    blocked = encode(c, LINE3, EncodeOptions(n=1, blocked_final_maps=(QubitMap((0, 1, 2)),)))
-    assert base.num_vars == blocked.num_vars
-    assert base.layout == blocked.layout
-
-
 def layout_ids(layout):
     """Every variable id in the layout's rows, with repeats: the slot 0
     map, then each swap position's pairs and the layer it produces."""
@@ -342,7 +310,6 @@ def test_canonical_placement_is_left_out_where_it_is_unsound():
     assert hard_e_count(c, LINE3, EncodeOptions(n=1, cyclic=True)) == 1
     assert hard_e_count(c, LINE3, EncodeOptions(n=1, pinned_initial=pin)) == 0
     assert hard_e_count(c, LINE3, EncodeOptions(n=1, pinned_final=pin)) == 0
-    assert hard_e_count(c, LINE3, EncodeOptions(n=1, blocked_final_maps=(pin,))) == 0
     # weighted mode goes without, even under a noise model that the reflection keeps
     assert hard_e_count(c, LINE3, EncodeOptions(n=1, weighted=NoiseModel.uniform(LINE3, cx=0.99))) == 0
 
@@ -449,7 +416,7 @@ def golden_cases(tmp_path):
     yield "qaoa4-cycle4-cyclic", generate_qaoa_maxcut(4, 1, 7), load_arch("cycle:4"), EncodeOptions(n=2, cyclic=True)
     pin = QubitMap((4, 0, 8, 2, 6))
     yield "pinned-slice-grid3x3", slice_, load_arch("grid:3x3"), EncodeOptions(
-        n=2, pinned_initial=pin, blocked_final_maps=(QubitMap((0, 1, 2, 3, 4)),), canonical_placement=False
+        n=2, pinned_initial=pin, canonical_placement=False
     )
     yield "patched-slice-grid3x3", slice_, load_arch("grid:3x3"), EncodeOptions(
         n=2, pinned_initial=pin, pinned_final=QubitMap((1, 3, 5, 7, 4)), canonical_placement=False
@@ -465,7 +432,7 @@ GOLDEN_WCNF_SHA256 = {
     "rand16x10-tokyo": "da595bc0a75ae06f2c662383fe0a67228dd27a9abbd801c8d3c2b27710592c2d",
     "weighted-line4": "22676443d7c04c0f09bb410a23644b955e51e93bbecd8ea90708cfb69d0a2e8b",
     "qaoa4-cycle4-cyclic": "c6d80917916337bad101e88c851b71b64fb75e7d583ed474f736235bf363edfd",
-    "pinned-slice-grid3x3": "b89769caa7f7a405d4dcd724b1020389b5c6300e9a2c50497be8df75d239c6fc",
+    "pinned-slice-grid3x3": "566857dc60ba708570045f8ca924380660ad9c81b8e44907be7c890c153d6e39",
     "patched-slice-grid3x3": "fb1e95f2a644ae07c0bdd09130916095e37f7322b1864adc6fbbed40a01c3483",
 }
 
