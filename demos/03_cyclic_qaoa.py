@@ -24,8 +24,9 @@ def main():
     device = load_arch("grid:2x3")
     print(f"QAOA block: 6 qubits, {len(block.slots)} two-qubit gates (3-regular interactions)")
 
-    # the block itself is solved sliced, then its last slice is re-solved
-    # against the wrap-around boundary
+    # the block itself is solved sliced; its last slice is pinned back to
+    # the block's starting placement, and if that is refuted the whole
+    # block is encoded at once
     one = solve_cyclic(block, 1, device, DriverConfig(n=1, budget=60), slice_size=6)
     print(f"per-block cost: {one.swap_count} swaps; block returns to its initial placement: "
           f"{one.final_map == one.initial_map}")

@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--slice-size",
         default=None,
         help=f"comma-separated slice sizes (default {default_sizes}); with --strategy cyclic the block is "
-        "sliced at the largest listed size, and encoded whole without this option or if that fails",
+        "sliced at the largest listed size, its last slice pinned back to the block's start, and it is "
+        "encoded whole without this option or if that last slice is refuted",
     )
     p.add_argument("--n", type=int, default=1, help="swaps allowed before each two-qubit gate")
     p.add_argument("--budget", type=float, default=None, help="total time budget in seconds")

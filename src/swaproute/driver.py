@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .arch import ConnectivityGraph, NoiseModel, diameter
 from .circuit import Circuit, slice_circuit
 from .encoder import EncodeOptions, InstanceStats, decode, encode, instance_stats
-from .errors import SolveTimeoutError, UnroutableError
+from .errors import EncodingError, SolveTimeoutError, UnroutableError
 from .maxsat import SolveOutcome, SolveStatus, solve_builtin, solve_external
 from .solution import QubitMap, RoutingSolution, SliceStats
 
@@ -124,7 +124,7 @@ def _slice_stats(index: int, steps: list[_Step]) -> SliceStats:
 
 
 def _solve_step(
-    piece: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, index: int, slices_left: int = 1, **options
+    piece: Circuit, g: ConnectivityGraph, cfg: DriverConfig, budget: _Budget, index: int, slices_left: int, **options
 ) -> _Step:
     """Encode ``piece`` (slice ``index`` of a run) with the given
     :class:`EncodeOptions` fields, solve it with its share of what is
@@ -182,6 +182,19 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     overall, unless it has zero swaps (unweighted) or is one slice, which
     is the instance of :func:`solve_global` and keeps that solve's status.
     """
+    return _solve_slices(circuit, g, cfg, slice_size)
+
+
+def _solve_slices(
+    circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slice_size: int, cyclic: bool = False
+) -> RoutingSolution:
+    """The slice loop of :func:`solve_sliced` and :func:`solve_cyclic`.
+
+    With ``cyclic`` the last slice, the closing one, is also pinned at
+    its end to the map slice 0 starts from, so the run returns to where
+    it began.  A refuted closing slice collapses the run to one slice,
+    and a one-slice cyclic run is the whole circuit encoded cyclically.
+    """
     budget = _Budget(cfg.budget)
     if not circuit.slots:
         return _trivial_solution(circuit, g, budget)
@@ -192,7 +205,12 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     while len(solutions) < len(slices):
         i, count = len(solutions), len(slices)
         pin = solutions[-1].final_map if solutions else None
-        step = _solve_step(slices[i], g, cfg, budget, i, count - i, pinned_initial=pin, canonical_placement=count == 1)
+        closing = cyclic and i == count - 1  # pinned back to slice 0's start, or, alone, encoded cyclically
+        home = solutions[0].initial_map if closing and solutions else None
+        step = _solve_step(
+            slices[i], g, cfg, budget, i, count - i,
+            pinned_initial=pin, pinned_final=home, cyclic=closing and not solutions, canonical_placement=count == 1,
+        )
         steps[i].append(step)
         if step.solution is not None:
             logger.info(
@@ -202,10 +220,20 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
             solutions.append(step.solution)
             continue
         if i == 0:
+            refuted = "no cyclic routing of the block" if closing else "unroutable"
             raise UnroutableError(
-                f"unroutable with n={cfg.n} swaps per slot; "
+                f"{refuted} with n={cfg.n} swaps per slot; "
                 f"raise n (graph diameter is {diameter(g)}) ({budget.where(0)})"
             )
+        if closing:
+            logger.info(
+                "slice %d of %d: closing slice unsatisfiable after %d conflicts; solving the whole block cyclically",
+                i, count, step.outcome.conflicts,
+            )
+            solutions.clear()
+            slices[:] = [circuit]
+            steps[:] = [[s for merged in steps for s in merged]]
+            continue
         logger.info(
             "slice %d of %d: unsatisfiable after %d conflicts; merging it into slice %d",
             i, count, step.outcome.conflicts, i - 1,
@@ -252,31 +280,19 @@ def solve_cyclic(
     Because the boundary constraint makes every copy start exactly where
     the previous one ended, the block's swap schedule replays verbatim
     in every copy and the total cost is exactly ``cycles`` times the
-    per-block cost.  With ``slice_size`` the block itself is solved
-    sliced and only its last slice is re-solved against the boundary,
-    within half the budget; if that fails the whole block is re-encoded
-    cyclically with what is left.  A sliced run that refutes the block
-    raises at once: no routing of the open block means no cyclic one.
+    per-block cost.  The block runs through the slice loop of
+    :func:`solve_sliced`, at ``slice_size`` or else as one slice.  Its
+    last slice closes the loop: it is pinned at its end to the map
+    slice 0 starts from.  If that closing slice is refuted, the run
+    collapses to one slice, the whole block encoded with its final map
+    tied to its initial one.  A refuted slice 0 refutes the block, open
+    or cyclic.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    budget = _Budget(cfg.budget)
-    if not block.slots:
-        return _trivial_solution(block, g, budget)
-    base: RoutingSolution | None = None
-    if slice_size is not None:
-        base = _cyclic_via_slicing(block, g, replace(cfg, budget=budget.share(2)), slice_size)
-    if base is None:
-        step = _solve_step(block, g, cfg, budget, 0, cyclic=True)
-        if step.solution is None:
-            raise UnroutableError(
-                f"no cyclic routing of the block with n={cfg.n} swaps per slot "
-                f"(graph diameter is {diameter(g)}; {budget.where(0)})"
-            )
-        base = replace(step.solution, per_slice_stats=(_slice_stats(0, [step]),))
-
+    base = _solve_slices(block, g, cfg, slice_size or len(block.slots) or 1, cyclic=True)
     if base.final_map != base.initial_map:
-        raise UnroutableError(f"cyclic solve produced a non-returning block map; this is a bug ({budget.where(0)})")
+        raise EncodingError("cyclic solve produced a block that does not return to its initial map; this is a bug")
     objective = None if base.weighted_objective is None else base.weighted_objective * cycles
     return RoutingSolution(
         base.initial_map,
@@ -286,40 +302,6 @@ def solve_cyclic(
         per_slice_stats=base.per_slice_stats,
         weighted_objective=objective,
     )
-
-
-def _cyclic_via_slicing(block: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slice_size: int) -> RoutingSolution | None:
-    """Solve the block sliced, then re-solve its last slice pinned back
-    to the observed initial map.  Returns None when the boundary cannot
-    be patched this way within ``cfg.budget`` (caller falls back to the
-    whole-block encode); the sliced run's :class:`UnroutableError`
-    propagates."""
-    budget = _Budget(cfg.budget)
-    try:
-        base = solve_sliced(block, g, cfg, slice_size)
-    except SolveTimeoutError:
-        return None
-    if base.final_map == base.initial_map:
-        return base
-    slices = slice_circuit(block, slice_size)
-    if len(slices) < 2:
-        return None
-    last = slices[-1]
-    lo = len(block.slots) - len(last.slots)
-    try:
-        patched = _solve_step(
-            last, g, cfg, budget, len(slices) - 1, pinned_initial=base.map_sequence[lo - 1], pinned_final=base.initial_map
-        ).solution
-    except SolveTimeoutError:
-        return None  # cut short by the budget: fall back as for a refuted patch
-    if patched is None:
-        return None
-    swaps = base.swaps[:lo] + patched.swaps
-    maps = base.map_sequence[:lo] + patched.map_sequence
-    candidate = RoutingSolution(base.initial_map, swaps, maps, "best_effort", per_slice_stats=base.per_slice_stats)
-    if candidate.final_map != candidate.initial_map:
-        return None  # an unencoded qubit drifted; only the full encode can pin it
-    return candidate
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from typing import NamedTuple
 from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, orbit_minima, swap_weight
 from .circuit import Circuit
 from .cnf import Clause, InstanceBuilder, MaxSatInstance, Model
-from .errors import EncodingError
+from .errors import EncodingError, UnroutableError
 from .solution import Edge, QubitMap, RoutingSolution
 
 NOOP: Edge = (0, 0)  # synthetic pair: swap p0 with itself; touches nothing
@@ -87,9 +87,12 @@ class EncodeOptions:
     ``n`` is the number of swap positions before each slot; setting it
     to the graph diameter guarantees any placement can be repaired, and
     a solution that is optimal for the encoding is then optimal overall.
-    ``canonical_placement`` adds Hard E (see the module docstring).  It
-    keeps the optimum, but it can change which optimal routing a solve
-    returns, so the slices of a multi-slice run leave it off.
+    ``pinned_final`` and ``cyclic`` bind the final map, and they bind it
+    for every logical qubit, idle ones included, so the pinned or initial
+    map holds at the end for every qubit.  ``canonical_placement`` adds
+    Hard E (see the module docstring).  It keeps the optimum, but it can
+    change which optimal routing a solve returns, so the slices of a
+    multi-slice run leave it off.
     """
 
     n: int = 1
@@ -137,12 +140,13 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
 
     # Qubits never touched by a two-qubit gate cannot affect the swap
     # count, so they are left out of the encoding and placed on free
-    # physical qubits at decode time.  Cyclic mode encodes everything:
-    # the boundary constraint must cover every qubit for copies to chain.
-    active = active_qubits(circuit, everything=opt.cyclic)
+    # physical qubits at decode time.  A bound final map encodes
+    # everything: a pinned or cyclic end must hold for every qubit, or an
+    # idle one that a swap moves would not come back.
+    active = active_qubits(circuit, everything=opt.cyclic or opt.pinned_final is not None)
     P = g.num_physical
-    if len(active) > P:
-        raise EncodingError(f"{len(active)} logical qubits but only {P} physical qubits")
+    if circuit.num_logical > P:
+        raise UnroutableError(f"{circuit.num_logical} logical qubits but only {P} physical qubits")
 
     diam = max(diameter(g), 1)
     if opt.n > diam:

@@ -109,7 +109,7 @@ def test_criterion_4_slicing_dominance():
 def test_criterion_5_cyclic_stitching():
     cases = [
         (4, "line:4", None),
-        (6, "grid:2x3", 6),  # the block itself is solved sliced, then patched
+        (6, "grid:2x3", 6),  # the block is solved sliced, its last slice pinned back to its start
     ]
     for qubits, arch, slice_size in cases:
         g = load_arch(arch)

@@ -172,6 +172,20 @@ def test_map_cyclic_with_sliced_block(tmp_path):
     assert run(["verify", "--source", str(qasm), "--routed", str(out), "--arch", "grid:2x3"]) == 0
 
 
+@pytest.mark.parametrize("strategy", ["sliced", "global", "cyclic"])
+def test_map_with_more_qubits_than_the_device_exits_3(tmp_path, capsys, strategy):
+    path = tmp_path / "five.qasm"
+    path.write_text(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[5];\n'
+        "cx q[0],q[1];\ncx q[1],q[2];\ncx q[2],q[3];\ncx q[3],q[4];\n"
+    )
+    argv = ["map", "--input", str(path), "--arch", "line:4", "--strategy", strategy]
+    if strategy == "cyclic":
+        argv += ["--cyclic-block-slots", "4"]
+    assert run(argv) == 3
+    assert "unroutable: 5 logical qubits but only 4 physical qubits" in capsys.readouterr().err
+
+
 def test_map_cyclic_requires_block_flag(tmp_path):
     src = write_three_gate(tmp_path)
     assert run(["map", "--input", src, "--arch", "line:4", "--strategy", "cyclic"]) == 1
@@ -263,7 +277,7 @@ def test_map_rejects_a_budget_that_is_not_a_positive_number(tmp_path, capsys, bu
 def test_emit_wcnf(tmp_path):
     src = write_three_gate(tmp_path)
     out = tmp_path / "inst.wcnf"
-    assert run(["emit-wcnf", "--input", src, "--arch", "line:2"]) == 1  # too few physical qubits
+    assert run(["emit-wcnf", "--input", src, "--arch", "line:2"]) == 3  # too few physical qubits
     assert run(["emit-wcnf", "--input", src, "--arch", "line:4", "--output", str(out)]) == 0
     assert out.read_text().startswith("p wcnf ")
 

@@ -22,7 +22,7 @@ from swaproute.oracle import brute_force_oracle
 from swaproute.verifier import verify, verify_solution
 from swaproute.solution import apply_routing
 
-from conftest import random_circuit
+from conftest import ORACLE_ARCHES, random_circuit
 
 LINE2 = load_arch("line:2")
 LINE3 = load_arch("line:3")
@@ -388,31 +388,86 @@ def test_cyclic_via_slicing_path():
     check_solution(full, sol, g)
 
 
-def test_cyclic_patch_timeout_falls_back_to_whole_block(monkeypatch):
-    # The sliced block does not return to its start, so its last slice is
-    # re-solved pinned at both ends; that solve answers UNKNOWN, as an
-    # external solver can, and the whole-block encode must take over.
-    block = generate_qaoa_maxcut(4, 1, 7)
+def answer_closing_slices(monkeypatch, status):
+    """Make every closing slice's solve (the one encode with a pinned final
+    map) answer ``status``, as an external solver can; returns the list of
+    those instances."""
     real_encode, real_run = driver.encode, driver._run_solver
-    patches = []
+    closing = []
 
-    def encode_noting_patches(circuit, graph, opt):
+    def encode_noting_closing(circuit, graph, opt):
         instance = real_encode(circuit, graph, opt)
         if opt.pinned_final is not None:
-            patches.append(instance)
+            closing.append(instance)
         return instance
 
-    def run_without_patches(instance, cfg, budget):
-        if any(instance is p for p in patches):
-            return SolveOutcome(SolveStatus.UNKNOWN, None, None, 0.0)
+    def run_answering_closing(instance, cfg, budget):
+        if any(instance is c for c in closing):
+            return SolveOutcome(status, None, None, 0.0)
         return real_run(instance, cfg, budget)
 
-    monkeypatch.setattr(driver, "encode", encode_noting_patches)
-    monkeypatch.setattr(driver, "_run_solver", run_without_patches)
+    monkeypatch.setattr(driver, "encode", encode_noting_closing)
+    monkeypatch.setattr(driver, "_run_solver", run_answering_closing)
+    return closing
+
+
+def test_cyclic_refuted_closing_slice_collapses_to_the_whole_block(monkeypatch):
+    block = generate_qaoa_maxcut(4, 1, 7)
+    closing = answer_closing_slices(monkeypatch, SolveStatus.HARD_UNSAT)
     sol = solve_cyclic(block, 2, LINE4, DriverConfig(n=1), slice_size=2)
-    assert patches
+    assert len(closing) == 1
+    (stats,) = sol.per_slice_stats  # one slice: the whole block, encoded cyclically
+    assert stats.index == 0 and stats.backtracks >= 1
     assert sol.final_map == sol.initial_map
     check_solution(Circuit(4, block.gates * 2), sol, LINE4)
+
+
+def test_cyclic_closing_slice_timeout_names_its_slice(monkeypatch):
+    # The closing slice gets all of the budget that is left; a solve that
+    # ends without a model is a timeout, as for every slice of a sliced run.
+    # At n = diameter no open slice is refuted, so none is merged, and the
+    # closing slice is the last of the six.
+    block = generate_qaoa_maxcut(4, 1, 7)
+    answer_closing_slices(monkeypatch, SolveStatus.UNKNOWN)
+    with pytest.raises(SolveTimeoutError, match=r"no incumbent \(slice 5, "):
+        solve_cyclic(block, 2, LINE4, DriverConfig(n=diameter(LINE4)), slice_size=2)
+
+
+# Routes on line:6 at n=1, but no such routing returns to its start.
+NO_RETURN = Circuit(4, tuple(Gate("cx", p) for p in [(2, 0), (0, 1), (3, 0), (2, 1), (3, 2), (1, 3)]))
+
+
+def cyclic_oracle_draws():
+    rng = random.Random("cyclic/oracle")
+    for _ in range(40):
+        g = load_arch(rng.choice(ORACLE_ARCHES))
+        c = random_circuit(rng, rng.randint(2, g.num_physical), rng.randint(2, 6))
+        yield c, g, rng.randint(1, diameter(g)), rng.randint(1, 3)
+    for size in (1, 2, 3):
+        yield NO_RETURN, load_arch("line:6"), 1, size  # refuted at the closing slice
+    yield ROUND_ROBIN, load_arch("line:6"), 1, 3  # refuted open, so before it closes
+
+
+def test_sliced_cyclic_refutes_exactly_what_the_whole_block_refutes():
+    # A sliced cyclic run refutes a block only where the whole-block
+    # cyclic encode does, returns to its start, and never beats that
+    # encode's optimum.
+    refuted = routed = 0
+    for c, g, n, size in cyclic_oracle_draws():
+        cfg = DriverConfig(n=n)
+        try:
+            whole = solve_cyclic(c, 1, g, cfg)
+        except UnroutableError:
+            with pytest.raises(UnroutableError):
+                solve_cyclic(c, 1, g, cfg, slice_size=size)
+            refuted += 1
+            continue
+        sol = solve_cyclic(c, 1, g, cfg, slice_size=size)
+        assert sol.final_map == sol.initial_map
+        assert verify_solution(c, sol, g).ok
+        assert sol.swap_count >= whole.swap_count
+        routed += 1
+    assert (refuted, routed) == (4, 40)
 
 
 def test_as_cyclic_blocks_accepts_generated_circuits():

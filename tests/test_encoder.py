@@ -148,6 +148,17 @@ def test_cyclic_boundary_forces_return():
     assert sol.final_map == sol.initial_map
 
 
+def test_pinned_final_binds_every_qubit():
+    # q2 takes part in no two-qubit gate, yet the pinned final map moves
+    # it one place on, so it is encoded and costs the one swap.
+    c = Circuit(3, (Gate("cx", (0, 1)),))
+    opt = EncodeOptions(n=1, pinned_initial=QubitMap((0, 1, 2)), pinned_final=QubitMap((0, 1, 3)))
+    inst = encode(c, LINE4, opt)
+    assert inst.layout.active == [0, 1, 2]
+    sol = decode(solve_builtin(inst).model, inst, c, LINE4, opt)
+    assert sol.final_map == QubitMap((0, 1, 3)) and sol.swaps == (((2, 3),),)
+
+
 def test_cyclic_rejects_pin():
     with pytest.raises(ValueError):
         EncodeOptions(cyclic=True, pinned_initial=QubitMap((0, 1)))
@@ -160,9 +171,13 @@ def test_n_above_diameter_rejected():
 
 
 def test_too_many_logical_qubits():
+    # No routing places five qubits on three places: unroutable, as the
+    # oracle says, whether or not every qubit takes part in a gate.
     c = Circuit(5, (Gate("cx", (0, 4)), Gate("cx", (1, 3)), Gate("cx", (2, 4)), Gate("cx", (0, 1)), Gate("cx", (2, 3))))
-    with pytest.raises(EncodingError, match="physical"):
+    with pytest.raises(UnroutableError, match="5 logical qubits but only 3 physical"):
         encode(c, LINE3, EncodeOptions(n=1))
+    with pytest.raises(UnroutableError, match="physical"):
+        encode(Circuit(5, (Gate("cx", (0, 1)),)), LINE3, EncodeOptions(n=1))
 
 
 def test_hard_count_grows_linearly_with_slots():
