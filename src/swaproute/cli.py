@@ -281,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--arch", required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--noise", default=None)
+    p.add_argument(
+        "--noise",
+        default=None,
+        help="JSON noise file enabling weighted mode; the WCNF leaves out the least cx weight that each "
+        "two-qubit gate pays wherever it lands",
+    )
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_emit_wcnf)
 

@@ -21,10 +21,24 @@ axioms), and a chosen swap on (u, v) moves whatever is on u to v and
 back (move axioms).  Every transition is thus the permutation its swap
 picks, so the maps of later slots are injective without (A), and the
 encoding grows linearly in n.  Soft constraints reward no-op swaps, so
-a minimum-weight solution inserts the fewest swaps; in weighted mode
-the soft side instead charges the negative log fidelity of every swap
-and of every gate placement, so minimizing falsified weight maximizes
-the routed circuit's success probability.
+a minimum-weight solution inserts the fewest swaps.
+
+In weighted mode a routing costs the negative log fidelity of every
+swap and of the edge every gate lands on, so the cheapest routing is
+the one most likely to succeed.  Each swap position picks exactly one
+pair (C) and each gate lands on exactly one directed edge (B), so each
+of these groups is charged its least weight once, not each choice in
+full (weight shifting over exactly-one groups; Li & Manya, "MaxSAT,
+Hard and Soft Constraints", Handbook of Satisfiability, 2009).  A swap
+position's no-op clause carries the least swap weight over the edges,
+a pair's clause only what its edge costs beyond that, and a gate
+clause only what its edge costs beyond the least cx weight; the K
+least cx weights that every routing pays are the layout's offset,
+which :func:`decode` adds back.  A model's cost is unchanged, but a
+partial assignment's falsified weight now counts the least cost of
+every swap it commits to, and the bound clauses the solver learns name
+no-op variables, as they do unweighted.  Under uniform noise the
+instance is the unweighted one, scaled.
 
 Hard E, canonical initial placement, breaks the device's symmetry
 (lex-leader style, after Crawford, Ginsberg, Luks & Roy, KR 1996).  An
@@ -71,13 +85,16 @@ class Layout(NamedTuple):
     slot: the row of its pair variables, in ``pairs`` order, and the
     layer it produces, an intermediate one or, at the slot's last
     position, the slot's map.  Every variable is in ``maps[0]`` or in
-    exactly one hop.
+    exactly one hop.  ``offset`` is the weight every routing pays that
+    no soft clause carries: in weighted mode, K times the least cx
+    weight; 0 otherwise.
     """
 
     active: list[int]
     pairs: list[Edge]
     maps: list[dict[int, list[int]]]
     hops: list[tuple[list[int], dict[int, list[int]]]]
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -223,20 +240,27 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
                 au, av = after[q][u], after[q][v]
                 hard += ((-s, -bu, av), (-s, bu, -av), (-s, -bv, au), (-s, bv, -au))
 
-    # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted).
+    # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted),
+    # each swap position's and each gate's least weight once (see the
+    # module docstring).  Falsified weight plus the offset is a model's cost.
+    offset = 0
     if opt.weighted is None:
         for picks, _ in hops:
             builder.add_soft([picks[0]], 1)
     else:
+        swap_w = [swap_weight(opt.weighted, e, WEIGHT_SCALE) for e in edges]
+        cx_w = [cx_weight(opt.weighted, e, WEIGHT_SCALE) for e in edges]
+        least_swap, least_cx = min(swap_w), min(cx_w)
         for picks, _ in hops:
-            for s, e in zip(picks[1:], edges):
-                builder.add_soft([-s], swap_weight(opt.weighted, e, WEIGHT_SCALE))
+            builder.add_soft([picks[0]], least_swap)
+            for s, w in zip(picks[1:], swap_w):
+                builder.add_soft([-s], w - least_swap)
         for k, gate in enumerate(slot_gates, start=1):
             arow, brow = (maps[k][q] for q in gate.operands)
-            for u, v in edges:
-                w = cx_weight(opt.weighted, (u, v), WEIGHT_SCALE)
-                builder.add_soft([-arow[u], -brow[v]], w)
-                builder.add_soft([-arow[v], -brow[u]], w)
+            for (u, v), w in zip(edges, cx_w):
+                builder.add_soft([-arow[u], -brow[v]], w - least_cx)
+                builder.add_soft([-arow[v], -brow[u]], w - least_cx)
+        offset = K * least_cx
 
     if opt.pinned_initial is not None:
         hard += [(first[q][opt.pinned_initial[q]],) for q in active]
@@ -257,7 +281,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         hard += [(-first[active[0]][p],) for p in range(P) if largest[orbit[p]] != p]
     builder.extend_hard_raw(hard)
 
-    return builder.build(Layout(active, pairs, maps, hops))
+    return builder.build(Layout(active, pairs, maps, hops, offset))
 
 
 def _check_pin(pin: QubitMap, circuit: Circuit, g: ConnectivityGraph):
@@ -292,7 +316,7 @@ def decode(
         raise EncodingError("instance carries no variable layout; cannot decode")
 
     K = len(circuit.slot_gates)
-    active, pairs, layers, hops = layout
+    active, pairs, layers, hops, offset = layout
     P = g.num_physical
 
     def chosen_pair(k: int, i: int) -> Edge:
@@ -343,6 +367,6 @@ def decode(
                 raise EncodingError(f"replayed position of q{q} at slot {k} disagrees with the model")
         maps.append(live)
 
-    objective = instance.falsified_weight(model) if opt.weighted is not None else None
+    objective = instance.falsified_weight(model) + offset if opt.weighted is not None else None
     return RoutingSolution(initial, tuple(swaps), tuple(maps), status, weighted_objective=objective)
 

@@ -96,8 +96,8 @@ def brute_force_oracle(
     edges = g.sorted_edges()
     n = max_swaps_per_slot
 
-    if len(active) > P:
-        raise UnroutableError(f"{len(active)} active qubits but only {P} physical qubits")
+    if circuit.num_logical > P:
+        raise UnroutableError(f"{circuit.num_logical} logical qubits but only {P} physical qubits")
     if K == 0:
         initial = initial_map if initial_map is not None else _pad({}, circuit.num_logical, P)
         return 0, RoutingSolution(initial, (), (), "optimal")

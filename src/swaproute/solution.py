@@ -56,7 +56,8 @@ class SliceStats:
     instance sizes and status are the last solve's; ``incumbents`` is its
     timeline of (seconds, falsified weight) pairs, and ``lower_bound`` its
     proven lower bound on the falsified weight, so a best-effort slice
-    shows its gap.
+    shows its gap.  Both are in instance units: in weighted mode they
+    leave out the encoder's offset, which ``weighted_objective`` includes.
     """
 
     index: int

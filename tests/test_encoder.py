@@ -6,16 +6,17 @@ from itertools import product
 
 import pytest
 
-from conftest import random_circuit
+from conftest import ORACLE_ARCHES, random_circuit
 from swaproute import maxsat
-from swaproute.arch import NoiseModel, diameter, load_arch, load_noise
+from swaproute.arch import NoiseModel, cx_weight, diameter, load_arch, load_noise, swap_weight
 from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
-from swaproute.cnf import Model
-from swaproute.encoder import EncodeOptions, decode, encode, instance_stats
+from swaproute.cnf import MaxSatInstance, Model
+from swaproute.encoder import WEIGHT_SCALE, EncodeOptions, decode, encode, instance_stats
 from swaproute.errors import EncodingError, UnroutableError
 from swaproute.maxsat import SolveStatus, emit_wcnf, parse_wcnf, solve_builtin
 from swaproute.oracle import brute_force_oracle
 from swaproute.solution import QubitMap
+from swaproute.verifier import verify_solution
 
 LINE2 = load_arch("line:2")
 LINE3 = load_arch("line:3")
@@ -228,14 +229,95 @@ def test_pinned_maps_below_diameter_match_oracle():
 
 def test_weighted_soft_construction():
     c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2))))
-    model = NoiseModel.uniform(LINE3, cx=0.99)
-    inst = encode(c, LINE3, EncodeOptions(n=1, weighted=model))
-    E, K, n = len(LINE3.edges), 2, 1
-    # per slot: one soft clause per edge per swap position, plus one per
-    # directed edge for the gate placement
-    assert instance_stats(inst).soft_count == K * n * E + K * 2 * E
-    weights = {w for _, w in inst.soft}
-    assert weights == {round(1000 * -__import__('math').log(0.99)), round(1000 * -3 * __import__('math').log(0.99))}
+    K = 2
+    # Uniform noise: each swap position's no-op clause carries the swap
+    # weight, and no pair or gate clause is left; every gate's cx weight
+    # is in the offset.  The instance is the unweighted one, scaled.
+    uniform = NoiseModel.uniform(LINE3, cx=0.99)
+    inst = encode(c, LINE3, EncodeOptions(n=2, weighted=uniform))
+    swap, cx = swap_weight(uniform, (0, 1), WEIGHT_SCALE), cx_weight(uniform, (0, 1), WEIGHT_SCALE)
+    assert (swap, cx) == (30, 10)
+    assert list(inst.soft) == [((picks[0],), swap) for picks, _ in inst.layout.hops]
+    assert inst.layout.offset == K * cx
+    # Edge (1, 2) costlier: only its swap and its gate placements carry a
+    # clause, at what they cost beyond the least weight.
+    noisy = NoiseModel({(0, 1): 0.99, (1, 2): 0.97}, {})
+    inst = encode(c, LINE3, EncodeOptions(n=1, weighted=noisy))
+    assert [swap_weight(noisy, e, WEIGHT_SCALE) for e in [(0, 1), (1, 2)]] == [30, 91]
+    assert [cx_weight(noisy, e, WEIGHT_SCALE) for e in [(0, 1), (1, 2)]] == [10, 30]
+    layout = inst.layout
+    assert layout.pairs == [(0, 0), (0, 1), (1, 2)]
+    expected = []
+    for picks, _ in layout.hops:
+        expected += [((picks[0],), 30), ((-picks[2],), 91 - 30)]
+    for k, (a, b) in enumerate([(0, 1), (1, 2)], start=1):
+        arow, brow = layout.maps[k][a], layout.maps[k][b]
+        expected += [((-arow[1], -brow[2]), 30 - 10), ((-arow[2], -brow[1]), 30 - 10)]
+    assert list(inst.soft) == expected
+    assert layout.offset == K * 10
+
+
+def per_choice_instance(inst, c, model):
+    """``inst``'s hard clauses under the per-choice soft side: every
+    non-no-op pair charged its full swap weight and every directed gate
+    placement its full cx weight, with nothing in an offset."""
+    layout = inst.layout
+    edges = layout.pairs[1:]
+    soft = []
+    for picks, _ in layout.hops:
+        soft += [((-s,), w) for s, e in zip(picks[1:], edges) if (w := swap_weight(model, e, WEIGHT_SCALE))]
+    for k, gate in enumerate(c.slot_gates, start=1):
+        arow, brow = (layout.maps[k][q] for q in gate.operands)
+        for u, v in edges:
+            if w := cx_weight(model, (u, v), WEIGHT_SCALE):
+                soft += [((-arow[u], -brow[v]), w), ((-arow[v], -brow[u]), w)]
+    return MaxSatInstance(inst.num_vars, inst.hard, soft, layout)
+
+
+def routing_cost(c, sol, model):
+    """The routing's full weight, from the routing and the noise model alone."""
+    swaps = sum(swap_weight(model, e, WEIGHT_SCALE) for group in sol.swaps for e in group)
+    gates = sum(
+        cx_weight(model, (live[gate.operands[0]], live[gate.operands[1]]), WEIGHT_SCALE)
+        for gate, live in zip(c.slot_gates, sol.map_sequence)
+    )
+    return swaps + gates
+
+
+@pytest.mark.parametrize("noise", ["uniform", "random"])
+def test_weighted_encoding_matches_the_per_choice_encoding(noise):
+    # Charging each exactly-one group's least weight once, with the K
+    # least cx weights in the offset, keeps every model's full cost, so
+    # both soft sides reach the same optimum.
+    rng = random.Random(f"weighted-least-cost/{noise}")
+    compared = 0
+    for _ in range(80):
+        g = load_arch(rng.choice(ORACLE_ARCHES))
+        nq = rng.randint(2, g.num_physical)
+        c = Circuit(nq, tuple(Gate("cx", tuple(rng.sample(range(nq), 2))) for _ in range(rng.randint(1, 4))))
+        if noise == "uniform":
+            model = NoiseModel.uniform(g, cx=rng.choice([0.9, 0.97, 0.99]))
+        else:
+            model = NoiseModel(
+                {e: round(rng.uniform(0.9, 0.995), 4) for e in g.edges},
+                {e: round(rng.uniform(0.8, 0.98), 4) for e in g.edges if rng.random() < 0.3},
+            )
+        pin = QubitMap(tuple(rng.sample(range(g.num_physical), nq)))
+        mode = rng.choice([{}, {"cyclic": True}, {"pinned_initial": pin}, {"pinned_final": pin}])
+        opt = EncodeOptions(n=1, weighted=model, **mode)
+        inst = encode(c, g, opt)
+        new, old = solve_builtin(inst), solve_builtin(per_choice_instance(inst, c, model))
+        assert new.status is old.status
+        if new.status is not SolveStatus.OPTIMAL:
+            assert new.status is SolveStatus.HARD_UNSAT
+            continue
+        assert new.falsified_weight + inst.layout.offset == old.falsified_weight
+        for out in (new, old):
+            sol = decode(out.model, inst, c, g, opt)
+            assert verify_solution(c, sol, g).ok
+            assert sol.weighted_objective == routing_cost(c, sol, model) == old.falsified_weight
+        compared += 1
+    assert compared >= 60
 
 
 def test_weighted_mode_drops_zero_weight_clauses():
@@ -445,7 +527,7 @@ GOLDEN_WCNF_SHA256 = {
     "qaoa8-tokyo-n1": "aee28251712a730ab5660af9378275c5aaa45b07fd53194c4ea5e5de48249d70",
     "qaoa8-tokyo-n2": "85bb8cbafbeee319849bf87a196c982611c0c6e56d6465d99c78901677c09a01",
     "rand16x10-tokyo": "da595bc0a75ae06f2c662383fe0a67228dd27a9abbd801c8d3c2b27710592c2d",
-    "weighted-line4": "22676443d7c04c0f09bb410a23644b955e51e93bbecd8ea90708cfb69d0a2e8b",
+    "weighted-line4": "94bb0eb90383a731851c23e9e847e312aacf037ac9750e9fa7c633686061ccdb",
     "qaoa4-cycle4-cyclic": "c6d80917916337bad101e88c851b71b64fb75e7d583ed474f736235bf363edfd",
     "pinned-slice-grid3x3": "566857dc60ba708570045f8ca924380660ad9c81b8e44907be7c890c153d6e39",
     "patched-slice-grid3x3": "fb1e95f2a644ae07c0bdd09130916095e37f7322b1864adc6fbbed40a01c3483",

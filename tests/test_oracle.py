@@ -48,6 +48,17 @@ def test_more_active_than_physical():
         brute_force_oracle(c, LINE3, 1)
 
 
+@pytest.mark.parametrize(
+    "gates",
+    [(Gate("h", (0,)), Gate("x", (3,))), (Gate("cx", (0, 1)), Gate("cx", (2, 3)))],
+    ids=["no-slots", "slots"],
+)
+def test_more_logical_than_physical_with_idle_qubits(gates):
+    # qubit 4 is idle, but it still needs a place of its own
+    with pytest.raises(UnroutableError, match="5 logical qubits but only 4 physical"):
+        brute_force_oracle(Circuit(5, gates), LINE4, 1)
+
+
 def test_search_space_ceiling():
     c = Circuit(8, tuple(Gate("cx", (i, i + 1)) for i in range(7)))
     with pytest.raises(OracleLimitError):
