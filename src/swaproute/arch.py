@@ -354,6 +354,7 @@ def load_noise(path: str, g: ConnectivityGraph) -> NoiseModel:
             u, v = rec["edge"]
             e = _canon(int(u), int(v))
             fid = float(rec["cx"])
+            swap_fid = float(rec["swap"]) if "swap" in rec else None
         except (KeyError, TypeError, ValueError) as exc:
             raise NoiseModelError(f"{path}: malformed record {rec!r}") from exc
         if e not in g.edges:
@@ -361,8 +362,8 @@ def load_noise(path: str, g: ConnectivityGraph) -> NoiseModel:
         if e in cx:
             raise NoiseModelError(f"{path}: duplicate record for edge {e}")
         cx[e] = fid
-        if "swap" in rec:
-            swap[e] = float(rec["swap"])
+        if swap_fid is not None:
+            swap[e] = swap_fid
     model = NoiseModel(cx, swap)
     missing = sorted(e for e in g.edges if e not in model.cx_fidelity)
     if missing:

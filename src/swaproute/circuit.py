@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import re
 from dataclasses import dataclass, field
 
 from .errors import QasmError
@@ -69,9 +70,6 @@ class Circuit:
         """The two-qubit gates, in slot order."""
         return tuple(self.gates[i] for i in self.slots)
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 def slice_circuit(circuit: Circuit, slice_size: int) -> list[Circuit]:
     """Partition a circuit into slices of at most ``slice_size`` slots,
@@ -109,122 +107,136 @@ def slice_circuit(circuit: Circuit, slice_size: int) -> list[Circuit]:
 # OpenQASM 2.0 subset
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = {"[", "]", "(", ")", ",", ";", "{", "}", "+", "-", "*", "/", "->"}
+# A number takes every digit, '.' and exponent character in a row, so a
+# malformed one such as 1.2.3 or 1e is one token that the parser rejects.
+_TOKEN = re.compile(
+    r"""(?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<num>\.?[0-9][0-9.]*(?:[eE][+-]?[0-9]*)?)
+      | (?P<str>"[^"]*")
+      | (?P<skip>[ \t\r]+|//.*)
+      | (?P<sym>->|[\[\](),;{}+\-*/])
+      | (?P<bad>.)""",
+    re.VERBOSE,
+)
 
 
 def _tokenize(text: str):
     """Yield (kind, value, line, col) tokens; kind in {id, num, str, sym}."""
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("id", text[i:j], start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                j += 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            yield ("num", text[i:j], start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise QasmError("unterminated string", start_line, start_col)
-            yield ("str", text[i : j + 1], start_line, start_col)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if text.startswith("->", i):
-            yield ("sym", "->", start_line, start_col)
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            yield ("sym", ch, start_line, start_col)
-            i += 1
-            col += 1
-            continue
-        raise QasmError(f"unexpected character {ch!r}", start_line, start_col)
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(chars):
+            kind = m.lastgroup
+            if kind != "skip":
+                value, col = m.group(), m.start() + 1
+                if kind == "bad":
+                    raise QasmError("unterminated string" if value == '"' else f"unexpected character {value!r}", line, col)
+                yield kind, value, line, col
 
 
-class _Params:
-    """Recursive-descent evaluator for constant parameter expressions."""
+class _Cursor:
+    """Reads a program's tokens one statement at a time.
+
+    Declarations, parameter lists and operand lists are all read through
+    ``take``/``expect`` and the ``expr``/``term``/``factor`` descent over
+    constant expressions, so every error names the token it stopped at.
+    """
 
     def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str | None:
+        """The next token's text, or None at the end of input."""
+        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else None
 
-    def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise QasmError("unexpected end of parameter expression")
+    def take(self) -> tuple:
+        if self.pos == len(self.tokens):
+            raise QasmError("missing ';' at end of input", *self.tokens[-1][2:])
         self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def accept(self, value: str) -> bool:
+        """Take the next token if it is ``value``."""
+        if self.peek() != value:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, value: str):
+        tok = self.take()
+        if tok[1] != value:
+            raise QasmError(f"expected {value!r}, got {tok[1]!r}", tok[2], tok[3])
+
+    def name(self, what: str) -> tuple:
+        tok = self.take()
+        if tok[0] != "id":
+            raise QasmError(f"expected {what}, got {tok[1]!r}", tok[2], tok[3])
         return tok
+
+    def integer(self) -> int:
+        tok = self.take()
+        if not tok[1].isdigit():
+            raise QasmError(f"expected an integer, got {tok[1]!r}", tok[2], tok[3])
+        return int(tok[1])
+
+    def items(self, read, close: str) -> list:
+        """Zero or more ``read()`` items separated by ',', through ``close``."""
+        values = [] if self.peek() == close else [read()]
+        while self.accept(","):
+            values.append(read())
+        self.expect(close)
+        return values
+
+    def skip(self):
+        """Drop the rest of the statement, through its ';'."""
+        while self.take()[1] != ";":
+            pass
 
     def expr(self) -> float:
         value = self.term()
-        while (tok := self._peek()) is not None and tok[1] in ("+", "-"):
-            self._next()
+        while self.peek() in ("+", "-"):
+            op = self.take()
             rhs = self.term()
-            value = value + rhs if tok[1] == "+" else value - rhs
+            value = _finite(value + rhs if op[1] == "+" else value - rhs, op)
         return value
 
     def term(self) -> float:
         value = self.factor()
-        while (tok := self._peek()) is not None and tok[1] in ("*", "/"):
-            self._next()
+        while self.peek() in ("*", "/"):
+            op = self.take()
             rhs = self.factor()
-            value = value * rhs if tok[1] == "*" else value / rhs
+            if op[1] == "/" and rhs == 0:
+                raise QasmError("division by zero", op[2], op[3])
+            value = _finite(value * rhs if op[1] == "*" else value / rhs, op)
         return value
 
     def factor(self) -> float:
-        kind, value, ln, cl = self._next()
-        if kind == "sym" and value == "-":
+        tok = kind, value, ln, cl = self.take()
+        if value == "-":
             return -self.factor()
-        if kind == "sym" and value == "+":
+        if value == "+":
             return self.factor()
-        if kind == "sym" and value == "(":
+        if value == "(":
             inner = self.expr()
-            tok = self._next()
-            if tok[1] != ")":
-                raise QasmError("expected ')'", tok[2], tok[3])
+            self.expect(")")
             return inner
         if kind == "num":
-            return float(value)
-        if kind == "id" and value == "pi":
+            try:
+                number = float(value)
+            except ValueError:
+                raise QasmError(f"malformed number {value!r}", ln, cl) from None
+            return _finite(number, tok)
+        if value == "pi":
             return math.pi
         raise QasmError(f"bad parameter token {value!r}", ln, cl)
+
+
+def _finite(value: float, tok: tuple) -> float:
+    if not math.isfinite(value):
+        raise QasmError("parameter value is not finite", tok[2], tok[3])
+    return value
+
+
+_DROPPED = {"barrier": "no effect on routing", "measure": "classical state is ignored", "reset": "no effect on routing"}
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -236,62 +248,41 @@ def parse_qasm(text: str) -> Circuit:
     statements are accepted and dropped with a warning, since they do
     not affect mapping and routing.  Multiple quantum registers are
     flattened into one logical index space in declaration order.
+    Gate parameters are comma-separated constant expressions over
+    numbers, ``pi``, ``+ - * /`` and parentheses, and must be finite.
     """
-    tokens = list(_tokenize(text))
+    cur = _Cursor(list(_tokenize(text)))
     regs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
     total = 0
     gates: list[Gate] = []
-    pos = 0
 
-    def statement_tokens():
-        nonlocal pos
-        stmt = []
-        while pos < len(tokens):
-            tok = tokens[pos]
-            pos += 1
-            if tok[:2] == ("sym", ";"):
-                return stmt
-            stmt.append(tok)
-        if stmt:
-            raise QasmError("missing ';' at end of input", stmt[0][2], stmt[0][3])
-        return None
-
-    def integer(tok) -> int:
-        try:
-            return int(tok[1])
-        except ValueError:
-            raise QasmError(f"expected an integer, got {tok[1]!r}", tok[2], tok[3]) from None
-
-    def parse_operand(stmt, at):
-        if at >= len(stmt) or stmt[at][0] != "id":
-            tok = stmt[min(at, len(stmt) - 1)]
-            raise QasmError("expected register operand", tok[2], tok[3])
-        name = stmt[at][1]
-        ln, cl = stmt[at][2], stmt[at][3]
-        if at + 3 >= len(stmt) or stmt[at + 1][1] != "[" or stmt[at + 2][0] != "num" or stmt[at + 3][1] != "]":
+    def operand() -> int:
+        _, name, ln, cl = cur.name("register operand")
+        if not cur.accept("["):
             raise QasmError(f"operand {name!r} must be indexed, e.g. {name}[0]", ln, cl)
-        idx = integer(stmt[at + 2])
+        idx = cur.integer()
+        cur.expect("]")
         if name not in regs:
             raise QasmError(f"unknown quantum register {name!r}", ln, cl)
         offset, size = regs[name]
         if idx >= size:
             raise QasmError(f"index {idx} out of range for {name}[{size}]", ln, cl)
-        return offset + idx, at + 4
+        return offset + idx
 
-    while (stmt := statement_tokens()) is not None:
-        if not stmt:
+    while cur.peek() is not None:
+        kind, word, ln, cl = cur.take()
+        if word == ";":
             continue
-        kind, word, ln, cl = stmt[0]
         if kind != "id":
             raise QasmError(f"unexpected token {word!r}", ln, cl)
-        if word == "OPENQASM":
-            continue
-        if word == "include":
-            continue
-        if word in ("qreg", "creg"):
-            if len(stmt) != 5 or stmt[1][0] != "id" or stmt[2][1] != "[" or stmt[3][0] != "num" or stmt[4][1] != "]":
-                raise QasmError(f"malformed {word} declaration", ln, cl)
-            name, size = stmt[1][1], integer(stmt[3])
+        if word in ("OPENQASM", "include"):
+            cur.skip()
+        elif word in ("qreg", "creg"):
+            name = cur.name("a register name")[1]
+            cur.expect("[")
+            size = cur.integer()
+            cur.expect("]")
+            cur.expect(";")
             if word == "creg":
                 logger.warning("line %d: dropping creg %s[%d] (classical state is ignored)", ln, name, size)
                 continue
@@ -299,61 +290,24 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError(f"duplicate register {name!r}", ln, cl)
             regs[name] = (total, size)
             total += size
-            continue
-        if word == "barrier":
-            logger.warning("line %d: dropping barrier (no effect on routing)", ln)
-            continue
-        if word == "measure":
-            logger.warning("line %d: dropping measure (classical state is ignored)", ln)
-            continue
-        if word == "reset":
-            logger.warning("line %d: dropping reset (no effect on routing)", ln)
-            continue
-        if word == "gate" or word == "opaque" or word == "if":
+        elif word in _DROPPED:
+            logger.warning("line %d: dropping %s (%s)", ln, word, _DROPPED[word])
+            cur.skip()
+        elif word in ("gate", "opaque", "if"):
             raise QasmError(f"{word!r} statements are not supported", ln, cl)
-
-        # Gate application: name [(params)] operand {, operand}
-        at = 1
-        params: tuple[float, ...] = ()
-        if at < len(stmt) and stmt[at][1] == "(":
-            depth, j = 1, at + 1
-            while j < len(stmt) and depth:
-                if stmt[j][1] == "(":
-                    depth += 1
-                elif stmt[j][1] == ")":
-                    depth -= 1
-                j += 1
-            if depth:
-                raise QasmError("unbalanced '(' in parameter list", ln, cl)
-            inner = stmt[at + 1 : j - 1]
-            groups: list[list[tuple]] = [[]]
-            pdepth = 0
-            for tok in inner:
-                if tok[1] == "(":
-                    pdepth += 1
-                elif tok[1] == ")":
-                    pdepth -= 1
-                if tok[1] == "," and pdepth == 0:
-                    groups.append([])
-                else:
-                    groups[-1].append(tok)
-            params = tuple(_Params(g).expr() for g in groups if g)
-            at = j
-        operands = []
-        while at < len(stmt):
-            q, at = parse_operand(stmt, at)
-            operands.append(q)
-            if at < len(stmt):
-                if stmt[at][1] != ",":
-                    raise QasmError("expected ',' between operands", stmt[at][2], stmt[at][3])
-                at += 1
-        if not operands:
-            raise QasmError(f"gate {word!r} has no operands", ln, cl)
-        if len(operands) > 2:
-            raise QasmError(f"gate {word!r} has {len(operands)} operands; only 1- and 2-qubit gates are supported", ln, cl)
-        if len(operands) == 2 and operands[0] == operands[1]:
-            raise QasmError(f"gate {word!r} has duplicate operands", ln, cl)
-        gates.append(Gate(word, tuple(operands), params))
+        else:
+            try:
+                params = tuple(cur.items(cur.expr, ")")) if cur.accept("(") else ()
+            except RecursionError:
+                raise QasmError("parameter expression nested too deeply", ln, cl) from None
+            operands = cur.items(operand, ";")
+            if not operands:
+                raise QasmError(f"gate {word!r} has no operands", ln, cl)
+            if len(operands) > 2:
+                raise QasmError(f"gate {word!r} has {len(operands)} operands; only 1- and 2-qubit gates are supported", ln, cl)
+            if len(operands) == 2 and operands[0] == operands[1]:
+                raise QasmError(f"gate {word!r} has duplicate operands", ln, cl)
+            gates.append(Gate(word, tuple(operands), params))
 
     return Circuit(total, tuple(gates))
 

@@ -138,15 +138,13 @@ def _cmd_map(args) -> int:
         solution, selected = outcome.solution, outcome.selected_size
         size_runs = [dataclasses.asdict(run) for run in outcome.runs]
         used_sizes = list(sizes)
-    elif args.strategy == "cyclic":
+    else:  # "cyclic", the last of argparse's choices
         if args.cyclic_block_slots is None:
             raise _UsageError("--strategy cyclic requires --cyclic-block-slots")
         block, cycles = as_cyclic_blocks(source, args.cyclic_block_slots)
         block_slice = max(sizes) if args.slice_size else None
         solution = solve_cyclic(block, cycles, g, cfg, slice_size=block_slice)
         used_sizes = None if block_slice is None else [block_slice]
-    else:
-        raise _UsageError(f"unknown strategy {args.strategy!r}")
     phases.end("route")
 
     structural = verify_solution(source, solution, g)

@@ -42,10 +42,6 @@ class Model:
     def holds(self, lit: int) -> bool:
         return self.values[lit] if lit > 0 else not self.values[-lit]
 
-    @property
-    def num_vars(self) -> int:
-        return len(self.values) - 1
-
 
 @dataclass(frozen=True)
 class MaxSatInstance:

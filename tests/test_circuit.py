@@ -61,6 +61,29 @@ def test_syntax_error_carries_position():
         assert (err.value.line, err.value.col) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "statement, col",
+    [
+        ("rz(1 2) q[0];", 6),  # leftover tokens
+        ("rz(pi pi) q[0];", 7),
+        ("rz(,) q[0];", 4),  # empty arguments
+        ("rz(1,,2) q[0];", 6),
+        ("cx q[0],q[1],;", 14),  # trailing comma
+        ("rz(1e) q[0];", 4),  # malformed numbers
+        ("rz(1.2.3) q[0];", 4),
+        ("rz(-) q[0];", 5),
+        ("rz(1/0) q[0];", 5),  # division by zero
+        ("rz(1e400) q[0];", 4),  # values that are not finite
+        ("rz(1e300*1e300) q[0];", 9),
+        pytest.param("rz(" + "-" * 5000 + "1) q[0];", 1, id="nested-past-the-recursion-limit"),
+    ],
+)
+def test_malformed_statement_is_a_positioned_error(statement, col):
+    with pytest.raises(QasmError) as err:
+        parse_qasm(f"qreg q[2];\n{statement}\n")
+    assert (err.value.line, err.value.col) == (2, col)
+
+
 def test_multiple_qregs_flatten_in_order():
     c = parse_qasm("qreg a[2]; qreg b[3]; cx a[1],b[0]; h b[2];")
     assert c.num_logical == 5
@@ -86,10 +109,11 @@ def test_classical_statements_dropped_with_warning(caplog):
 
 
 def test_parameter_expressions():
-    c = parse_qasm("qreg q[1]; rz(pi/2) q[0]; u3(0.1,-0.2,3e-1) q[0]; rx(-pi) q[0];")
+    c = parse_qasm("qreg q[1]; rz(pi/2) q[0]; u3(0.1,-0.2,3e-1) q[0]; rx(-pi) q[0]; rz() q[0];")
     assert c.gates[0].params == (math.pi / 2,)
     assert c.gates[1].params == (0.1, -0.2, 0.3)
     assert c.gates[2].params == (-math.pi,)
+    assert c.gates[3].params == ()
 
 
 def test_emit_passthrough_cx():
@@ -122,7 +146,9 @@ def test_round_trip_preserves_counts():
 
 
 gate_names_1q = st.sampled_from(["h", "t", "x", "rz", "u2"])
-gate_names_2q = st.sampled_from(["cx", "cz", "swap"])
+gate_names_2q = st.sampled_from(["cx", "cz", "swap", "rzz"])
+# every finite float: negative, subnormal, large, and any repr (1e-05, 1.5e+300, -0.0)
+finite_params = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3).map(tuple)
 
 
 @st.composite
@@ -131,13 +157,11 @@ def circuits(draw):
     gates = []
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.booleans()):
-            name = draw(gate_names_1q)
-            params = tuple(draw(st.lists(st.floats(-10, 10, allow_nan=False), max_size=2))) if name in ("rz", "u2") else ()
-            gates.append(Gate(name, (draw(st.integers(0, n - 1)),), params))
+            gates.append(Gate(draw(gate_names_1q), (draw(st.integers(0, n - 1)),), draw(finite_params)))
         else:
             a = draw(st.integers(0, n - 1))
             b = draw(st.integers(0, n - 1).filter(lambda x: x != a))
-            gates.append(Gate(draw(gate_names_2q), (a, b)))
+            gates.append(Gate(draw(gate_names_2q), (a, b), draw(finite_params)))
     return Circuit(n, tuple(gates))
 
 
@@ -145,11 +169,9 @@ def circuits(draw):
 @settings(max_examples=80, deadline=None)
 def test_qasm_round_trip_property(c):
     again = parse_qasm(emit_qasm(c))
-    assert again.num_logical == c.num_logical
-    assert [(g.name, g.operands, g.params) for g in again.gates] == [
-        (g.name, g.operands, g.params) for g in c.gates
-    ]
-    assert again.slots == c.slots
+    assert again == c
+    # bit-equal, which == on floats is not (0.0 == -0.0)
+    assert [[p.hex() for p in g.params] for g in again.gates] == [[p.hex() for p in g.params] for g in c.gates]
 
 
 # -- slicing ---------------------------------------------------------------

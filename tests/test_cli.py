@@ -309,3 +309,25 @@ def test_noise_flag_weighted_mode(tmp_path):
     record = json.loads(stats.read_text())
     assert record["weighted_objective"] is not None
     assert record["swap_count"] == 1
+
+
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_malformed_parameter_is_a_usage_error(tmp_path, capsys, command):
+    src = tmp_path / "in.qasm"
+    src.write_text("qreg q[2];\nrz(1/0) q[0];\ncx q[0],q[1];\n")
+    args = ["--input", str(src)] if command == "map" else ["--source", str(src), "--routed", str(src)]
+    assert run([command, *args, "--arch", "line:2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2, col 5: division by zero")
+
+
+@pytest.mark.parametrize("swap", [None, "abc"])
+def test_malformed_noise_record_is_a_usage_error(tmp_path, capsys, swap):
+    src = write_three_gate(tmp_path)
+    noise = tmp_path / "noise.json"
+    records = [{"edge": [u, v], "cx": 0.99} for u, v in [(0, 1), (1, 2), (2, 3)]]
+    records[0]["swap"] = swap
+    noise.write_text(json.dumps(records))
+    assert run(["map", "--input", src, "--arch", "line:4", "--noise", str(noise)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {noise}: malformed record {records[0]!r}")
