@@ -14,7 +14,6 @@ from swaproute import (
     decode,
     emit_wcnf,
     encode,
-    instance_stats,
     load_arch,
     parse_wcnf,
     solve_builtin,
@@ -40,10 +39,8 @@ def tiny_maxsat():
 def routing_as_wcnf():
     circuit = Circuit(4, (Gate("cx", (0, 1)), Gate("cx", (0, 2)), Gate("cx", (0, 3))))
     device = load_arch("line:4")
-    opt = EncodeOptions(n=1)
-    inst = encode(circuit, device, opt)
-    st = instance_stats(inst)
-    print(f"\nrouting instance: {st.num_vars} vars, {st.hard_count} hard, {st.soft_count} soft")
+    inst = encode(circuit, device, EncodeOptions(n=1))
+    print(f"\nrouting instance: {inst.num_vars} vars, {len(inst.hard)} hard, {len(inst.soft)} soft")
 
     text = emit_wcnf(inst)
     reparsed = parse_wcnf(text)
@@ -51,7 +48,7 @@ def routing_as_wcnf():
     print("  emit -> parse -> solve reproduces the optimum")
 
     out = solve_builtin(inst)
-    solution = decode(out.model, inst, circuit, device, opt, status="optimal")
+    solution = decode(out.model, inst, status="optimal")
     print(f"  decoded: {solution.swap_count} swap(s) at slots "
           f"{[k + 1 for k, s in enumerate(solution.swaps) if s]}")
     print("\nto use an external solver instead:")

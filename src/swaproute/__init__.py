@@ -16,7 +16,7 @@ from .arch import NoiseModel, diameter, load_arch
 from .circuit import Circuit, Gate, emit_qasm, generate_qaoa_maxcut, parse_qasm
 from .cnf import InstanceBuilder
 from .driver import DriverConfig, solve_best, solve_cyclic, solve_global, solve_sliced
-from .encoder import EncodeOptions, decode, encode, instance_stats
+from .encoder import EncodeOptions, decode, encode
 from .errors import (
     ArchError,
     EncodingError,
@@ -59,7 +59,6 @@ __all__ = [
     "emit_wcnf",
     "encode",
     "generate_qaoa_maxcut",
-    "instance_stats",
     "load_arch",
     "parse_qasm",
     "parse_wcnf",

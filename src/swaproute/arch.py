@@ -31,6 +31,8 @@ class ConnectivityGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
+        if self.num_physical < 0:
+            raise ArchError(f"negative qubit count {self.num_physical}")
         object.__setattr__(self, "edges", frozenset(_canon(u, v) for u, v in self.edges))
         for u, v in self.edges:
             if u == v:
@@ -334,11 +336,18 @@ class NoiseModel:
         return cls({e: cx for e in g.edges}, swap_table)
 
 
+def _json_is(value, types) -> bool:
+    """Whether a parsed JSON value is of ``types``; a JSON boolean is no number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def load_noise(path: str, g: ConnectivityGraph) -> NoiseModel:
     """Load a JSON noise file and check it covers every edge of ``g``.
 
     The file is a JSON array of records ``{"edge": [u, v], "cx": f}``
-    with an optional ``"swap": f`` field per record.
+    with an optional ``"swap": f`` field per record.  Edge ends must be
+    JSON integers and fidelities JSON numbers; ``true`` and ``false``
+    are neither.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -352,18 +361,21 @@ def load_noise(path: str, g: ConnectivityGraph) -> NoiseModel:
     for rec in records:
         try:
             u, v = rec["edge"]
-            e = _canon(int(u), int(v))
-            fid = float(rec["cx"])
-            swap_fid = float(rec["swap"]) if "swap" in rec else None
+            fid = rec["cx"]
+            swap_fid = rec["swap"] if "swap" in rec else None
         except (KeyError, TypeError, ValueError) as exc:
             raise NoiseModelError(f"{path}: malformed record {rec!r}") from exc
+        fids = [fid, swap_fid] if "swap" in rec else [fid]
+        if not all(_json_is(x, int) for x in (u, v)) or not all(_json_is(f, (int, float)) for f in fids):
+            raise NoiseModelError(f"{path}: malformed record {rec!r}: edge ends must be integers, fidelities numbers")
+        e = _canon(u, v)
         if e not in g.edges:
             raise NoiseModelError(f"{path}: edge {e} is not in the connectivity graph")
         if e in cx:
             raise NoiseModelError(f"{path}: duplicate record for edge {e}")
-        cx[e] = fid
+        cx[e] = float(fid)
         if swap_fid is not None:
-            swap[e] = swap_fid
+            swap[e] = float(swap_fid)
     model = NoiseModel(cx, swap)
     missing = sorted(e for e in g.edges if e not in model.cx_fidelity)
     if missing:

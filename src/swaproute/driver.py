@@ -1,5 +1,6 @@
 """Solving strategies: whole-circuit, sliced with merging of refuted
-slices, cyclic stitching, and best-of-slice-sizes selection."""
+slices, cyclic stitching, and best-of-slice-sizes selection.  All run
+one slice loop, :func:`solve_sliced`, and one stitch, :func:`_concatenate`."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import NamedTuple
 
 from .arch import ConnectivityGraph, NoiseModel, diameter
 from .circuit import Circuit, slice_circuit
-from .encoder import EncodeOptions, InstanceStats, decode, encode, instance_stats
+from .encoder import EncodeOptions, decode, encode
 from .errors import EncodingError, SolveTimeoutError, UnroutableError
 from .maxsat import SolveOutcome, SolveStatus, solve_builtin, solve_external
 from .solution import QubitMap, RoutingSolution, SliceStats
@@ -49,15 +50,11 @@ class _Budget:
         self.start = time.monotonic()
         self.deadline = None if seconds is None else self.start + seconds
 
-    def remaining(self) -> float | None:
-        if self.deadline is None:
-            return None
-        return max(self.deadline - time.monotonic(), 0.001)
-
     def share(self, parts: int) -> float | None:
         """What is left, split evenly over ``parts`` runs still to come."""
-        left = self.remaining()
-        return None if left is None else left / parts
+        if self.deadline is None:
+            return None
+        return max(self.deadline - time.monotonic(), 0.001) / parts
 
     def spent(self) -> bool:
         return self.deadline is not None and time.monotonic() >= self.deadline
@@ -83,18 +80,12 @@ def _trivial_solution(circuit: Circuit, g: ConnectivityGraph, budget: _Budget) -
     return RoutingSolution(QubitMap.identity(circuit.num_logical), (), (), "optimal")
 
 
-def _unproved_status(swap_count: int, cfg: DriverConfig) -> str:
-    """Status of a routing that no single solve covers: zero swaps is the
-    unweighted minimum all the same."""
-    return "optimal" if cfg.weighted is None and swap_count == 0 else "best_effort"
-
-
 class _Step(NamedTuple):
     """One encode, solve and decode of a slice, with the time of each end."""
 
     solution: RoutingSolution | None  # None when the hard clauses are refuted
     outcome: SolveOutcome
-    size: InstanceStats
+    size: tuple[int, int, int]  # variables, hard clauses, soft clauses
     encode_ms: float
     decode_ms: float
 
@@ -110,9 +101,7 @@ def _slice_stats(index: int, steps: list[_Step]) -> SliceStats:
         sum(o.elapsed for o in outcomes) * 1000.0,
         sum(s.solution is None for s in steps),
         last.outcome.status.value,
-        last.size.num_vars,
-        last.size.hard_count,
-        last.size.soft_count,
+        *last.size,
         sum(o.decisions for o in outcomes),
         sum(o.conflicts for o in outcomes),
         sum(o.propagations for o in outcomes),
@@ -141,14 +130,14 @@ def _solve_step(
     instance = encode(piece, g, opt)
     encode_ms = (time.monotonic() - t0) * 1000.0
     outcome = _run_solver(instance, cfg, budget.share(slices_left))
-    size = instance_stats(instance)
+    size = (instance.num_vars, len(instance.hard), len(instance.soft))
     if outcome.status is SolveStatus.UNKNOWN:
         raise SolveTimeoutError(f"budget expired with no incumbent ({budget.where(index)})")
     if outcome.status is SolveStatus.HARD_UNSAT:
         return _Step(None, outcome, size, encode_ms, 0.0)
     status = "optimal" if outcome.status is SolveStatus.OPTIMAL else "best_effort"
     t0 = time.monotonic()
-    solution = decode(outcome.model, instance, piece, g, opt, status=status)
+    solution = decode(outcome.model, instance, status=status)
     return _Step(solution, outcome, size, encode_ms, (time.monotonic() - t0) * 1000.0)
 
 
@@ -163,7 +152,9 @@ def solve_global(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Dri
     return solve_sliced(circuit, g, cfg, len(circuit.slots) or 1)
 
 
-def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slice_size: int) -> RoutingSolution:
+def solve_sliced(
+    circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slice_size: int, *, cyclic: bool = False
+) -> RoutingSolution:
     """Solve the circuit slice by slice, pinning each slice's starting
     placement to the previous slice's final one.
 
@@ -178,22 +169,15 @@ def solve_sliced(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slic
     canonical placement clauses: they could change which of its
     equal-cost optima slice 0 hands on, and with it every later slice.
 
+    With ``cyclic`` (see :func:`solve_cyclic`) the last slice, the
+    closing one, is also pinned at its end to the map slice 0 starts
+    from, so the run returns to where it began.  A refuted closing slice
+    collapses the run to one slice, and a one-slice cyclic run is the
+    whole circuit encoded cyclically.
+
     The result is locally optimal per slice but only best-effort
     overall, unless it has zero swaps (unweighted) or is one slice, which
     is the instance of :func:`solve_global` and keeps that solve's status.
-    """
-    return _solve_slices(circuit, g, cfg, slice_size)
-
-
-def _solve_slices(
-    circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig, slice_size: int, cyclic: bool = False
-) -> RoutingSolution:
-    """The slice loop of :func:`solve_sliced` and :func:`solve_cyclic`.
-
-    With ``cyclic`` the last slice, the closing one, is also pinned at
-    its end to the map slice 0 starts from, so the run returns to where
-    it began.  A refuted closing slice collapses the run to one slice,
-    and a one-slice cyclic run is the whole circuit encoded cyclically.
     """
     budget = _Budget(cfg.budget)
     if not circuit.slots:
@@ -249,21 +233,15 @@ def _solve_slices(
 
 
 def _concatenate(solutions: list[RoutingSolution], stats, cfg: DriverConfig) -> RoutingSolution:
-    swaps = []
-    maps = []
-    objective = None
-    for sol in solutions:
-        swaps.extend(sol.swaps)
-        maps.extend(sol.map_sequence)
-        if sol.weighted_objective is not None:
-            objective = (objective or 0) + sol.weighted_objective
+    swaps = tuple(s for sol in solutions for s in sol.swaps)
+    objectives = [sol.weighted_objective for sol in solutions]
     return RoutingSolution(
         solutions[0].initial_map,
-        tuple(swaps),
-        tuple(maps),
-        _unproved_status(sum(map(len, swaps)), cfg),  # local optima are no global proof
+        swaps,
+        tuple(m for sol in solutions for m in sol.map_sequence),
+        "optimal" if cfg.weighted is None and not any(swaps) else "best_effort",  # no one solve proves the whole
         per_slice_stats=stats,
-        weighted_objective=objective,
+        weighted_objective=None if None in objectives else sum(objectives),
     )
 
 
@@ -290,18 +268,10 @@ def solve_cyclic(
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    base = _solve_slices(block, g, cfg, slice_size or len(block.slots) or 1, cyclic=True)
+    base = solve_sliced(block, g, cfg, slice_size or len(block.slots) or 1, cyclic=True)
     if base.final_map != base.initial_map:
         raise EncodingError("cyclic solve produced a block that does not return to its initial map; this is a bug")
-    objective = None if base.weighted_objective is None else base.weighted_objective * cycles
-    return RoutingSolution(
-        base.initial_map,
-        base.swaps * cycles,
-        base.map_sequence * cycles,
-        _unproved_status(base.swap_count, cfg),
-        per_slice_stats=base.per_slice_stats,
-        weighted_objective=objective,
-    )
+    return _concatenate([base] * cycles, base.per_slice_stats, cfg)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ axioms), and a chosen swap on (u, v) moves whatever is on u to v and
 back (move axioms).  Every transition is thus the permutation its swap
 picks, so the maps of later slots are injective without (A), and the
 encoding grows linearly in n.  Soft constraints reward no-op swaps, so
-a minimum-weight solution inserts the fewest swaps.
+a minimum-weight solution inserts the fewest swaps.  The instance
+carries its :class:`Layout`, from which ``decode(model, instance)``
+alone reads a model back.
 
 In weighted mode a routing costs the negative log fidelity of every
 swap and of the edge every gate lands on, so the cheapest routing is
@@ -77,7 +79,7 @@ WEIGHT_SCALE = 1000  # weighted mode: soft weights are -log fidelity times this,
 
 
 class Layout(NamedTuple):
-    """Where :func:`encode` put every variable, for :func:`decode`.
+    """Where :func:`encode` put every variable, and all else :func:`decode` reads.
 
     A placement layer maps each active qubit q to its row of places:
     ``layer[q][p]`` is the variable "q sits on p".  ``maps[k]`` is the
@@ -85,16 +87,19 @@ class Layout(NamedTuple):
     slot: the row of its pair variables, in ``pairs`` order, and the
     layer it produces, an intermediate one or, at the slot's last
     position, the slot's map.  Every variable is in ``maps[0]`` or in
-    exactly one hop.  ``offset`` is the weight every routing pays that
-    no soft clause carries: in weighted mode, K times the least cx
-    weight; 0 otherwise.
+    exactly one hop.  ``pinned_initial`` places the circuit's
+    ``num_logical`` qubits, those left out of ``active`` included, if
+    pinned.  ``offset`` is the weight every routing pays that no soft
+    clause carries: K times the least cx weight in weighted mode, else ``None``.
     """
 
+    num_logical: int
     active: list[int]
     pairs: list[Edge]
     maps: list[dict[int, list[int]]]
     hops: list[tuple[list[int], dict[int, list[int]]]]
-    offset: int
+    pinned_initial: QubitMap | None
+    offset: int | None
 
 
 @dataclass(frozen=True)
@@ -126,29 +131,11 @@ class EncodeOptions:
             raise ValueError("cyclic mode leaves the initial map free; do not pin it")
 
 
-@dataclass(frozen=True)
-class InstanceStats:
-    num_vars: int
-    hard_count: int
-    soft_count: int
-
-
-def instance_stats(instance: MaxSatInstance) -> InstanceStats:
-    return InstanceStats(instance.num_vars, len(instance.hard), len(instance.soft))
-
-
-def active_qubits(circuit: Circuit, *, everything: bool = False) -> list[int]:
-    """Logical qubits that take part in two-qubit gates (or all of them)."""
-    if everything:
-        return list(range(circuit.num_logical))
-    return sorted({q for g in circuit.slot_gates for q in g.operands})
-
-
 def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOptions()) -> MaxSatInstance:
     """Build the MaxSAT instance for routing ``circuit`` on ``g``.
 
-    The instance carries the :class:`Layout` of its variables, which is
-    all that :func:`decode` needs to read a model back.
+    The instance carries its :class:`Layout`, which is all that
+    :func:`decode` needs to read a model back.
     """
     slot_gates = circuit.slot_gates
     K = len(slot_gates)
@@ -160,7 +147,10 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # physical qubits at decode time.  A bound final map encodes
     # everything: a pinned or cyclic end must hold for every qubit, or an
     # idle one that a swap moves would not come back.
-    active = active_qubits(circuit, everything=opt.cyclic or opt.pinned_final is not None)
+    if opt.cyclic or opt.pinned_final is not None:
+        active = list(range(circuit.num_logical))
+    else:
+        active = sorted({q for g in slot_gates for q in g.operands})
     P = g.num_physical
     if circuit.num_logical > P:
         raise UnroutableError(f"{circuit.num_logical} logical qubits but only {P} physical qubits")
@@ -243,7 +233,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted),
     # each swap position's and each gate's least weight once (see the
     # module docstring).  Falsified weight plus the offset is a model's cost.
-    offset = 0
+    offset = None
     if opt.weighted is None:
         for picks, _ in hops:
             builder.add_soft([picks[0]], 1)
@@ -281,7 +271,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         hard += [(-first[active[0]][p],) for p in range(P) if largest[orbit[p]] != p]
     builder.extend_hard_raw(hard)
 
-    return builder.build(Layout(active, pairs, maps, hops, offset))
+    return builder.build(Layout(circuit.num_logical, active, pairs, maps, hops, opt.pinned_initial, offset))
 
 
 def _check_pin(pin: QubitMap, circuit: Circuit, g: ConnectivityGraph):
@@ -292,22 +282,14 @@ def _check_pin(pin: QubitMap, circuit: Circuit, g: ConnectivityGraph):
             raise EncodingError(f"pinned map sends q{q} to nonexistent physical qubit {pin[q]}")
 
 
-def decode(
-    model: Model,
-    instance: MaxSatInstance,
-    circuit: Circuit,
-    g: ConnectivityGraph,
-    opt: EncodeOptions = EncodeOptions(),
-    *,
-    status: str = "best_effort",
-) -> RoutingSolution:
+def decode(model: Model, instance: MaxSatInstance, *, status: str = "best_effort") -> RoutingSolution:
     """Extract the routing described by a model of the hard constraints.
 
-    Reads the model through the instance's :class:`Layout`, rebuilds
-    the full map sequence (inactive qubits included), replays every
-    slot's swaps, and cross-checks the result against the model, so a
-    defective model or encoding fails loudly rather than decoding into
-    a bogus routing.
+    Reads the model through the instance's :class:`Layout` alone,
+    rebuilds the full map sequence (inactive qubits included), replays
+    every slot's swaps, and cross-checks the result against the model,
+    so a defective model or encoding fails loudly rather than decoding
+    into a bogus routing.
     """
     if not instance.hard_satisfied(model):
         raise EncodingError("model does not satisfy the hard constraints")
@@ -315,12 +297,13 @@ def decode(
     if layout is None:
         raise EncodingError("instance carries no variable layout; cannot decode")
 
-    K = len(circuit.slot_gates)
-    active, pairs, layers, hops, offset = layout
-    P = g.num_physical
+    num_logical, active, pairs, layers, hops, pinned_initial, offset = layout
+    K = len(layers) - 1
+    n = len(hops) // K
+    P = len(layers[0][active[0]])
 
     def chosen_pair(k: int, i: int) -> Edge:
-        picks = hops[(k - 1) * opt.n + i - 1][0]
+        picks = hops[(k - 1) * n + i - 1][0]
         hits = [pair for pair, s in zip(pairs, picks) if model[s]]
         if len(hits) != 1:
             raise EncodingError(f"slot {k} swap {i}: expected exactly one chosen pair, got {hits}")
@@ -339,21 +322,21 @@ def decode(
 
     swaps: list[tuple[Edge, ...]] = []
     for k in range(1, K + 1):
-        swaps.append(tuple(pair for i in range(1, opt.n + 1) if (pair := chosen_pair(k, i)) != NOOP))
+        swaps.append(tuple(pair for i in range(1, n + 1) if (pair := chosen_pair(k, i)) != NOOP))
 
     decoded = [active_map(k) for k in range(K + 1)]
 
-    if opt.pinned_initial is not None:
+    if pinned_initial is not None:
         for q in active:
-            if opt.pinned_initial[q] != decoded[0][q]:
+            if pinned_initial[q] != decoded[0][q]:
                 raise EncodingError(f"decoded initial position of q{q} disagrees with the pin")
-        initial = opt.pinned_initial
+        initial = pinned_initial
     else:
-        placement = [-1] * circuit.num_logical
+        placement = [-1] * num_logical
         for q, p in decoded[0].items():
             placement[q] = p
         free = iter(sorted(set(range(P)) - set(decoded[0].values())))
-        for q in range(circuit.num_logical):
+        for q in range(num_logical):
             if placement[q] < 0:
                 placement[q] = next(free)
         initial = QubitMap(tuple(placement))
@@ -367,6 +350,6 @@ def decode(
                 raise EncodingError(f"replayed position of q{q} at slot {k} disagrees with the model")
         maps.append(live)
 
-    objective = instance.falsified_weight(model) + offset if opt.weighted is not None else None
+    objective = None if offset is None else instance.falsified_weight(model) + offset
     return RoutingSolution(initial, tuple(swaps), tuple(maps), status, weighted_objective=objective)
 

@@ -105,10 +105,6 @@ class RoutingSolution:
         return 3 * self.swap_count
 
     @property
-    def num_slots(self) -> int:
-        return len(self.map_sequence)
-
-    @property
     def final_map(self) -> QubitMap:
         return self.map_sequence[-1] if self.map_sequence else self.initial_map
 

@@ -14,7 +14,7 @@ from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
 from swaproute.cli import main as cli_main
 from swaproute.cnf import InstanceBuilder, Model
 from swaproute.driver import DriverConfig, solve_cyclic, solve_global, solve_sliced
-from swaproute.encoder import EncodeOptions, encode, instance_stats
+from swaproute.encoder import EncodeOptions, encode
 from swaproute.errors import SolveTimeoutError
 from swaproute.maxsat import SolveStatus, emit_wcnf, parse_wcnf, solve_builtin, solve_external
 from swaproute.oracle import brute_force_oracle
@@ -177,7 +177,7 @@ def test_criterion_7_encoding_size_scaling():
 
     def hard_count(num_slots: int) -> int:
         gates = tuple(Gate("cx", (i % 5, i % 5 + 1)) for i in range(num_slots))
-        return instance_stats(encode(Circuit(6, gates), g, EncodeOptions(n=1))).hard_count
+        return len(encode(Circuit(6, gates), g, EncodeOptions(n=1)).hard)
 
     xs = [10, 20, 40]
     ys = [hard_count(x) for x in xs]

@@ -331,3 +331,37 @@ def test_malformed_noise_record_is_a_usage_error(tmp_path, capsys, swap):
     assert run(["map", "--input", src, "--arch", "line:4", "--noise", str(noise)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {noise}: malformed record {records[0]!r}")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"edge": [0.9, 1.7], "cx": 0.99},  # fractional edge ends
+        {"edge": [0, True], "cx": 0.99},  # a boolean edge end
+        {"edge": [0, 1], "cx": True},  # a boolean fidelity
+        {"edge": [0, 1], "cx": "0.99"},  # a fidelity given as a string
+        {"edge": [0, 1], "cx": 0.99, "swap": False},  # a boolean swap fidelity
+    ],
+)
+def test_noise_record_of_the_wrong_json_type_is_a_usage_error(tmp_path, capsys, record):
+    src = tmp_path / "in.qasm"
+    src.write_text("qreg q[2];\ncx q[0],q[1];\n")
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps([record]))
+    assert run(["map", "--input", str(src), "--arch", "line:2", "--noise", str(noise)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {noise}: malformed record {record!r}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["arch", "map"])
+def test_negative_device_size_is_a_usage_error(tmp_path, capsys, command):
+    device = tmp_path / "device.txt"
+    device.write_text("n -3\n")
+    src = tmp_path / "in.qasm"
+    src.write_text("qreg q[2];\ncx q[0],q[1];\n")
+    args = ["arch", "--name", str(device)] if command == "arch" else ["map", "--input", str(src), "--arch", str(device)]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: negative qubit count -3")
+    assert "Traceback" not in err

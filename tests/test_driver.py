@@ -15,7 +15,7 @@ from swaproute.driver import (
     solve_global,
     solve_sliced,
 )
-from swaproute.encoder import EncodeOptions, encode, instance_stats
+from swaproute.encoder import EncodeOptions, encode
 from swaproute.errors import SolveTimeoutError, UnroutableError
 from swaproute.maxsat import SolveOutcome, SolveStatus
 from swaproute.oracle import brute_force_oracle
@@ -23,6 +23,7 @@ from swaproute.verifier import verify, verify_solution
 from swaproute.solution import apply_routing
 
 from conftest import ORACLE_ARCHES, random_circuit
+from test_encoder import routing_cost
 
 LINE2 = load_arch("line:2")
 LINE3 = load_arch("line:3")
@@ -105,7 +106,7 @@ def test_config_rejects_an_unknown_backend():
 def test_global_one_qubit_circuit():
     c = Circuit(2, (Gate("h", (0,)),))
     sol = solve_global(c, LINE2, DriverConfig())
-    assert sol.swap_count == 0 and sol.num_slots == 0
+    assert sol.swap_count == 0 and len(sol.swaps) == 0
     check_solution(c, sol, LINE2)
 
 
@@ -126,13 +127,13 @@ def test_multi_slice_runs_encode_slices_without_canonical_placement():
     for piece, stats in zip(slices, sol.per_slice_stats):
         pin = sol.map_sequence[done - 1] if done else None
         plain = EncodeOptions(n=1, pinned_initial=pin, canonical_placement=False)
-        assert stats.hard_clauses == instance_stats(encode(piece, LINE4, plain)).hard_count
+        assert stats.hard_clauses == len(encode(piece, LINE4, plain).hard)
         done += len(piece.slots)
     # slice 0 alone would have carried the clauses; one slice does carry them
-    canonical = instance_stats(encode(slices[0], LINE4, EncodeOptions(n=1))).hard_count
+    canonical = len(encode(slices[0], LINE4, EncodeOptions(n=1)).hard)
     assert sol.per_slice_stats[0].hard_clauses < canonical
     (whole,) = solve_sliced(THREE_GATE, LINE4, DriverConfig(n=1), 3).per_slice_stats
-    assert whole.hard_clauses == instance_stats(encode(THREE_GATE, LINE4, EncodeOptions(n=1))).hard_count
+    assert whole.hard_clauses == len(encode(THREE_GATE, LINE4, EncodeOptions(n=1)).hard)
 
 
 def test_slice_stats_time_each_end_of_the_solve():
@@ -156,6 +157,37 @@ def test_sliced_status_is_proved_only_where_it_holds():
     c = Circuit(3, (Gate("cx", (0, 1)), Gate("cx", (1, 2)), Gate("cx", (0, 1))))
     weighted = solve_sliced(c, LINE3, DriverConfig(n=1, weighted=NoiseModel.uniform(LINE3, cx=0.99)), 1)
     assert weighted.status == "best_effort"
+
+
+def test_weighted_objective_of_stitched_routings_is_their_cost():
+    # A multi-slice run's objective sums its slices'; a cyclic run's adds
+    # up its copies.  Either way it is what the stitched routing costs
+    # under the noise model.
+    rng = random.Random("weighted/stitched")
+    multi_slice = cyclic = 0
+    for _ in range(12):
+        g = load_arch(rng.choice(ORACLE_ARCHES))
+        model = NoiseModel(
+            {e: round(rng.uniform(0.9, 0.995), 4) for e in g.edges},
+            {e: round(rng.uniform(0.8, 0.98), 4) for e in g.edges if rng.random() < 0.3},
+        )
+        c = random_circuit(rng, rng.randint(2, g.num_physical), rng.randint(2, 5))
+        cfg = DriverConfig(n=diameter(g), weighted=model)
+        for size in (1, 2):
+            sol = solve_sliced(c, g, cfg, size)
+            assert verify_solution(c, sol, g).ok
+            assert sol.weighted_objective == routing_cost(c, sol, model)
+            multi_slice += len(sol.per_slice_stats) > 1
+        for cycles in (2, 3):
+            try:
+                sol = solve_cyclic(c, cycles, g, cfg, slice_size=rng.choice([None, 2]))
+            except UnroutableError:
+                continue
+            full = Circuit(c.num_logical, c.gates * cycles)
+            assert verify_solution(full, sol, g).ok
+            assert sol.weighted_objective == routing_cost(full, sol, model)
+            cyclic += 1
+    assert multi_slice >= 12 and cyclic >= 12
 
 
 def test_sliced_star_shows_local_optimum_gap():

@@ -2,7 +2,7 @@ import hashlib
 import random
 import time
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -11,7 +11,7 @@ from swaproute import maxsat
 from swaproute.arch import NoiseModel, cx_weight, diameter, load_arch, load_noise, swap_weight
 from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
 from swaproute.cnf import MaxSatInstance, Model
-from swaproute.encoder import WEIGHT_SCALE, EncodeOptions, decode, encode, instance_stats
+from swaproute.encoder import WEIGHT_SCALE, EncodeOptions, decode, encode
 from swaproute.errors import EncodingError, UnroutableError
 from swaproute.maxsat import SolveStatus, emit_wcnf, parse_wcnf, solve_builtin
 from swaproute.oracle import brute_force_oracle
@@ -44,8 +44,7 @@ def test_single_slot_line2_golden_counts():
     # (edge, qubit, direction) = 8; canonical placement 1, keeping q0
     # off place 0, which the reflection of line:2 sends to place 1.
     _, inst = single_gate_instance()
-    st = instance_stats(inst)
-    assert (st.num_vars, st.hard_count, st.soft_count) == (10, 29, 1)
+    assert (inst.num_vars, len(inst.hard), len(inst.soft)) == (10, 29, 1)
 
 
 def check_functional_maps_and_swaps(inst, expected_models):
@@ -102,10 +101,10 @@ def test_swap_effect_links_adjacent_maps():
 
 
 def test_decode_round_trip_single_gate():
-    c, inst = single_gate_instance()
+    _, inst = single_gate_instance()
     out = solve_builtin(inst)
     assert out.status is SolveStatus.OPTIMAL and out.falsified_weight == 0
-    sol = decode(out.model, inst, c, LINE2, EncodeOptions(n=1))
+    sol = decode(out.model, inst)
     assert sol.swap_count == 0
     assert sol.map_sequence[0] == sol.initial_map
 
@@ -130,7 +129,7 @@ def test_pinned_initial_forces_one_swap():
     assert out.falsified_weight == 1
     oracle_count, _ = brute_force_oracle(c, LINE3, 1, initial_map=pin)
     assert oracle_count == 1
-    sol = decode(out.model, inst, c, LINE3, opt)
+    sol = decode(out.model, inst)
     assert sol.initial_map == pin
 
 
@@ -145,7 +144,7 @@ def test_cyclic_boundary_forces_return():
     c = Circuit(2, (Gate("cx", (0, 1)), Gate("cx", (1, 0)),))
     opt = EncodeOptions(n=1, cyclic=True)
     inst = encode(c, LINE2, opt)
-    sol = decode(solve_builtin(inst).model, inst, c, LINE2, opt)
+    sol = decode(solve_builtin(inst).model, inst)
     assert sol.final_map == sol.initial_map
 
 
@@ -156,8 +155,23 @@ def test_pinned_final_binds_every_qubit():
     opt = EncodeOptions(n=1, pinned_initial=QubitMap((0, 1, 2)), pinned_final=QubitMap((0, 1, 3)))
     inst = encode(c, LINE4, opt)
     assert inst.layout.active == [0, 1, 2]
-    sol = decode(solve_builtin(inst).model, inst, c, LINE4, opt)
+    sol = decode(solve_builtin(inst).model, inst)
     assert sol.final_map == QubitMap((0, 1, 3)) and sol.swaps == (((2, 3),),)
+
+
+def test_decode_puts_idle_qubits_on_their_initial_pin():
+    # q2 and q3 take part in no two-qubit gate, so they are left out of
+    # the encoding; decode places them from the pin the instance carries,
+    # not on the lowest places left free.
+    c = Circuit(4, (Gate("h", (2,)), Gate("cx", (0, 1)), Gate("h", (3,))))
+    pins = [QubitMap(p) for p in permutations(range(4)) if abs(p[0] - p[1]) == 1]
+    for pin in pins:
+        inst = encode(c, LINE4, EncodeOptions(n=1, pinned_initial=pin))
+        assert inst.layout.active == [0, 1]
+        sol = decode(solve_builtin(inst).model, inst)
+        assert sol.initial_map == pin and sol.swap_count == 0
+        assert all(m[q] == pin[q] for m in sol.map_sequence for q in (2, 3))
+        assert verify_solution(c, sol, LINE4).ok
 
 
 def test_cyclic_rejects_pin():
@@ -187,7 +201,7 @@ def test_hard_count_grows_linearly_with_slots():
     def count(num_slots):
         gates = tuple(Gate("cx", (i % 5, i % 5 + 1)) for i in range(num_slots))
         inst = encode(Circuit(6, gates), g, EncodeOptions(n=1))
-        return instance_stats(inst).hard_count
+        return len(inst.hard)
 
     c10, c20 = count(10), count(20)
     assert 1.5 <= c20 / c10 <= 2.5
@@ -198,7 +212,7 @@ def test_hard_count_grows_linearly_with_swap_positions():
     # the same number of clauses every time
     g = load_arch("tokyo")
     c = Circuit(8, (Gate("cx", (0, 7)), Gate("cx", (3, 4)), Gate("cx", (1, 2)), Gate("cx", (5, 6))))
-    counts = [instance_stats(encode(c, g, EncodeOptions(n=n))).hard_count for n in range(1, diameter(g) + 1)]
+    counts = [len(encode(c, g, EncodeOptions(n=n)).hard) for n in range(1, diameter(g) + 1)]
     steps = {b - a for a, b in zip(counts, counts[1:])}
     assert len(counts) == 4 and len(steps) == 1 and steps.pop() > 0
 
@@ -221,7 +235,7 @@ def test_pinned_maps_below_diameter_match_oracle():
             assert out.status is SolveStatus.HARD_UNSAT
             continue
         assert out.status is SolveStatus.OPTIMAL and out.falsified_weight == expected
-        sol = decode(out.model, inst, c, g, opt)
+        sol = decode(out.model, inst)
         assert sol.swap_count == expected
         if pin is not None:
             assert sol.initial_map == pin
@@ -313,7 +327,7 @@ def test_weighted_encoding_matches_the_per_choice_encoding(noise):
             continue
         assert new.falsified_weight + inst.layout.offset == old.falsified_weight
         for out in (new, old):
-            sol = decode(out.model, inst, c, g, opt)
+            sol = decode(out.model, inst)
             assert verify_solution(c, sol, g).ok
             assert sol.weighted_objective == routing_cost(c, sol, model) == old.falsified_weight
         compared += 1
@@ -324,7 +338,7 @@ def test_weighted_mode_drops_zero_weight_clauses():
     c = Circuit(2, (Gate("cx", (0, 1)),))
     perfect = NoiseModel.uniform(LINE2, cx=1.0)
     inst = encode(c, LINE2, EncodeOptions(n=1, weighted=perfect))
-    assert instance_stats(inst).soft_count == 0
+    assert len(inst.soft) == 0
 
 
 def test_weighted_requires_covering_noise():
@@ -335,19 +349,19 @@ def test_weighted_requires_covering_noise():
 
 
 def test_decode_rejects_model_violating_hard_clauses():
-    c, inst = single_gate_instance()
+    _, inst = single_gate_instance()
     bogus = Model(tuple([False] * (inst.num_vars + 1)))
     with pytest.raises(EncodingError, match="hard"):
-        decode(bogus, inst, c, LINE2, EncodeOptions(n=1))
+        decode(bogus, inst)
 
 
 def test_decode_needs_the_encoder_layout():
-    c, inst = single_gate_instance()
+    _, inst = single_gate_instance()
     model = solve_builtin(inst).model
     parsed = parse_wcnf(emit_wcnf(inst))
     assert parsed.hard == inst.hard and parsed.layout is None
     with pytest.raises(EncodingError, match="layout"):
-        decode(model, parsed, c, LINE2, EncodeOptions(n=1))
+        decode(model, parsed)
 
 
 def layout_ids(layout):
@@ -386,7 +400,7 @@ def test_layout_rows_hold_every_variable_once(n, options):
 def hard_e_count(c, g, opt):
     """Unit clauses that canonical placement adds to ``opt``'s encoding."""
     plain = replace(opt, canonical_placement=False)
-    return instance_stats(encode(c, g, opt)).hard_count - instance_stats(encode(c, g, plain)).hard_count
+    return len(encode(c, g, opt).hard) - len(encode(c, g, plain).hard)
 
 
 def test_canonical_placement_keeps_the_largest_place_of_each_orbit():
@@ -443,7 +457,7 @@ def test_canonical_placement_keeps_the_optimum(cyclic):
             continue
         assert with_e.status is SolveStatus.OPTIMAL
         assert with_e.falsified_weight == without.falsified_weight
-        sol = decode(with_e.model, inst, c, g, opt)
+        sol = decode(with_e.model, inst)
         if cyclic:
             assert sol.swap_count >= oracle  # a cyclic optimum is a routing, so it has at least the fewest swaps
         else:
