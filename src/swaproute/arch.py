@@ -297,7 +297,10 @@ def _load_arch_file(path: str) -> ConnectivityGraph:
         if e in edges:
             raise ArchError(f"{path}: duplicate edge {u} {v}")
         edges.add(e)
-    return ConnectivityGraph(num, frozenset(edges))
+    try:
+        return ConnectivityGraph(num, frozenset(edges))
+    except ArchError as exc:
+        raise ArchError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

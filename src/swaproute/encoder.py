@@ -184,6 +184,11 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         hops += [(builder.new_vars(len(pairs)), layer()) for _ in range(opt.n)]
         maps.append(hops[-1][1])
     first, last = maps[0], maps[K]
+    # Every variable exists now.  Clauses take their negative literals
+    # from this one table, not from ``-v`` at each use: each ``-v`` below
+    # -5 is a new int object, and at device scale those objects would be
+    # about a third of an instance's memory.
+    neg = [-v for v in range(builder.num_vars + 1)]
 
     # Hard A: the initial map is a total injective function.  The
     # transitions (D) are permutations, so every later map inherits it.
@@ -201,7 +206,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     for k, gate in enumerate(slot_gates, start=1):
         for x, y in (gate.operands, gate.operands[::-1]):
             xrow, yrow = maps[k][x], maps[k][y]
-            hard += [(-xrow[p], *map(yrow.__getitem__, far)) for p, far in enumerate(neighbours)]
+            hard += [(neg[xrow[p]], *map(yrow.__getitem__, far)) for p, far in enumerate(neighbours)]
     builder.extend_hard_raw(hard)
 
     # Hard C: each swap position picks exactly one pair (possibly the no-op).
@@ -223,12 +228,13 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         fires = [tuple(map(picks.__getitem__, at)) for at in touching]
         for q in active:
             for b, a, f in zip(before[q], after[q], fires):
-                hard += ((-b, a, *f), (b, -a, *f))
+                hard += ((neg[b], a, *f), (b, neg[a], *f))
         for s, (u, v) in zip(picks[1:], edges):
+            ns = neg[s]
             for q in active:
                 bu, bv = before[q][u], before[q][v]
                 au, av = after[q][u], after[q][v]
-                hard += ((-s, -bu, av), (-s, bu, -av), (-s, -bv, au), (-s, bv, -au))
+                hard += ((ns, neg[bu], av), (ns, bu, neg[av]), (ns, neg[bv], au), (ns, bv, neg[au]))
 
     # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted),
     # each swap position's and each gate's least weight once (see the
@@ -244,12 +250,12 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         for picks, _ in hops:
             builder.add_soft([picks[0]], least_swap)
             for s, w in zip(picks[1:], swap_w):
-                builder.add_soft([-s], w - least_swap)
+                builder.add_soft([neg[s]], w - least_swap)
         for k, gate in enumerate(slot_gates, start=1):
             arow, brow = (maps[k][q] for q in gate.operands)
             for (u, v), w in zip(edges, cx_w):
-                builder.add_soft([-arow[u], -brow[v]], w - least_cx)
-                builder.add_soft([-arow[v], -brow[u]], w - least_cx)
+                builder.add_soft([neg[arow[u]], neg[brow[v]]], w - least_cx)
+                builder.add_soft([neg[arow[v]], neg[brow[u]]], w - least_cx)
         offset = K * least_cx
 
     if opt.pinned_initial is not None:
@@ -259,7 +265,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     if opt.cyclic:
         for q in active:
             for f, l in zip(first[q], last[q]):
-                hard += ((-f, l), (f, -l))
+                hard += ((neg[f], l), (f, neg[l]))
 
     # Hard E: canonical initial placement (see the module docstring).
     # Pins name places that an automorphism would move, and a noise
@@ -268,7 +274,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     if opt.canonical_placement and opt.weighted is None and not pinned:
         orbit = orbit_minima(g)
         largest = {o: p for p, o in enumerate(orbit)}
-        hard += [(-first[active[0]][p],) for p in range(P) if largest[orbit[p]] != p]
+        hard += [(neg[first[active[0]][p]],) for p in range(P) if largest[orbit[p]] != p]
     builder.extend_hard_raw(hard)
 
     return builder.build(Layout(circuit.num_logical, active, pairs, maps, hops, opt.pinned_initial, offset))

@@ -28,7 +28,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, groupby
+from itertools import chain, repeat
 from pathlib import Path
 
 from .cnf import MaxSatInstance, Model
@@ -441,18 +441,25 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
 
 def emit_wcnf(instance: MaxSatInstance) -> str:
     """Classic weighted DIMACS: hard clauses carry the top weight
-    (1 + total soft weight), soft clauses their own weight."""
+    (1 + total soft weight), soft clauses their own weight.
+
+    Every literal is looked up in one table of ``2 * num_vars + 1``
+    strings indexed by the signed literal, so the cost is linear in the
+    literal count, plus the table.  An encoder instance uses every
+    variable, so the table is never the larger part.
+    """
+    nv, hard = instance.num_vars, instance.hard
     top = 1 + instance.soft_weight_total
-    n_clauses = len(instance.hard) + len(instance.soft)
-    parts = [f"p wcnf {instance.num_vars} {n_clauses} {top}\n"]
-    # One % call per run of clauses of equal width: the line template is
-    # repeated once per clause and filled with the run's literals.
-    for width, run in groupby(instance.hard, len):
-        run = tuple(run)
-        parts.append((f"{top} " + "%d " * width + "0\n") * len(run) % tuple(chain.from_iterable(run)))
-    for width, run in groupby(instance.soft, lambda soft: len(soft[0])):
-        run = tuple(run)
-        parts.append(("%d " * (width + 1) + "0\n") * len(run) % tuple(chain.from_iterable((w, *c) for c, w in run)))
+    # text[lit] is the literal and a space; as in the solver, -v lands on
+    # Python's negative index.  Slot 0 ends a hard clause and opens the next.
+    text = [f"{v} " for v in range(nv + 1)] + [f"{v} " for v in range(-nv, 0)]
+    text[0] = f"0\n{top} "
+    parts = [f"p wcnf {nv} {len(hard) + len(instance.soft)} {top}\n"]
+    if hard:
+        # c1, 0, c2, 0, ..., cN: the closing 0 of the last line is added after.
+        lits = chain(chain.from_iterable(chain.from_iterable(zip(hard[:-1], repeat((0,))))), hard[-1])
+        parts += [f"{top} ", "".join(map(text.__getitem__, lits)), "0\n"]
+    parts += [f"{w} {''.join(map(text.__getitem__, c))}0\n" for c, w in instance.soft]
     return "".join(parts)
 
 

@@ -355,13 +355,21 @@ def test_noise_record_of_the_wrong_json_type_is_a_usage_error(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command", ["arch", "map"])
-def test_negative_device_size_is_a_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        pytest.param("n -3\n", "negative qubit count -3", id="negative"),
+        pytest.param("n 4\n0 1\n2 3\n", "connectivity graph is disconnected", id="disconnected"),
+        pytest.param("n 3\n0 5\n", "edge (0,5) out of range for 3 qubits", id="out-of-range"),
+    ],
+)
+def test_device_file_errors_name_the_file(tmp_path, capsys, command, contents, message):
     device = tmp_path / "device.txt"
-    device.write_text("n -3\n")
+    device.write_text(contents)
     src = tmp_path / "in.qasm"
     src.write_text("qreg q[2];\ncx q[0],q[1];\n")
     args = ["arch", "--name", str(device)] if command == "arch" else ["map", "--input", str(src), "--arch", str(device)]
     assert run(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: negative qubit count -3")
+    assert err.startswith(f"error: {device}: {message}")
     assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -215,6 +216,20 @@ def test_hard_count_grows_linearly_with_swap_positions():
     counts = [len(encode(c, g, EncodeOptions(n=n)).hard) for n in range(1, diameter(g) + 1)]
     steps = {b - a for a, b in zip(counts, counts[1:])}
     assert len(counts) == 4 and len(steps) == 1 and steps.pop() > 0
+
+
+def test_encoded_instance_shares_its_negative_literals():
+    # Every clause takes its negative literals from one table, so a hard
+    # clause costs its tuple and not a fresh int per negated id.
+    c, g = generate_qaoa_maxcut(8, 1, 7), load_arch("tokyo")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = encode(c, g, EncodeOptions(n=1))
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert live / len(inst.hard) < 95
 
 
 def test_pinned_maps_below_diameter_match_oracle():

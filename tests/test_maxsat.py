@@ -464,15 +464,26 @@ def clause_runs(rng: random.Random, num_vars: int, max_width: int) -> list[tuple
 
 def test_emit_wcnf_matches_one_line_per_clause():
     rng = random.Random("emit-wcnf")
+    cases = []
     for i in range(200):
         num_vars = rng.randint(6, 40)
         hard = () if i % 10 == 1 else tuple(clause_runs(rng, num_vars, 6))
         soft = () if i % 10 == 0 else tuple((c, rng.randint(1, 50)) for c in clause_runs(rng, num_vars, 4))
-        inst = MaxSatInstance(num_vars, hard, soft)
+        cases.append(MaxSatInstance(num_vars, hard, soft))
+    # Boundaries: literals +num_vars and -num_vars, a declared num_vars
+    # above every literal used, and a unit clause first and last.
+    cases += [
+        MaxSatInstance(9, ((9, -3), (-9,)), (((-9,), 4), ((9, 1), 2))),
+        MaxSatInstance(40, ((1, -2), (3,)), (((-3,), 1),)),
+        MaxSatInstance(5, ((-5,), (1, 2, -3), (4,)), ()),
+        MaxSatInstance(3, ((-3,),), ()),
+        MaxSatInstance(12, (), (((12,), 7),)),
+    ]
+    for inst in cases:
         text = emit_wcnf(inst)
         assert text == reference_emit_wcnf(inst)
         again = parse_wcnf(text)
-        assert (again.num_vars, again.hard, again.soft) == (num_vars, hard, soft)
+        assert (again.num_vars, again.hard, again.soft) == (inst.num_vars, inst.hard, inst.soft)
 
 
 
