@@ -9,7 +9,7 @@ that say which placement or swap choice each variable stands for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
@@ -45,12 +45,17 @@ class Model:
 
 @dataclass(frozen=True)
 class MaxSatInstance:
-    """Hard clauses plus weighted soft clauses over variables 1..num_vars."""
+    """Hard clauses plus weighted soft clauses over variables 1..num_vars.
+
+    ``max_var`` is the largest variable that some clause uses (0 when
+    none does); a parsed header may declare more than that.
+    """
 
     num_vars: int
     hard: tuple[Clause, ...]
     soft: tuple[tuple[Clause, int], ...]
     layout: "object | None" = None  # encoder.Layout when built by the encoder; None when parsed
+    max_var: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hard", tuple(self.hard))
@@ -61,7 +66,9 @@ class MaxSatInstance:
         nv = self.num_vars
         lits = set(chain.from_iterable(self.hard))
         lits.update(chain.from_iterable(c for c, _ in self.soft))
-        in_range = not lits or (0 not in lits and max(lits) <= nv and min(lits) >= -nv)
+        max_var = max(max(lits), -min(lits)) if lits else 0
+        object.__setattr__(self, "max_var", max_var)
+        in_range = 0 not in lits and max_var <= nv
         non_empty = all(self.hard) and all(c for c, _ in self.soft)
         if not (in_range and non_empty and all(w >= 1 for _, w in self.soft)):
             for clause in self.hard:

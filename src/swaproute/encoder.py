@@ -12,18 +12,30 @@ Hard constraints: the slot 0 map is a total injection (A); every
 slot's gate operands sit on an edge (B), stated with no new variables
 as one clause per operand q and place p: if q is on p, the other
 operand is on a neighbour of p; each swap position picks exactly one
-pair (C); each swap position carries one placement layer into the next
-(D).  Layer 0 of slot k is the slot k-1 map, layer n is the slot k
-map, and the layers between are intermediate variables
-mid(q, p, k, i).  A transition is a biconditional: q is on p after the
-swap iff it was on p before, unless a chosen swap touches p (frame
-axioms), and a chosen swap on (u, v) moves whatever is on u to v and
-back (move axioms).  Every transition is thus the permutation its swap
-picks, so the maps of later slots are injective without (A), and the
-encoding grows linearly in n.  Soft constraints reward no-op swaps, so
-a minimum-weight solution inserts the fewest swaps.  The instance
-carries its :class:`Layout`, from which ``decode(model, instance)``
-alone reads a model back.
+pair (C), and a slot's no-op positions come after its swaps (C'); each
+swap position carries one placement layer into the next (D).  Layer 0
+of slot k is the slot k-1 map, layer n is the slot k map, and the
+layers between are intermediate variables mid(q, p, k, i).  A
+transition is a biconditional: q is on p after the swap iff it was on
+p before, unless a chosen swap touches p (frame axioms), and a chosen
+swap on (u, v) moves whatever is on u to v and back (move
+axioms).  Every transition is thus the permutation its swap picks, so
+the maps of later slots are injective without (A), and the encoding
+grows linearly in n.  Soft constraints reward no-op swaps, so a
+minimum-weight solution inserts the fewest swaps.  The instance carries
+its :class:`Layout`, from which ``decode(model, instance)`` alone
+reads a model back.
+
+(C') is one binary clause per pair of neighbouring positions in a slot,
+"if position i is a no-op, so is position i+1", so none at n = 1.  It
+breaks a symmetry: a slot with k < n swaps could otherwise place them
+in C(n, k) arrangements of equal cost, and an exact search would refute
+the same partial routing once for each.  It is sound, because moving a
+slot's no-ops past its swaps keeps the swaps' order, so every slot map
+is unchanged, and with it every gate placement, pin, cyclic tie and
+Hard E clause below; it keeps the chosen pairs, so every cost is
+unchanged too, weighted or not.  Only the intermediate layers inside
+the slot move, and nothing but (D) reads those.
 
 In weighted mode a routing costs the negative log fidelity of every
 swap and of the edge every gate lands on, so the cheapest routing is
@@ -212,6 +224,9 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # Hard C: each swap position picks exactly one pair (possibly the no-op).
     for picks, _ in hops:
         builder.exactly_one(picks)
+    # Hard C': a slot's no-op positions come after its swaps (see the
+    # module docstring).
+    builder.extend_hard_raw((neg[hops[j][0][0]], hops[j + 1][0][0]) for j in range(len(hops)) if (j + 1) % opt.n)
 
     # Hard D: each swap position carries its layer before into its layer
     # after.  Frame axioms: q is on p after iff it was on p before,

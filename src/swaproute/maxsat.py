@@ -443,16 +443,16 @@ def emit_wcnf(instance: MaxSatInstance) -> str:
     """Classic weighted DIMACS: hard clauses carry the top weight
     (1 + total soft weight), soft clauses their own weight.
 
-    Every literal is looked up in one table of ``2 * num_vars + 1``
+    Every literal is looked up in one table of ``2 * max_var + 1``
     strings indexed by the signed literal, so the cost is linear in the
-    literal count, plus the table.  An encoder instance uses every
-    variable, so the table is never the larger part.
+    literal count: the table covers only the variables the clauses use,
+    whatever the header declares.
     """
-    nv, hard = instance.num_vars, instance.hard
+    nv, mv, hard = instance.num_vars, instance.max_var, instance.hard
     top = 1 + instance.soft_weight_total
     # text[lit] is the literal and a space; as in the solver, -v lands on
     # Python's negative index.  Slot 0 ends a hard clause and opens the next.
-    text = [f"{v} " for v in range(nv + 1)] + [f"{v} " for v in range(-nv, 0)]
+    text = [f"{v} " for v in range(mv + 1)] + [f"{v} " for v in range(-mv, 0)]
     text[0] = f"0\n{top} "
     parts = [f"p wcnf {nv} {len(hard) + len(instance.soft)} {top}\n"]
     if hard:

@@ -209,8 +209,8 @@ def test_hard_count_grows_linearly_with_slots():
 
 
 def test_hard_count_grows_linearly_with_swap_positions():
-    # each extra swap position adds one transition and one swap choice,
-    # the same number of clauses every time
+    # each extra swap position adds one transition, one swap choice and
+    # one no-op order clause per slot, the same number of clauses every time
     g = load_arch("tokyo")
     c = Circuit(8, (Gate("cx", (0, 7)), Gate("cx", (3, 4)), Gate("cx", (1, 2)), Gate("cx", (5, 6))))
     counts = [len(encode(c, g, EncodeOptions(n=n)).hard) for n in range(1, diameter(g) + 1)]
@@ -412,6 +412,85 @@ def test_layout_rows_hold_every_variable_once(n, options):
     assert inst.num_vars == (K + 1) * A * P + K * n * (E + 1) + K * (n - 1) * A * P == 40 * n + 16
 
 
+def idle_last_rule(layout):
+    """The clauses that put a slot's no-op positions after its swaps,
+    from the layout's ids: (-noop(k, i), noop(k, i + 1)) for i < n - 1."""
+    hops = layout.hops
+    n = len(hops) // (len(layout.maps) - 1)
+    return [(-hops[j][0][0], hops[j + 1][0][0]) for j in range(len(hops)) if (j + 1) % n]
+
+
+def idle_first_slots(model, layout):
+    """Slots (1-based) where ``model`` puts a no-op position before a swap."""
+    K = len(layout.maps) - 1
+    n = len(layout.hops) // K
+    noop = [model[picks[0]] for picks, _ in layout.hops]
+    return [k for k in range(1, K + 1) if noop[(k - 1) * n : k * n] != sorted(noop[(k - 1) * n : k * n])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_idle_positions_last_adds_one_clause_per_neighbouring_pair(n):
+    c = Circuit(4, (Gate("cx", (0, 1)), Gate("cx", (2, 3))))
+    inst = encode(c, LINE4, EncodeOptions(n=n))
+    noops = {picks[0] for picks, _ in inst.layout.hops}
+    # The only hard clauses over no-op variables alone are the rule's.
+    assert [clause for clause in inst.hard if noops.issuperset(map(abs, clause))] == idle_last_rule(inst.layout)
+    # K (n - 1) binary clauses on top of the 244 + 174 (n - 1) of the
+    # other constraints, and no variable beyond the 40 n + 16 of the layout.
+    K = 2
+    assert len(inst.hard) == 244 + 174 * (n - 1) + K * (n - 1)
+    assert inst.num_vars == 40 * n + 16
+
+
+def test_idle_positions_last_keeps_the_weighted_optimum():
+    # Moving a slot's no-ops past its swaps keeps every slot map and the
+    # multiset of chosen pairs, so the weighted optimum is the same with
+    # and without the rule, under pins and cyclic ties too.
+    rng = random.Random("idle-last/weighted")
+    compared = 0
+    for _ in range(40):
+        g = load_arch(rng.choice(["line:4", "cycle:4"]))
+        nq = rng.randint(2, 4)
+        c = Circuit(nq, tuple(Gate("cx", tuple(rng.sample(range(nq), 2))) for _ in range(rng.randint(2, 5))))
+        model = NoiseModel(
+            {e: round(rng.uniform(0.9, 0.995), 4) for e in g.edges},
+            {e: round(rng.uniform(0.8, 0.98), 4) for e in g.edges if rng.random() < 0.3},
+        )
+        pin = QubitMap(tuple(rng.sample(range(g.num_physical), nq)))
+        mode = rng.choice([{}, {}, {"cyclic": True}, {"pinned_initial": pin}, {"pinned_final": pin}])
+        inst = encode(c, g, EncodeOptions(n=2, weighted=model, **mode))
+        rule = set(idle_last_rule(inst.layout))
+        without = MaxSatInstance(inst.num_vars, tuple(h for h in inst.hard if h not in rule), inst.soft, inst.layout)
+        assert len(inst.hard) - len(without.hard) == len(rule) == len(c.slot_gates)
+        kept, dropped = solve_builtin(inst), solve_builtin(without)
+        assert kept.status is dropped.status
+        if kept.status is not SolveStatus.OPTIMAL:
+            assert kept.status is SolveStatus.HARD_UNSAT
+            continue
+        assert kept.falsified_weight == dropped.falsified_weight
+        assert not idle_first_slots(kept.model, inst.layout)
+        compared += 1
+    assert compared >= 30
+
+
+def test_decoded_routings_put_idle_positions_last():
+    rng = random.Random("idle-last/decoded")
+    checked = 0
+    for _ in range(60):
+        c, g, n = random_draw(rng)
+        if n < 2:
+            continue
+        inst = encode(c, g, EncodeOptions(n=n, cyclic=rng.random() < 0.5))
+        out = solve_builtin(inst)
+        if out.status is not SolveStatus.OPTIMAL:
+            continue
+        sol = decode(out.model, inst)
+        assert not idle_first_slots(out.model, inst.layout)
+        assert sol.swap_count == sum(not out.model[picks[0]] for picks, _ in inst.layout.hops)
+        checked += 1
+    assert checked >= 20
+
+
 def hard_e_count(c, g, opt):
     """Unit clauses that canonical placement adds to ``opt``'s encoding."""
     plain = replace(opt, canonical_placement=False)
@@ -554,12 +633,12 @@ def golden_cases(tmp_path):
 # clause and variable order, so any change to that order shows up here.
 GOLDEN_WCNF_SHA256 = {
     "qaoa8-tokyo-n1": "aee28251712a730ab5660af9378275c5aaa45b07fd53194c4ea5e5de48249d70",
-    "qaoa8-tokyo-n2": "85bb8cbafbeee319849bf87a196c982611c0c6e56d6465d99c78901677c09a01",
+    "qaoa8-tokyo-n2": "a1c931346f80bb84f1fa944f1f81fc52f70f6c545065d084f8359ea423e7cee8",
     "rand16x10-tokyo": "da595bc0a75ae06f2c662383fe0a67228dd27a9abbd801c8d3c2b27710592c2d",
-    "weighted-line4": "94bb0eb90383a731851c23e9e847e312aacf037ac9750e9fa7c633686061ccdb",
-    "qaoa4-cycle4-cyclic": "c6d80917916337bad101e88c851b71b64fb75e7d583ed474f736235bf363edfd",
-    "pinned-slice-grid3x3": "566857dc60ba708570045f8ca924380660ad9c81b8e44907be7c890c153d6e39",
-    "patched-slice-grid3x3": "fb1e95f2a644ae07c0bdd09130916095e37f7322b1864adc6fbbed40a01c3483",
+    "weighted-line4": "5b14104ed55b1ac68abe50587ada1da11e1345937804f61b832ad1aeb808577e",
+    "qaoa4-cycle4-cyclic": "a33670d32864ff9fc4f858423f8c4ab34a0867e82adcd1eefd916e67ea650527",
+    "pinned-slice-grid3x3": "0d323aa90a8594814bba87ddf2b041068d620ae85194948450ca4e17b6c36807",
+    "patched-slice-grid3x3": "e1c48755c99a89baafc8fabb2597292dfe649a88e6897404391c8a9a13e873b8",
 }
 
 

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -485,6 +486,24 @@ def test_emit_wcnf_matches_one_line_per_clause():
         again = parse_wcnf(text)
         assert (again.num_vars, again.hard, again.soft) == (inst.num_vars, inst.hard, inst.soft)
 
+
+def test_emit_wcnf_sizes_its_table_by_the_variables_in_use():
+    # A header may declare far more variables than the clauses use; the
+    # writer keeps the declared count in its header but builds its text
+    # table only over the variables in use.
+    text = "p wcnf 500000 1 2\n2 1 -2 0\n"
+    inst = parse_wcnf(text)
+    assert (inst.num_vars, inst.max_var, inst.hard) == (500000, 2, ((1, -2),))
+    tracemalloc.start()
+    try:
+        out = emit_wcnf(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == reference_emit_wcnf(inst) == "p wcnf 500000 1 1\n1 1 -2 0\n"
+    again = parse_wcnf(out)
+    assert (again.num_vars, again.hard, again.soft) == (inst.num_vars, inst.hard, inst.soft)
+    assert peak < 64 * 1024
 
 
 def test_wcnf_round_trip_preserves_optimum():
