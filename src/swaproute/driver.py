@@ -283,6 +283,7 @@ class SizeRun:
     gates_added: int | None
     elapsed_ms: float
     error: str | None = None
+    weighted_objective: int | None = None  # the routing's cost under the noise model, when one is set
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,9 @@ class BestOfOutcome:
 
 def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = DriverConfig()) -> BestOfOutcome:
     """Run the sliced strategy at every configured slice size and keep
-    the cheapest verified outcome; ties go to the smaller size.
+    the cheapest verified outcome.  Under a noise model the cheapest is
+    the least weighted objective, then the fewest gates added; without
+    one, the fewest gates added.  Ties go to the smaller size.
 
     Every size of at least the circuit's slot count yields the same
     single slice, so only the smallest of those runs.  Each size gets
@@ -314,7 +317,7 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
     sizes = [s for s in sizes if s < len(circuit.slots)] + whole[:1]
     budget = _Budget(cfg.budget)
     runs: list[SizeRun] = []
-    best: tuple[int, int] | None = None  # (gates_added, size)
+    best: tuple[int, int, int] | None = None  # (weighted objective or 0, gates_added, size)
     best_solution: RoutingSolution | None = None
     for k, size in enumerate(sizes):
         t0 = time.monotonic()
@@ -323,16 +326,18 @@ def solve_best(circuit: Circuit, g: ConnectivityGraph, cfg: DriverConfig = Drive
         except SolveTimeoutError as exc:
             runs.append(SizeRun(size, "timeout", None, (time.monotonic() - t0) * 1000.0, str(exc)))
             continue
-        runs.append(SizeRun(size, "ok", sol.gates_added, (time.monotonic() - t0) * 1000.0))
-        if best is None or (sol.gates_added, size) < best:
-            best = (sol.gates_added, size)
+        runs.append(SizeRun(size, "ok", sol.gates_added, (time.monotonic() - t0) * 1000.0,
+                            weighted_objective=sol.weighted_objective))
+        rank = (sol.weighted_objective or 0, sol.gates_added, size)  # the objective is None when unweighted
+        if best is None or rank < best:
+            best = rank
             best_solution = sol
         if sol.status == "optimal":
             break
     if best_solution is None:
         reasons = "; ".join(f"size {r.slice_size}: {r.error}" for r in runs)
         raise SolveTimeoutError(f"no slice size routed within the budget ({reasons})")
-    return BestOfOutcome(best_solution, best[1], tuple(runs))
+    return BestOfOutcome(best_solution, best[2], tuple(runs))
 
 
 def as_cyclic_blocks(circuit: Circuit, block_slots: int) -> tuple[Circuit, int]:

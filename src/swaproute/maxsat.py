@@ -123,24 +123,36 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     scores.  A violated clause -- a hard or learned clause, or the bound
     clause made of the earliest-falsified soft clauses whose weight
     reaches the incumbent's -- is analysed to its first unique
-    implication point; the learned clause is kept, and the search jumps
-    back to the level where it becomes unit.  Learned
-    clauses stay valid within a phase because the incumbent only falls.
+    implication point at the clause's highest level; the learned clause
+    is kept, and the search jumps back to the level where it becomes
+    unit.  Learned clauses stay valid within a phase because the
+    incumbent only falls.
     A conflict at level 0 proves the incumbent optimal, or, with no
     incumbent, refutes the phase (hard unsatisfiability when ``upper``
     exceeds the total soft weight).  A phase that runs out of time
     returns its incumbent as a satisfiable bound, or passes on; the last
     returns unknown.  Times are seconds since ``t0``.
+
+    The search runs on literals in index form (MiniSat's encoding; Eén
+    & Sörensson, SAT 2003): variable v is 2v and its negation 2v + 1, so
+    negation is ``x ^ 1`` and every per-literal array is indexed by a
+    non-negative int, the only kind CPython specialises list subscripts
+    for.  The set-up translates each clause once; the instance, and the
+    model returned, stay DIMACS.  The whole state lives in this
+    function's own locals, and no closure or generator captures any of
+    it, so the loop reads fast locals, not cell variables.
     """
     deadline = phases[-1][1]
     if deadline is not None and time.monotonic() >= deadline:
         return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
     nv = instance.num_vars
-    size = 2 * nv + 1
+    size = 2 * nv + 2
+    # code[lit] is a DIMACS literal's index form; -v lands on Python's
+    # negative index.  The set-up is the only reader of signed literals.
+    code = [*range(0, size, 2), *range(size - 1, 2, -2)]
 
-    # Per-literal arrays are indexed by the signed literal itself: a
-    # positive literal v lands on v, and Python's negative indexing puts
-    # -v on size - v, so the two polarities never collide.
+    # Per-literal arrays: one slot per index-form literal (slots 0 and 1,
+    # variable 0's, stay unused).
     lvl = [0] * size  # decision level, stored under the true literal
     rsn: list = [None] * size  # reason clause, stored under the true literal
     seen = [False] * size  # conflict analysis marks, under the true literal
@@ -148,110 +160,87 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     implied: list[list[int]] = [[] for _ in range(size)]  # binary clauses: literals the key forces
 
     root_units: list[int] = []
-    for i, c in enumerate(instance.hard):
-        if deadline is not None and not i & 4095 and time.monotonic() >= deadline:
+    hard = instance.hard
+    for start in range(0, len(hard), 4096):
+        if deadline is not None and time.monotonic() >= deadline:
             return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
-        if len(c) == 1:
-            root_units.append(c[0])
-        elif len(c) == 2:
-            a, b = c
-            implied[-a].append(b)
-            implied[-b].append(a)
-        else:
-            cl = list(c)
-            watches[-cl[0]].append(cl)
-            watches[-cl[1]].append(cl)
+        for c in hard[start : start + 4096]:
+            if len(c) == 3:  # the commonest width, built at its exact size
+                a, b, d = c
+                a = code[a]
+                b = code[b]
+                cl = [a, b, code[d]]
+                watches[a ^ 1].append(cl)
+                watches[b ^ 1].append(cl)
+            elif len(c) == 2:
+                a, b = c
+                a = code[a]
+                b = code[b]
+                implied[a ^ 1].append(b)
+                implied[b ^ 1].append(a)
+            elif len(c) == 1:
+                root_units.append(code[c[0]])
+            else:
+                cl = list(map(code.__getitem__, c))
+                watches[cl[0] ^ 1].append(cl)
+                watches[cl[1] ^ 1].append(cl)
+    implied = [x or () for x in implied]  # most literals force nothing; they share one ()
 
     # Soft clauses: count non-false literals; at zero the clause is
     # falsified, its weight joins the lower bound and its index is pushed
     # on ``falsified``.  Counting happens as propagation takes a literal
     # off the trail, so the stack is in trail order and undo pops it.
-    sweight = []
+    soft: list[tuple[int, ...]] = []
+    sweight: list[int] = []
     socc: list = [()] * size  # soft clauses containing the key literal
-    polarity = [-v for v in range(nv + 1)]  # the literal each variable is decided to
+    preferred = [0] * (nv + 1)  # a soft clause's variable: the literal it is decided to
     for si, (c, w) in enumerate(instance.soft):
+        c = tuple(map(code.__getitem__, c))
+        soft.append(c)
         sweight.append(w)
         for lit in c:
             if not socc[lit]:
                 socc[lit] = []
             socc[lit].append(si)
-            if lit > 0:
-                polarity[lit] = lit
+            if not lit & 1 or not preferred[lit >> 1]:
+                preferred[lit >> 1] = lit
+    saved = list(map(code.__getitem__, range(0, -nv - 1, -1)))  # per variable: the literal it last had, false at first
+    del code
     lower = 0  # every model falsifies at least this much
     learned: list = []  # clauses learned in the current phase
     incumbents: list[tuple[float, int]] = []
     decisions = conflicts = props = 0
 
-    def finish(exhausted: bool) -> SolveOutcome:
-        elapsed = time.monotonic() - t0
-        counters = (decisions, conflicts, props, tuple(incumbents))
-        if best_vals is not None:
-            model = Model((False, *(x == 1 for x in best_vals)))
-            if exhausted:
-                return SolveOutcome(SolveStatus.OPTIMAL, model, best, elapsed, *counters, lower_bound=best)
-            return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, best, elapsed, *counters, lower_bound=lower)
-        status = SolveStatus.HARD_UNSAT if exhausted else SolveStatus.UNKNOWN
-        return SolveOutcome(status, None, None, elapsed, *counters, lower_bound=lower)
-
-    def assign(lit: int, reason):
-        lv[lit] = 1
-        lv[-lit] = -1
-        lvl[lit] = dl
-        rsn[lit] = reason
-        trail.append(lit)
-
-    def backjump(level: int):
-        nonlocal dl, qhead, lb, nxt
-        lim = trail_lim[level]
-        nxt = abs(trail[lim])  # the first decision undone
-        for q in trail[lim:qhead]:
-            for si in socc[-q]:
-                if not sfree[si]:
-                    lb -= sweight[si]
-                    falsified.pop()
-                sfree[si] += 1
-        for q in trail[lim:]:
-            lv[q] = lv[-q] = 0
-            if not socc[q] and not socc[-q]:  # a soft clause's variable keeps its preference
-                polarity[q if q > 0 else -q] = q
-        del trail[lim:]
-        del trail_lim[level:]
-        dl = level
-        qhead = lim
-
     for phase, (upper, until) in enumerate(phases):
-        # Drop what the previous phase learned, and unassign everything.
-        dead = set()
-        for c in learned:
-            if len(c) == 2:
-                implied[-c[0]].remove(c[1])
-                implied[-c[1]].remove(c[0])
-            else:
-                dead.add(id(c))
-        for key in {-q for c in learned if len(c) > 2 for q in c[:2]}:
-            watches[key] = [c for c in watches[key] if id(c) not in dead]
+        _forget(learned, watches, implied)  # unassign everything, drop what the previous phase learned
         learned = []
         lv = [0] * size  # 1 true, -1 false, 0 unassigned
         trail: list[int] = []
         trail_lim: list[int] = []  # trail length at each decision
         qhead = 0
         dl = 0  # current decision level
-        nxt = 1  # every variable below it is assigned
-        sfree = [len(c) for c, _ in instance.soft]
+        nxt = 2  # every variable below this positive literal's is assigned
+        sfree = list(map(len, soft))
         falsified: list[int] = []
         lb = 0
         best = upper
         best_vals: list[int] | None = None
         stage = "probe" if upper <= instance.soft_weight_total else "branch and bound"
 
-        for lit in root_units:
-            if lv[lit] == -1:
-                return finish(exhausted=True)  # contradictory unit clauses
-            if lv[lit] == 0:
-                assign(lit, None)
-
         append = trail.append
         exhausted = False
+        for lit in root_units:
+            if lv[lit] == -1:
+                exhausted = True  # contradictory unit clauses
+                break
+            if lv[lit] == 0:
+                lv[lit] = 1
+                lv[lit ^ 1] = -1
+                lvl[lit] = 0
+                rsn[lit] = None
+                append(lit)
+        if exhausted:
+            break
         try:
             if until is not None and time.monotonic() >= until:
                 raise _BudgetExpired
@@ -264,7 +253,7 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                     props += 1
                     if until is not None and not props & 2047 and time.monotonic() > until:
                         raise _BudgetExpired
-                    np = -p
+                    np = p ^ 1
                     for si in socc[np]:
                         sfree[si] -= 1
                         if not sfree[si]:
@@ -278,7 +267,7 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                             confl = (q, np)
                             break
                         lv[q] = 1
-                        lv[-q] = -1
+                        lv[q ^ 1] = -1
                         lvl[q] = dl
                         rsn[q] = (q, np)
                         append(q)
@@ -303,12 +292,18 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                             ws[j] = c
                             j += 1
                             continue
-                        for k in range(2, len(c)):
+                        q = c[2]  # every watched clause has a third literal
+                        if lv[q] != -1:
+                            c[1] = q
+                            c[2] = np
+                            watches[q ^ 1].append(c)
+                            continue
+                        for k in range(3, len(c)):
                             q = c[k]
                             if lv[q] != -1:
                                 c[1] = q
                                 c[k] = np
-                                watches[-q].append(c)
+                                watches[q ^ 1].append(c)
                                 break
                         else:
                             ws[j] = c
@@ -317,7 +312,7 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                                 confl = c
                                 break
                             lv[f] = 1
-                            lv[-f] = -1
+                            lv[f ^ 1] = -1
                             lvl[f] = dl
                             rsn[f] = c
                             append(f)
@@ -328,17 +323,22 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                 if confl is None:
                     if lb < best:
                         v = nxt
-                        while v <= nv and lv[v]:
-                            v += 1
+                        while v < size and lv[v]:
+                            v += 2
                         nxt = v
-                        if v <= nv:
+                        if v < size:
                             decisions += 1
                             trail_lim.append(len(trail))
                             dl += 1
-                            assign(polarity[v], None)
+                            u = preferred[v >> 1] or saved[v >> 1]
+                            lv[u] = 1
+                            lv[u ^ 1] = -1
+                            lvl[u] = dl
+                            rsn[u] = None
+                            append(u)
                             continue
                         best = lb  # leaf: every variable assigned
-                        best_vals = lv[1 : nv + 1]
+                        best_vals = lv[2::2]
                         incumbents.append((time.monotonic() - t0, best))
                         logger.info("incumbent: cost %d at %.3f s (%s)", best, incumbents[-1][0], stage)
                         if best <= lower:
@@ -349,7 +349,7 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                     acc = 0
                     lits: dict[int, None] = {}
                     for si in falsified:
-                        lits.update(dict.fromkeys(instance.soft[si][0]))
+                        lits.update(dict.fromkeys(soft[si]))
                         acc += sweight[si]
                         if acc >= best:
                             break
@@ -357,25 +357,26 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
 
                 # -- conflict analysis at the clause's highest level
                 conflicts += 1
-                top = max((lvl[-q] for q in confl), default=0)
+                top = 0
+                for q in confl:
+                    if lvl[q ^ 1] > top:
+                        top = lvl[q ^ 1]
                 if top == 0:
                     exhausted = True
                     break
-                if top < dl:
-                    backjump(top)
                 learnt = [0]
                 path = 0
                 p = 0
-                idx = len(trail) - 1
+                idx = len(trail) - 1 if top == dl else trail_lim[top] - 1  # the last literal of level top
                 c = confl
                 while True:
                     for q in c:
                         if q == p:
                             continue
-                        t = -q
+                        t = q ^ 1
                         if not seen[t] and lvl[t]:
                             seen[t] = True
-                            if lvl[t] == dl:
+                            if lvl[t] == top:
                                 path += 1
                             else:
                                 learnt.append(q)
@@ -388,50 +389,101 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                     if not path:
                         break
                     c = rsn[p]
-                learnt[0] = -p
+                learnt[0] = u = p ^ 1
 
                 # Local minimization: drop a literal whose reason is covered by
                 # the rest of the clause (or by level-0 facts).
-                kept = [learnt[0]]
+                kept = [u]
                 for q in learnt[1:]:
-                    r = rsn[-q]
+                    t = q ^ 1
+                    r = rsn[t]
                     if r is None:
                         kept.append(q)
                         continue
-                    t = -q
                     for x in r:
-                        if x != t and not seen[-x] and lvl[-x]:
+                        if x != t and not seen[x ^ 1] and lvl[x ^ 1]:
                             kept.append(q)
                             break
                 for q in learnt[1:]:
-                    seen[-q] = False
+                    seen[q ^ 1] = False
 
-                # Jump to the second-highest level and assert the first UIP there.
-                level = 0
-                if len(kept) > 1:
-                    at = max(range(1, len(kept)), key=lambda k: lvl[-kept[k]])
+                # Jump to the clause's second-highest level (its first literal
+                # there becomes kept[1], the second watch) and assert the first
+                # UIP there.  Undoing a literal the propagation already took
+                # gives back its soft clauses' counts; every literal undone
+                # saves its polarity.
+                level = at = 0
+                for k in range(1, len(kept)):
+                    if lvl[kept[k] ^ 1] > level:
+                        level = lvl[kept[k] ^ 1]
+                        at = k
+                if at:
                     kept[1], kept[at] = kept[at], kept[1]
-                    level = lvl[-kept[1]]
-                backjump(level)
-                u = kept[0]
+                lim = trail_lim[level]
+                nxt = trail[lim] & -2  # the first decision undone
+                for q in trail[lim:qhead]:
+                    for si in socc[q ^ 1]:
+                        if not sfree[si]:
+                            lb -= sweight[si]
+                            falsified.pop()
+                        sfree[si] += 1
+                for q in trail[lim:]:
+                    lv[q] = lv[q ^ 1] = 0
+                    saved[q >> 1] = q
+                del trail[lim:]
+                del trail_lim[level:]
+                dl = level
+                qhead = lim
                 if len(kept) == 1:
-                    assign(u, None)
+                    r = None
                 elif len(kept) == 2:
-                    implied[-u].append(kept[1])
-                    implied[-kept[1]].append(u)
+                    for a, b in ((u, kept[1]), (kept[1], u)):
+                        if implied[a ^ 1]:
+                            implied[a ^ 1].append(b)
+                        else:
+                            implied[a ^ 1] = [b]
                     learned.append(kept)
-                    assign(u, tuple(kept))
+                    r = tuple(kept)
                 else:
-                    watches[-u].append(kept)
-                    watches[-kept[1]].append(kept)
+                    watches[u ^ 1].append(kept)
+                    watches[kept[1] ^ 1].append(kept)
                     learned.append(kept)
-                    assign(u, kept)
+                    r = kept
+                lv[u] = 1
+                lv[u ^ 1] = -1
+                lvl[u] = dl
+                rsn[u] = r
+                append(u)
         except _BudgetExpired:
             pass
         if best_vals is not None or phase == len(phases) - 1:
-            return finish(exhausted)
+            break
         if exhausted:
             lower = upper
+    elapsed = time.monotonic() - t0
+    counters = (decisions, conflicts, props, tuple(incumbents))
+    if best_vals is not None:
+        model = Model((False, *(x == 1 for x in best_vals)))
+        if exhausted:
+            return SolveOutcome(SolveStatus.OPTIMAL, model, best, elapsed, *counters, lower_bound=best)
+        return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, best, elapsed, *counters, lower_bound=lower)
+    status = SolveStatus.HARD_UNSAT if exhausted else SolveStatus.UNKNOWN
+    return SolveOutcome(status, None, None, elapsed, *counters, lower_bound=lower)
+
+
+def _forget(learned: list[list[int]], watches: list[list[list[int]]], implied: list[list[int]]):
+    """Remove the clauses in ``learned`` from the watch and implication lists."""
+    dead = set()
+    keys = set()
+    for c in learned:
+        if len(c) == 2:
+            implied[c[0] ^ 1].remove(c[1])
+            implied[c[1] ^ 1].remove(c[0])
+        else:
+            dead.add(id(c))
+            keys.update((c[0] ^ 1, c[1] ^ 1))
+    for key in keys:
+        watches[key] = [c for c in watches[key] if id(c) not in dead]
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +502,8 @@ def emit_wcnf(instance: MaxSatInstance) -> str:
     """
     nv, mv, hard = instance.num_vars, instance.max_var, instance.hard
     top = 1 + instance.soft_weight_total
-    # text[lit] is the literal and a space; as in the solver, -v lands on
-    # Python's negative index.  Slot 0 ends a hard clause and opens the next.
+    # text[lit] is the literal and a space; -v lands on Python's negative
+    # index.  Slot 0 ends a hard clause and opens the next.
     text = [f"{v} " for v in range(mv + 1)] + [f"{v} " for v in range(-mv, 0)]
     text[0] = f"0\n{top} "
     parts = [f"p wcnf {nv} {len(hard) + len(instance.soft)} {top}\n"]

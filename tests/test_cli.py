@@ -144,7 +144,22 @@ def test_map_sliced_stats_carry_size_runs(tmp_path):
     record = json.loads(stats.read_text())
     assert record["selected_slice_size"] in (1, 2, 3)
     assert {r["slice_size"] for r in record["size_runs"]} == {1, 2, 3}
+    assert all(r["weighted_objective"] is None for r in record["size_runs"])
     assert record["status"] == "best_effort"
+
+
+def test_map_sliced_under_noise_keeps_the_least_objective(tmp_path):
+    src = write_three_gate(tmp_path)
+    noise = tmp_path / "noise.json"
+    records = [{"edge": [u, v], "cx": f} for (u, v), f in zip([(0, 1), (1, 2), (2, 3)], [0.99, 0.9, 0.97])]
+    noise.write_text(json.dumps(records))
+    stats = tmp_path / "stats.json"
+    code = run(["map", "--input", src, "--arch", "line:4", "--strategy", "sliced", "--slice-size", "1,2,3",
+                "--noise", str(noise), "--output", str(tmp_path / "r.qasm"), "--stats", str(stats)])
+    assert code == 0
+    record = json.loads(stats.read_text())
+    objectives = {r["slice_size"]: r["weighted_objective"] for r in record["size_runs"]}
+    assert record["weighted_objective"] == objectives[record["selected_slice_size"]] == min(objectives.values())
 
 
 def test_map_cyclic_strategy(tmp_path):

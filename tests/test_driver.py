@@ -555,6 +555,28 @@ def test_best_of_picks_minimum_cost(rng):
         assert out.solution.gates_added >= glob.gates_added
 
 
+def test_best_of_under_noise_keeps_the_least_objective():
+    # Under a noise model the cheapest routing is the one of least weighted
+    # objective, which need not add the fewest gates: a swap on a good edge
+    # can cost less than gates on bad ones.
+    rng = random.Random("best-of/noise")
+    gates_disagree = 0
+    for _ in range(25):
+        g = load_arch(rng.choice(["line:4", "line:5", "cycle:4", "star:4", "grid:2x3"]))
+        model = NoiseModel({e: round(rng.uniform(0.9, 0.999), 4) for e in g.edges}, {})
+        nq = rng.randint(3, 4)
+        c = Circuit(nq, tuple(Gate("cx", tuple(rng.sample(range(nq), 2))) for _ in range(rng.randint(4, 7))))
+        out = solve_best(c, g, DriverConfig(n=1, slice_sizes=(2, 50), weighted=model))
+        ran = [r for r in out.runs if r.status == "ok"]
+        assert out.solution.weighted_objective == min(r.weighted_objective for r in ran)
+        assert out.solution.weighted_objective == routing_cost(c, out.solution, model)
+        kept = next(r for r in ran if r.slice_size == out.selected_size)
+        assert (kept.weighted_objective, kept.gates_added) == (out.solution.weighted_objective, out.solution.gates_added)
+        gates_disagree += min(ran, key=lambda r: (r.gates_added, r.slice_size)) is not kept
+        check_solution(c, out.solution, g)
+    assert gates_disagree >= 3
+
+
 def test_best_of_hands_unspent_share_forward(monkeypatch):
     # Each size gets what is left divided by the sizes still to run; the
     # first two finish in milliseconds, so the shares grow 10 -> 15 -> 30.

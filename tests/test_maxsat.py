@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 
 from swaproute import maxsat
+from swaproute.arch import NoiseModel, load_arch
+from swaproute.circuit import Circuit, Gate
 from swaproute.cnf import InstanceBuilder, MaxSatInstance, Model, make_clause
+from swaproute.encoder import EncodeOptions, encode
 from swaproute.errors import SolverIntegrityError, SolverOutputError
 from swaproute.maxsat import (
     SolveStatus,
@@ -338,6 +342,130 @@ def test_budget_with_incumbent_is_satisfiable_bound():
     assert out.falsified_weight == 5  # the escape-hatch incumbent
     assert out.incumbents[-1][1] == 5
     assert out.lower_bound == 1  # the probe refutes a zero-cost model at once
+
+
+# -- the search trajectory ------------------------------------------------------
+#
+# The no-budget outcome of every solve below: status, decisions,
+# conflicts, propagations, incumbent weights, lower bound and a digest of
+# the model.  A change that only makes the search faster must reproduce
+# them exactly; one that changes its decisions re-records them and says why.
+
+
+def fixed_circuit(num_qubits: int, slots: int, tag: str) -> Circuit:
+    """A two-qubit structure fixed by ``tag``: every qubit is used, no pair twice in a row."""
+    rng = random.Random(f"base/{tag}")
+    order = list(range(num_qubits))
+    rng.shuffle(order)
+    pairs = [tuple(order[i : i + 2]) for i in range(0, num_qubits - 1, 2)]
+    if num_qubits % 2:
+        pairs.append((order[-1], order[0]))
+    while len(pairs) < slots:
+        a, b = rng.sample(range(num_qubits), 2)
+        if {a, b} != set(pairs[-1]):
+            pairs.append((a, b))
+    return Circuit(num_qubits, tuple(Gate("cx", p) for p in pairs[:slots]))
+
+
+def routing_instance(name: str, arch: str, qubits: int, slots: int, n: int, noisy: bool) -> MaxSatInstance:
+    """The whole-circuit instance of one routing shape, with seeded fidelities when ``noisy``."""
+    g = load_arch(arch)
+    noise = None
+    if noisy:
+        rng = random.Random(f"noise/{name}")
+        noise = NoiseModel({e: round(rng.uniform(0.95, 0.995), 4) for e in g.sorted_edges()}, {})
+    return encode(fixed_circuit(qubits, slots, name), g, EncodeOptions(n=n, weighted=noise))
+
+
+def dense_instance(rng: random.Random, num_vars: int) -> MaxSatInstance:
+    """Four hard clauses of 2-5 literals per variable, and soft units on half the variables."""
+    b = InstanceBuilder()
+    vs = b.new_vars(num_vars)
+    for _ in range(4 * num_vars):
+        size = rng.choice((2, 3, 3, 3, 4, 5))
+        b.add_hard([v if rng.random() < 0.5 else -v for v in rng.sample(vs, size)])
+    for v in rng.sample(vs, num_vars // 2):
+        b.add_soft([v if rng.random() < 0.5 else -v], rng.randint(1, 6))
+    return b.build()
+
+
+ROUTING_SHAPES = [  # the global rows of the exact-small benchmark, and one Tokyo row
+    ("line4-8s", "line:4", 4, 8, 1, False),
+    ("line4-10s", "line:4", 4, 10, 1, False),
+    ("line4-n2", "line:4", 4, 6, 2, False),
+    ("line4-ndiam", "line:4", 4, 4, 3, False),
+    ("line5-5s", "line:5", 5, 5, 1, False),
+    ("line6-5s", "line:6", 5, 5, 1, False),
+    ("cycle4-10s", "cycle:4", 4, 10, 1, False),
+    ("cycle4-ndiam", "cycle:4", 4, 6, 2, False),
+    ("cycle6-5s", "cycle:6", 5, 5, 1, False),
+    ("grid3x3-6s", "grid:3x3", 4, 6, 1, False),
+    ("line4-noise", "line:4", 4, 6, 1, True),
+    ("cycle4-noise", "cycle:4", 4, 6, 1, True),
+    ("rand8x10-global", "tokyo", 8, 10, 1, False),
+]
+
+TRAJECTORIES = {
+    "line4-8s": ("optimal", 115, 79, 2221, (4, 2), 2, "4ec903ea3f093e8d"),
+    "line4-10s": ("optimal", 173, 153, 4514, (3,), 3, "ae3a9b01e8b49093"),
+    "line4-n2": ("optimal", 22, 7, 531, (0,), 0, "a43e5c24117b0c0a"),
+    "line4-ndiam": ("optimal", 85, 50, 3397, (4, 2, 1), 1, "20bdfc3db46b036e"),
+    "line5-5s": ("optimal", 132, 87, 3273, (2, 1), 1, "b2a42bfe5caa5877"),
+    "line6-5s": ("optimal", 40, 6, 435, (0,), 0, "e6e4f0fb4cb3868f"),
+    "cycle4-10s": ("optimal", 197, 130, 3997, (3, 2), 2, "4da5806c804fd1cb"),
+    "cycle4-ndiam": ("optimal", 33, 11, 833, (1,), 1, "b1a1d295611c0782"),
+    "cycle6-5s": ("optimal", 43, 7, 449, (0,), 0, "4d895b4cfcbba56d"),
+    "grid3x3-6s": ("optimal", 803, 418, 13498, (5, 4, 3, 1), 1, "6207611fe7e3e2ab"),
+    "line4-noise": ("optimal", 226, 208, 4930, (325, 312, 233, 151, 111), 111, "1ce784325010b511"),
+    "cycle4-noise": ("optimal", 511, 464, 10378, (120, 114, 109, 90, 80), 80, "8ed988b0987350cc"),
+    "rand8x10-global": ("optimal", 5912, 1124, 227739, (4, 3, 2, 1), 1, "72ac98214be54d0e"),
+    "random-0": ("optimal", 11, 3, 20, (5, 2), 2, "be58233c8b1c33d2"),
+    "random-1": ("optimal", 6, 3, 24, (10,), 10, "056f49b3e64b3989"),
+    "random-2": ("optimal", 27, 5, 32, (9, 5, 4), 4, "45b43ab125e4eb02"),
+    "random-3": ("optimal", 9, 0, 9, (0,), 0, "5c977a92059534e0"),
+    "random-4": ("optimal", 5, 3, 12, (11, 5), 5, "5de16aef7fb69854"),
+    "random-5": ("optimal", 9, 3, 20, (13, 2), 2, "24843325d0697969"),
+    "random-6": ("optimal", 10, 0, 12, (0,), 0, "dd46c3eebb1884ff"),
+    "random-7": ("hard_unsat", 0, 0, 0, (), 0, None),
+    "random-8": ("optimal", 6, 2, 16, (7,), 7, "eabb5779c31cd4c0"),
+    "random-9": ("optimal", 4, 4, 14, (4,), 4, "1a21c5c68e74f8db"),
+    "random-10": ("hard_unsat", 0, 2, 8, (), 6, None),
+    "random-11": ("optimal", 7, 0, 9, (0,), 0, "cd7ec3e14233dbce"),
+    "dense-0": ("optimal", 90, 42, 738, (33, 30, 28), 28, "ed8ba9aaa51cf3c1"),
+    "dense-1": ("hard_unsat", 4, 4, 56, (), 1, None),
+    "dense-2": ("hard_unsat", 54, 41, 917, (), 1, None),
+    "dense-3": ("optimal", 125, 67, 1452, (49, 46, 40, 39), 39, "b35407ba50392d38"),
+    "dense-4": ("hard_unsat", 14, 13, 290, (), 1, None),
+    "dense-5": ("optimal", 818, 470, 13543, (79, 75, 73, 72, 71, 70, 63, 57, 56, 53, 52), 52, "165122e7ea84859a"),
+}
+
+
+def trajectory_instances():
+    for shape in ROUTING_SHAPES:
+        yield shape[0], routing_instance(*shape)
+    rng = random.Random(2110)
+    for i in range(12):
+        yield f"random-{i}", random_instance(rng, rng.randint(6, 14))
+    for i in range(6):
+        yield f"dense-{i}", dense_instance(rng, 50 + 10 * i)
+
+
+def test_search_trajectory_is_pinned():
+    got = {}
+    for name, inst in trajectory_instances():
+        out = solve_builtin(inst)
+        digest = None if out.model is None else hashlib.sha256(bytes(out.model.values)).hexdigest()[:16]
+        weights = tuple(w for _, w in out.incumbents)
+        got[name] = (out.status.value, out.decisions, out.conflicts, out.propagations, weights, out.lower_bound, digest)
+        if out.model is not None:
+            assert inst.hard_satisfied(out.model)
+    assert got == TRAJECTORIES
+
+
+def test_search_keeps_its_state_in_fast_locals():
+    # A closure over the search's state would turn it into cell variables,
+    # which every access in the hot loop then pays for.
+    assert maxsat._search.__code__.co_cellvars == ()
 
 
 # -- instances and the builder -------------------------------------------------
