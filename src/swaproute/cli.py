@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import sys
@@ -304,7 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    A device-scale command builds hundreds of thousands of clause tuples
+    and solver lists, and each collection re-walks every one of them.
+    None of them is in a reference cycle, so reference counting frees
+    them all the same; the caller's setting comes back on every exit.
+    """
     parser = build_parser()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         logging.basicConfig(stream=sys.stderr)  # a no-op once the root logger has a handler
@@ -322,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SwaprouteError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

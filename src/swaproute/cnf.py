@@ -92,7 +92,7 @@ class MaxSatInstance:
     def hard_satisfied(self, model: Model) -> bool:
         """True when every hard clause has a literal that holds under ``model``."""
         true = {v if value else -v for v, value in enumerate(model.values) if v}
-        return all(not true.isdisjoint(clause) for clause in self.hard)
+        return not any(map(true.isdisjoint, self.hard))
 
     def falsified_weight(self, model: Model) -> int:
         return sum(w for clause, w in self.soft if not any(model.holds(lit) for lit in clause))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterator
 
 from .cnf import MaxSatInstance, Model
 from .errors import SolverIntegrityError, SolverOutputError
@@ -491,28 +492,41 @@ def _forget(learned: list[list[int]], watches: list[list[list[int]]], implied: l
 # ---------------------------------------------------------------------------
 
 
-def emit_wcnf(instance: MaxSatInstance) -> str:
-    """Classic weighted DIMACS: hard clauses carry the top weight
-    (1 + total soft weight), soft clauses their own weight.
+WCNF_CHUNK = 4096  # clause lines per piece of :func:`wcnf_chunks`
+
+
+def wcnf_chunks(instance: MaxSatInstance) -> Iterator[str]:
+    """Classic weighted DIMACS, in pieces of at most :data:`WCNF_CHUNK`
+    clause lines: hard clauses carry the top weight (1 + total soft
+    weight), soft clauses their own weight.
 
     Every literal is looked up in one table of ``2 * max_var + 1``
     strings indexed by the signed literal, so the cost is linear in the
     literal count: the table covers only the variables the clauses use,
-    whatever the header declares.
+    whatever the header declares.  A writer that takes the pieces one at
+    a time never holds the whole text.
     """
-    nv, mv, hard = instance.num_vars, instance.max_var, instance.hard
+    nv, mv, hard, soft = instance.num_vars, instance.max_var, instance.hard, instance.soft
     top = 1 + instance.soft_weight_total
+    prefix = f"{top} "
     # text[lit] is the literal and a space; -v lands on Python's negative
-    # index.  Slot 0 ends a hard clause and opens the next.
+    # index.  Slot 0 ends a hard line and opens the next, so each piece of
+    # hard clauses is one join over its clauses, each followed by a 0.
     text = [f"{v} " for v in range(mv + 1)] + [f"{v} " for v in range(-mv, 0)]
-    text[0] = f"0\n{top} "
-    parts = [f"p wcnf {nv} {len(hard) + len(instance.soft)} {top}\n"]
-    if hard:
-        # c1, 0, c2, 0, ..., cN: the closing 0 of the last line is added after.
-        lits = chain(chain.from_iterable(chain.from_iterable(zip(hard[:-1], repeat((0,))))), hard[-1])
-        parts += [f"{top} ", "".join(map(text.__getitem__, lits)), "0\n"]
-    parts += [f"{w} {''.join(map(text.__getitem__, c))}0\n" for c, w in instance.soft]
-    return "".join(parts)
+    text[0] = f"0\n{prefix}"
+    yield f"p wcnf {nv} {len(hard) + len(soft)} {top}\n" + (prefix if hard else "")
+    for i in range(0, len(hard), WCNF_CHUNK):
+        lits = chain.from_iterable(chain.from_iterable(zip(hard[i : i + WCNF_CHUNK], repeat((0,)))))
+        piece = "".join(map(text.__getitem__, lits))
+        # the last hard line opens no next one
+        yield piece if i + WCNF_CHUNK < len(hard) else piece[: -len(prefix)]
+    for i in range(0, len(soft), WCNF_CHUNK):
+        yield "".join([f"{w} {''.join(map(text.__getitem__, c))}0\n" for c, w in soft[i : i + WCNF_CHUNK]])
+
+
+def emit_wcnf(instance: MaxSatInstance) -> str:
+    """The whole WCNF text of ``instance``: the pieces of :func:`wcnf_chunks`, joined."""
+    return "".join(wcnf_chunks(instance))
 
 
 def parse_wcnf(text: str) -> MaxSatInstance:
@@ -592,7 +606,8 @@ def solve_external(instance: MaxSatInstance, solver_cmd: str, budget: float | No
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="swaproute-wcnf-") as tmp:
         path = Path(tmp) / "instance.wcnf"
-        path.write_text(emit_wcnf(instance), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            f.writelines(wcnf_chunks(instance))
         argv = [arg.replace("{wcnf}", str(path)) for arg in shlex.split(solver_cmd)]
         timed_out = False
         try:

@@ -2,6 +2,7 @@
 
 Speaks the MaxSAT-evaluation stdout protocol.  Modes (first argument):
   ok      solve for real with the built-in solver, print the optimum
+  copy    like ok, after copying the WCNF file to the path in the third argument
   binary  like ok, but print the model as a 0/1 string
   unsat   claim unsatisfiability
   bogus   print a deliberately wrong model (all variables false)
@@ -30,6 +31,8 @@ def main() -> int:
     if mode == "silent":
         print("c nothing to see here")
         return 0
+    if mode == "copy":
+        Path(sys.argv[3]).write_bytes(Path(path).read_bytes())
     instance = parse_wcnf(Path(path).read_text())
     if mode == "bogus":
         print("s OPTIMUM FOUND")

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -7,9 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from swaproute import driver
+from swaproute import cli, driver
+from swaproute.arch import load_arch
+from swaproute.circuit import parse_qasm
 from swaproute.cli import main
+from swaproute.cnf import MaxSatInstance
+from swaproute.encoder import EncodeOptions, encode
 from swaproute.errors import SolveTimeoutError, UnroutableError
+from swaproute.maxsat import emit_wcnf
 
 STUB = str(Path(__file__).parent / "external_stub.py")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -295,6 +301,85 @@ def test_emit_wcnf(tmp_path):
     assert run(["emit-wcnf", "--input", src, "--arch", "line:2"]) == 3  # too few physical qubits
     assert run(["emit-wcnf", "--input", src, "--arch", "line:4", "--output", str(out)]) == 0
     assert out.read_text().startswith("p wcnf ")
+
+
+@pytest.mark.parametrize("clauses", ["encoded", "no hard", "no soft"])
+def test_emit_wcnf_writes_the_text_of_emit_wcnf(tmp_path, monkeypatch, capsys, clauses):
+    src = write_three_gate(tmp_path)
+    inst = encode(parse_qasm(Path(src).read_text()), load_arch("line:4"), EncodeOptions(n=2))
+    if clauses != "encoded":
+        inst = MaxSatInstance(inst.num_vars, () if clauses == "no hard" else inst.hard,
+                              () if clauses == "no soft" else inst.soft)
+        monkeypatch.setattr(cli, "encode", lambda *args: inst)
+    want = emit_wcnf(inst)
+    out = tmp_path / "inst.wcnf"
+    argv = ["emit-wcnf", "--input", src, "--arch", "line:4", "--n", "2", "--output"]
+    assert run([*argv, str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    assert run([*argv, "-"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("caller_collects", [True, False])
+@pytest.mark.parametrize("outcome, code", [("ok", 0), ("usage", 1), ("timeout", 2), ("unroutable", 3), ("crash", None)])
+def test_a_command_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, caller_collects, outcome, code):
+    solve = cli.solve_global
+    seen = []
+
+    def solve_and_fail(circuit, g, cfg):
+        seen.append(gc.isenabled())
+        if outcome == "timeout":
+            raise SolveTimeoutError("budget expired")
+        if outcome == "unroutable":
+            raise UnroutableError("refuted")
+        if outcome == "crash":
+            raise RuntimeError("not a classified failure")
+        return solve(circuit, g, cfg)
+
+    monkeypatch.setattr(cli, "solve_global", solve_and_fail)
+    arch = "not_an_arch" if outcome == "usage" else "line:4"
+    argv = ["map", "--input", write_three_gate(tmp_path), "--arch", arch, "--strategy", "global",
+            "--output", str(tmp_path / "r.qasm")]
+    enabled = gc.isenabled()
+    (gc.enable if caller_collects else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == code
+        after = gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert after is caller_collects
+    assert seen == ([] if outcome == "usage" else [False])
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_the_instance(tmp_path):
+    # A command runs with the collector paused, so whatever it leaves in
+    # reference cycles waits for the next collection.  That must be a fixed
+    # set of objects (the argument parser, json's encoder), the same for a
+    # one-slot map on line:4 as for a Tokyo search over 66k clauses.
+    qaoa8 = tmp_path / "qaoa8.qasm"
+    run(["gen-qaoa", "--qubits", "8", "--cycles", "1", "--seed", "7", "--output", str(qaoa8)])
+    stats = tmp_path / "stats.json"
+    garbage = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for src, arch, budget in ((write_three_gate(tmp_path), "line:4", []), (str(qaoa8), "tokyo", ["--budget", "2"])):
+            gc.collect()
+            code = main(["map", "--input", src, "--arch", arch, "--strategy", "global", *budget,
+                         "--output", str(tmp_path / "r.qasm"), "--stats", str(stats)])
+            garbage.append(gc.collect())
+            assert code == 0
+    finally:
+        if enabled:
+            gc.enable()
+    record = json.loads(stats.read_text())
+    assert record["hard_clauses"] > 50_000 and record["per_slice"][0]["conflicts"] > 0
+    assert garbage[0] == garbage[1]
 
 
 def test_arch_subcommand_round_trips(tmp_path):

@@ -634,6 +634,51 @@ def test_emit_wcnf_sizes_its_table_by_the_variables_in_use():
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("chunk", [3, maxsat.WCNF_CHUNK])
+def test_wcnf_chunks_are_bounded_and_join_to_the_text(monkeypatch, chunk):
+    # Piece boundaries fall before, on and after each clause-count multiple
+    # of the piece size, on the hard and the soft side, either side empty.
+    monkeypatch.setattr(maxsat, "WCNF_CHUNK", chunk)
+    rng = random.Random("wcnf-chunks")
+    for hard_count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk):
+        for soft_count in (0, 1, chunk, chunk + 1):
+            if not hard_count + soft_count:
+                continue
+            hard = tuple(tuple(rng.sample(range(-9, 0), 2)) + (rng.randint(1, 9),) for _ in range(hard_count))
+            soft = tuple(((rng.choice((-1, 1)) * rng.randint(1, 9),), rng.randint(1, 5)) for _ in range(soft_count))
+            inst = MaxSatInstance(9, hard, soft)
+            pieces = list(maxsat.wcnf_chunks(inst))
+            assert "".join(pieces) == emit_wcnf(inst) == reference_emit_wcnf(inst)
+            assert all(piece.count("\n") <= chunk for piece in pieces)
+            assert len(pieces) == 1 + -(-hard_count // chunk) + -(-soft_count // chunk)
+
+
+def test_external_solver_reads_the_streamed_wcnf(tmp_path, monkeypatch):
+    # The temporary file is written piece by piece from wcnf_chunks, never
+    # as one whole text, and holds every clause line of the instance.
+    monkeypatch.setattr(maxsat, "WCNF_CHUNK", 2)
+    written = []
+
+    def spy(instance):
+        for piece in chunks(instance):
+            written.append(piece)
+            yield piece
+
+    def whole(instance):
+        raise AssertionError("the whole text was built")
+
+    chunks = maxsat.wcnf_chunks
+    monkeypatch.setattr(maxsat, "wcnf_chunks", spy)
+    monkeypatch.setattr(maxsat, "emit_wcnf", whole)
+    inst = conjunctive_soft_instance()
+    copy = tmp_path / "seen.wcnf"
+    out = solve_external(inst, f"{sys.executable} {STUB} copy {{wcnf}} {copy}")
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.falsified_weight == solve_builtin(inst).falsified_weight
+    assert len(written) > 2
+    assert copy.read_bytes() == "".join(written).encode() == reference_emit_wcnf(inst).encode()
+
+
 def test_wcnf_round_trip_preserves_optimum():
     rng = random.Random(11)
     for _ in range(50):
