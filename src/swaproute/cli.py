@@ -7,17 +7,19 @@ import dataclasses
 import gc
 import json
 import logging
+import os
+import stat
 import sys
 import time
 from pathlib import Path
 
 from .arch import load_arch, load_noise
 from .circuit import Circuit, emit_qasm, generate_qaoa_maxcut, parse_qasm
-from .driver import DriverConfig, as_cyclic_blocks, solve_best, solve_cyclic, solve_global
+from .driver import DriverConfig, SizeRun, as_cyclic_blocks, solve_best, solve_cyclic, solve_global
 from .encoder import EncodeOptions, encode
 from .errors import SolveTimeoutError, SwaprouteError, UnroutableError
 from .maxsat import emit_wcnf
-from .solution import apply_routing
+from .solution import SliceStats, apply_routing
 from .verifier import verify, verify_solution
 
 EXIT_OK = 0
@@ -76,11 +78,11 @@ class StatsRecord:
     hard_clauses: int
     soft_clauses: int
     initial_map: list[int]
-    per_slice: list[dict]
+    per_slice: list[SliceStats]
     phase_ms: dict[str, float]
     weighted_objective: int | None = None
     selected_slice_size: int | None = None
-    size_runs: list[dict] | None = None
+    size_runs: list[SizeRun] | None = None
 
 
 def _read_circuit(path: str) -> Circuit:
@@ -106,11 +108,35 @@ def _parse_map(text: str) -> tuple[int, ...]:
         raise _UsageError(f"bad initial map {text!r}: {exc}") from exc
 
 
+def _overwrite(path: str, content: str):
+    """Write ``content`` to ``path``, overwriting a regular file in place.
+
+    A regular file is opened without truncation, written over and then cut
+    to the new length; a write that fails cuts it at the bytes written, so
+    no old tail survives.  Emptying a file first would cost more: ext4
+    (``auto_da_alloc``) starts writeback on close of a file that was
+    truncated to zero and rewritten.  Anything else (``/dev/null``, a FIFO)
+    is just written to.
+    """
+    data = memoryview(content.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def _write(path: str | None, content: str):
     if path is None or path == "-":
         sys.stdout.write(content)
     else:
-        Path(path).write_text(content, encoding="utf-8")
+        _overwrite(path, content)
 
 
 def _cmd_map(args) -> int:
@@ -137,7 +163,7 @@ def _cmd_map(args) -> int:
     elif args.strategy == "sliced":
         outcome = solve_best(source, g, cfg)
         solution, selected = outcome.solution, outcome.selected_size
-        size_runs = [dataclasses.asdict(run) for run in outcome.runs]
+        size_runs = list(outcome.runs)
         used_sizes = list(sizes)
     else:  # "cyclic", the last of argparse's choices
         if args.cyclic_block_slots is None:
@@ -179,14 +205,16 @@ def _cmd_map(args) -> int:
         hard_clauses=sum(s.hard_clauses for s in solution.per_slice_stats),
         soft_clauses=sum(s.soft_clauses for s in solution.per_slice_stats),
         initial_map=list(solution.initial_map.placement),
-        per_slice=[dataclasses.asdict(s) for s in solution.per_slice_stats],
+        per_slice=list(solution.per_slice_stats),
         phase_ms=phases.ms,
         weighted_objective=solution.weighted_objective,
         selected_slice_size=selected,
         size_runs=size_runs,
     )
     if args.stats:
-        Path(args.stats).write_text(json.dumps(dataclasses.asdict(record), indent=2) + "\n", encoding="utf-8")
+        # One pass: json writes each dataclass from its own field dict, where
+        # dataclasses.asdict would deep-copy every leaf first; same text.
+        _overwrite(args.stats, json.dumps(record, indent=2, default=vars) + "\n")
     print(
         f"{args.input}: {solution.swap_count} swap(s), {solution.gates_added} gate(s) added, "
         f"status {solution.status}",
@@ -304,6 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # main's, built on its first call
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic garbage collector paused.
 
@@ -311,12 +342,17 @@ def main(argv: list[str] | None = None) -> int:
     and solver lists, and each collection re-walks every one of them.
     None of them is in a reference cycle, so reference counting frees
     them all the same; the caller's setting comes back on every exit.
+
+    The argument parser is built on the first call, not at import, and
+    kept for every later call in the process.
     """
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         logging.basicConfig(stream=sys.stderr)  # a no-op once the root logger has a handler
         logging.getLogger("swaproute").setLevel(logging.INFO if args.verbose else logging.WARNING)
         return args.func(args)

@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import gc
 import json
 import os
@@ -359,8 +361,9 @@ def test_a_command_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, c
 def test_a_commands_cyclic_garbage_does_not_grow_with_the_instance(tmp_path):
     # A command runs with the collector paused, so whatever it leaves in
     # reference cycles waits for the next collection.  That must be a fixed
-    # set of objects (the argument parser, json's encoder), the same for a
-    # one-slot map on line:4 as for a Tokyo search over 66k clauses.
+    # set of objects (json's encoder, for the stats file), the same for a
+    # one-slot map on line:4 as for a Tokyo search over 66k clauses.  The
+    # argument parser is kept for the process, built by the gen-qaoa call.
     qaoa8 = tmp_path / "qaoa8.qasm"
     run(["gen-qaoa", "--qubits", "8", "--cycles", "1", "--seed", "7", "--output", str(qaoa8)])
     stats = tmp_path / "stats.json"
@@ -380,6 +383,121 @@ def test_a_commands_cyclic_garbage_does_not_grow_with_the_instance(tmp_path):
     record = json.loads(stats.read_text())
     assert record["hard_clauses"] > 50_000 and record["per_slice"][0]["conflicts"] > 0
     assert garbage[0] == garbage[1]
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    build = cli.build_parser
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    src = write_three_gate(tmp_path)
+    routed, wcnf = tmp_path / "r.qasm", tmp_path / "i.wcnf"
+    commands = [
+        ["map", "--input", src, "--arch", "line:4", "--strategy", "global", "--output", str(routed)],
+        ["map", "--input", src, "--arch", "line:4", "--no-such-option"],
+        ["emit-wcnf", "--input", src, "--arch", "line:4", "--output", str(wcnf)],
+    ]
+    codes = [main(argv) for argv in commands]
+    assert len(built) == 1
+    written = routed.read_bytes(), wcnf.read_bytes()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    fresh = [subprocess.run([sys.executable, "-m", "swaproute.cli", *argv], capture_output=True, env=env).returncode
+             for argv in commands]
+    assert codes == fresh == [0, 1, 0]
+    assert (routed.read_bytes(), wcnf.read_bytes()) == written
+
+
+def _capture_stats_records(monkeypatch) -> list:
+    records = []
+    record_type = cli.StatsRecord
+
+    def capture(**fields):
+        records.append(record_type(**fields))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "StatsRecord", capture)
+    return records
+
+
+def line4_wcnf(src: str) -> bytes:
+    instance = encode(parse_qasm(Path(src).read_text()), load_arch("line:4"), EncodeOptions(n=1))
+    return emit_wcnf(instance).encode()
+
+
+def test_outputs_overwrite_a_longer_file_with_exactly_the_new_bytes(tmp_path, monkeypatch, capsys):
+    src = write_three_gate(tmp_path)
+    records = _capture_stats_records(monkeypatch)
+    out, stats, wcnf = tmp_path / "r.qasm", tmp_path / "stats.json", tmp_path / "i.wcnf"
+    for path in (out, stats, wcnf):
+        path.write_bytes(b"x" * 65536 + b"\n")
+    assert run(["map", "--input", src, "--arch", "line:4", "--slice-size", "1,3", "--output", str(out),
+                "--stats", str(stats)]) == 0
+    assert run(["emit-wcnf", "--input", src, "--arch", "line:4", "--output", str(wcnf)]) == 0
+    capsys.readouterr()
+    assert run(["map", "--input", src, "--arch", "line:4", "--slice-size", "1,3"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    record = records[0]
+    assert record.size_runs and record.per_slice
+    assert stats.read_text() == json.dumps(dataclasses.asdict(record), indent=2) + "\n"
+    assert wcnf.read_bytes() == line4_wcnf(src)
+    fresh = tmp_path / "new.wcnf"
+    assert run(["emit-wcnf", "--input", src, "--arch", "line:4", "--output", str(fresh)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert fresh.read_bytes() == wcnf.read_bytes() and fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_output_to_dev_null_exits_0(tmp_path):
+    src = write_three_gate(tmp_path)
+    assert run(["map", "--input", src, "--arch", "line:4", "--output", os.devnull, "--stats", os.devnull]) == 0
+    assert run(["emit-wcnf", "--input", src, "--arch", "line:4", "--output", os.devnull]) == 0
+
+
+def test_a_symlinked_output_stays_a_link_and_its_target_gets_the_bytes(tmp_path):
+    src = write_three_gate(tmp_path)
+    target, link = tmp_path / "target.wcnf", tmp_path / "link.wcnf"
+    target.write_bytes(b"x" * 65536)
+    link.symlink_to(target)
+    assert run(["emit-wcnf", "--input", src, "--arch", "line:4", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == line4_wcnf(src)
+
+
+def test_a_failed_write_cuts_the_file_at_the_bytes_written(tmp_path, monkeypatch, capsys):
+    src = write_three_gate(tmp_path)
+    out = tmp_path / "i.wcnf"
+    out.write_bytes(b"x" * 65536)
+    write = os.write
+    calls = []
+
+    def write_a_piece_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data[:5])
+
+    monkeypatch.setattr(os, "write", write_a_piece_then_fail)
+    assert run(["emit-wcnf", "--input", src, "--arch", "line:4", "--output", str(out)]) == 1
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err and "Traceback" not in err
+    assert len(calls) == 2
+    assert out.read_bytes() == b"p wcn"
+
+
+def test_an_output_in_a_missing_directory_exits_1(tmp_path, capsys):
+    src = write_three_gate(tmp_path)
+    missing = str(tmp_path / "missing" / "out")
+    assert run(["map", "--input", src, "--arch", "line:4", "--output", missing]) == 1
+    assert run(["map", "--input", src, "--arch", "line:4", "--output", str(tmp_path / "r.qasm"),
+                "--stats", missing]) == 1
+    assert run(["emit-wcnf", "--input", src, "--arch", "line:4", "--output", missing]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_arch_subcommand_round_trips(tmp_path):
