@@ -39,7 +39,9 @@ class ConnectivityGraph:
                 raise ArchError(f"self-loop on qubit {u}")
             if not (0 <= u < self.num_physical and 0 <= v < self.num_physical):
                 raise ArchError(f"edge ({u},{v}) out of range for {self.num_physical} qubits")
-        if self.num_physical > 1 and not self._connected():
+        # Fewer than num_physical - 1 edges cannot connect the graph; saying so
+        # first spares building num_physical adjacency lists for a huge count.
+        if self.num_physical > 1 and (len(self.edges) < self.num_physical - 1 or not self._connected()):
             raise ArchError("connectivity graph is disconnected")
 
     def _adjacency(self) -> list[list[int]]:

@@ -312,7 +312,7 @@ def parse_qasm(text: str) -> Circuit:
     return Circuit(total, tuple(gates))
 
 
-def emit_qasm(circuit: Circuit, decompose_swaps: bool = False, *, register: str = "q", comments: list[str] | None = None) -> str:
+def emit_qasm(circuit: Circuit, decompose_swaps: bool = False, *, comments: list[str] | None = None) -> str:
     """Serialize a circuit to OpenQASM 2.0.
 
     With ``decompose_swaps`` every ``swap a,b`` is written as the
@@ -322,14 +322,14 @@ def emit_qasm(circuit: Circuit, decompose_swaps: bool = False, *, register: str 
     lines = []
     for c in comments or ():
         lines.append(f"// {c}")
-    lines += ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg {register}[{num}];"]
+    lines += ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{num}];"]
     for g in circuit.gates:
-        ops = ",".join(f"{register}[{q}]" for q in g.operands)
+        ops = ",".join(f"q[{q}]" for q in g.operands)
         if g.name == "swap" and decompose_swaps:
             a, b = g.operands
-            lines.append(f"cx {register}[{a}],{register}[{b}];")
-            lines.append(f"cx {register}[{b}],{register}[{a}];")
-            lines.append(f"cx {register}[{a}],{register}[{b}];")
+            lines.append(f"cx q[{a}],q[{b}];")
+            lines.append(f"cx q[{b}],q[{a}];")
+            lines.append(f"cx q[{a}],q[{b}];")
             continue
         if g.params:
             lines.append(f"{g.name}({','.join(map(repr, g.params))}) {ops};")

@@ -77,7 +77,7 @@ def _trivial_solution(circuit: Circuit, g: ConnectivityGraph, budget: _Budget) -
         raise UnroutableError(
             f"{circuit.num_logical} logical qubits but only {g.num_physical} physical qubits ({budget.where(0)})"
         )
-    return RoutingSolution(QubitMap.identity(circuit.num_logical), (), (), "optimal")
+    return RoutingSolution(QubitMap.identity(circuit.num_logical), (), "optimal")
 
 
 class _Step(NamedTuple):
@@ -238,7 +238,6 @@ def _concatenate(solutions: list[RoutingSolution], stats, cfg: DriverConfig) -> 
     return RoutingSolution(
         solutions[0].initial_map,
         swaps,
-        tuple(m for sol in solutions for m in sol.map_sequence),
         "optimal" if cfg.weighted is None and not any(swaps) else "best_effort",  # no one solve proves the whole
         per_slice_stats=stats,
         weighted_objective=None if None in objectives else sum(objectives),

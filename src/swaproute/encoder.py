@@ -307,8 +307,8 @@ def decode(model: Model, instance: MaxSatInstance, *, status: str = "best_effort
     """Extract the routing described by a model of the hard constraints.
 
     Reads the model through the instance's :class:`Layout` alone,
-    rebuilds the full map sequence (inactive qubits included), replays
-    every slot's swaps, and cross-checks the result against the model,
+    rebuilds the initial map (inactive qubits included), replays every
+    slot's swaps over it, and cross-checks the maps against the model,
     so a defective model or encoding fails loudly rather than decoding
     into a bogus routing.
     """
@@ -362,15 +362,11 @@ def decode(model: Model, instance: MaxSatInstance, *, status: str = "best_effort
                 placement[q] = next(free)
         initial = QubitMap(tuple(placement))
 
-    maps: list[QubitMap] = []
-    live = initial
-    for k in range(1, K + 1):
-        live = live.apply_swaps(swaps[k - 1])
+    objective = None if offset is None else instance.falsified_weight(model) + offset
+    solution = RoutingSolution(initial, tuple(swaps), status, weighted_objective=objective)
+    for k, live in enumerate(solution.map_sequence, start=1):
         for q in active:
             if live[q] != decoded[k][q]:
                 raise EncodingError(f"replayed position of q{q} at slot {k} disagrees with the model")
-        maps.append(live)
-
-    objective = None if offset is None else instance.falsified_weight(model) + offset
-    return RoutingSolution(initial, tuple(swaps), tuple(maps), status, weighted_objective=objective)
+    return solution
 

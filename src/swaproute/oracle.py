@@ -100,7 +100,7 @@ def brute_force_oracle(
         raise UnroutableError(f"{circuit.num_logical} logical qubits but only {P} physical qubits")
     if K == 0:
         initial = initial_map if initial_map is not None else _pad({}, circuit.num_logical, P)
-        return 0, RoutingSolution(initial, (), (), "optimal")
+        return 0, RoutingSolution(initial, (), "optimal")
     n_states = math.perm(P, len(active))
     if n_states > _MAX_STATES or K > _MAX_SLOTS or n > _MAX_SWAPS:
         raise OracleLimitError(
@@ -156,12 +156,7 @@ def brute_force_oracle(
     initial = initial_map if initial_map is not None else _pad(
         dict(zip(active, states[0])), circuit.num_logical, P
     )
-    maps = []
-    live = initial
-    for group in swaps:
-        live = live.apply_swaps(group)
-        maps.append(live)
-    return optimum, RoutingSolution(initial, tuple(swaps), tuple(maps), "optimal")
+    return optimum, RoutingSolution(initial, tuple(swaps), "optimal")
 
 
 def _path_len(src: State, dst: State, edges: list[Edge], limit: int) -> int | None:

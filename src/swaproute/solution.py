@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .circuit import Circuit, Gate
 
@@ -33,12 +34,6 @@ class QubitMap:
         """The map after exchanging the contents of physical qubits u and v."""
         moved = tuple(v if p == u else u if p == v else p for p in self.placement)
         return QubitMap(moved)
-
-    def apply_swaps(self, swaps: tuple[Edge, ...] | list[Edge]) -> "QubitMap":
-        m = self
-        for u, v in swaps:
-            m = m.apply_swap(u, v)
-        return m
 
     @classmethod
     def identity(cls, n: int) -> "QubitMap":
@@ -78,26 +73,35 @@ class SliceStats:
 
 @dataclass(frozen=True)
 class RoutingSolution:
-    """A complete routing: where qubits start, which swaps happen before
-    each two-qubit gate, and the map in force at every slot.
+    """A complete routing: where qubits start, and which swaps happen
+    before each two-qubit gate.  Everything else is derived from those two.
 
-    ``map_sequence[k-1]`` is the map under which slot k's gate executes;
-    it equals the previous map (or ``initial_map`` for slot 1) composed
-    with that slot's transpositions.
+    ``swaps[k-1]`` holds slot k's transpositions.  ``map_sequence[k-1]``
+    is the map under which slot k's gate executes: the previous map (or
+    ``initial_map`` for slot 1) composed with that slot's transpositions.
+    It is replayed from ``swaps`` on first use and kept; an object made by
+    ``dataclasses.replace`` replays its own.
     """
 
     initial_map: QubitMap
     swaps: tuple[tuple[Edge, ...], ...]
-    map_sequence: tuple[QubitMap, ...]
     status: str  # "optimal" or "best_effort"
     per_slice_stats: tuple[SliceStats, ...] = ()
     weighted_objective: int | None = None
-    swap_count: int = field(init=False)
 
-    def __post_init__(self):
-        if len(self.swaps) != len(self.map_sequence):
-            raise ValueError("one swap group per slot is required")
-        object.__setattr__(self, "swap_count", sum(len(s) for s in self.swaps))
+    @cached_property
+    def map_sequence(self) -> tuple[QubitMap, ...]:
+        maps = []
+        live = self.initial_map
+        for group in self.swaps:
+            for u, v in group:
+                live = live.apply_swap(u, v)
+            maps.append(live)
+        return tuple(maps)
+
+    @property
+    def swap_count(self) -> int:
+        return sum(len(s) for s in self.swaps)
 
     @property
     def gates_added(self) -> int:
@@ -117,11 +121,11 @@ def apply_routing(source: Circuit, solution: RoutingSolution, num_physical: int)
     logical operands occupy at that point.  One-qubit gates between two
     slots execute under the later slot's map, after its swaps.
     """
-    if len(solution.map_sequence) != len(source.slots):
-        raise ValueError(f"solution has {len(solution.map_sequence)} slots, circuit has {len(source.slots)}")
+    if len(solution.swaps) != len(source.slots):
+        raise ValueError(f"solution has {len(solution.swaps)} slots, circuit has {len(source.slots)}")
     out: list[Gate] = []
+    maps = zip(solution.swaps, solution.map_sequence)
     live = solution.initial_map
-    slot = 0
     pending: list[Gate] = []
 
     def flush(m: QubitMap):
@@ -133,13 +137,9 @@ def apply_routing(source: Circuit, solution: RoutingSolution, num_physical: int)
         if not g.is_two_qubit:
             pending.append(g)
             continue
-        for u, v in solution.swaps[slot]:
-            out.append(Gate("swap", (u, v)))
-            live = live.apply_swap(u, v)
-        if live != solution.map_sequence[slot]:
-            raise ValueError(f"map sequence out of step at slot {slot + 1}")
+        group, live = next(maps)
+        out.extend(Gate("swap", (u, v)) for u, v in group)
         flush(live)
         out.append(Gate(g.name, tuple(live[q] for q in g.operands), g.params))
-        slot += 1
     flush(live)
     return Circuit(num_physical, tuple(out))

@@ -75,6 +75,18 @@ def test_disconnected_rejected(tmp_path):
         load_arch(str(path))
 
 
+def test_too_few_edges_are_disconnected_before_any_adjacency_is_built(tmp_path, monkeypatch):
+    path = tmp_path / "huge.arch"
+    path.write_text("n 1000000000\n0 1\n")
+
+    def refuse(self):
+        raise AssertionError("adjacency lists built for a graph that cannot be connected")
+
+    monkeypatch.setattr(ConnectivityGraph, "_adjacency", refuse)
+    with pytest.raises(ArchError, match="disconnected"):
+        load_arch(str(path))
+
+
 def test_self_loop_rejected(tmp_path):
     path = tmp_path / "loop.arch"
     path.write_text("n 2\n0 0\n0 1\n")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from swaproute import cli, driver
-from swaproute.arch import load_arch
+from swaproute.arch import ConnectivityGraph, load_arch
 from swaproute.circuit import parse_qasm
 from swaproute.cli import main
 from swaproute.cnf import MaxSatInstance
@@ -505,7 +505,7 @@ def test_arch_subcommand_round_trips(tmp_path):
     assert run(["arch", "--name", "tokyo", "--output", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("n 20\n")
-    from swaproute.arch import load_arch
+    from swaproute.arch import ConnectivityGraph, load_arch
 
     assert load_arch(str(out)) == load_arch("tokyo")
 
@@ -590,4 +590,25 @@ def test_device_file_errors_name_the_file(tmp_path, capsys, command, contents, m
     assert run(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {device}: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["map", "verify"])
+def test_a_device_with_a_huge_count_and_one_edge_exits_1(tmp_path, capsys, monkeypatch, command):
+    device = tmp_path / "device.txt"
+    device.write_text("n 1000000000\n0 1\n")
+    src = tmp_path / "in.qasm"
+    src.write_text("qreg q[2];\ncx q[0],q[1];\n")
+
+    def refuse(self):  # a regression fails here instead of allocating a billion lists
+        raise AssertionError("adjacency lists built for a graph that cannot be connected")
+
+    monkeypatch.setattr(ConnectivityGraph, "_adjacency", refuse)
+    if command == "map":
+        args = ["map", "--input", str(src), "--arch", str(device)]
+    else:
+        args = ["verify", "--source", str(src), "--routed", str(src), "--arch", str(device), "--initial-map", "0,1"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {device}: connectivity graph is disconnected")
     assert "Traceback" not in err

@@ -5,6 +5,7 @@ from conftest import MUTATORS, random_circuit
 from swaproute.arch import diameter, load_arch
 from swaproute.circuit import Circuit, Gate
 from swaproute.driver import DriverConfig, solve_global
+from swaproute.oracle import brute_force_oracle
 from swaproute.solution import QubitMap, apply_routing
 from swaproute.verifier import (
     DROPPED_GATE,
@@ -121,23 +122,41 @@ def test_solution_with_removed_swap_rejected():
 
 def test_solution_with_non_injective_map_rejected():
     c, sol, _ = routed_example()
-    seq = list(sol.map_sequence)
-    broken = list(seq[0].placement)
+    broken = list(sol.initial_map.placement)
     broken[1] = broken[0]
-    seq[0] = RawMap(broken)
-    tampered = replace(sol, map_sequence=tuple(seq))
+    tampered = replace(sol, initial_map=RawMap(broken))
     verdict = verify_solution(c, tampered, LINE4)
     assert not verdict.ok and verdict.violation.kind == NON_INJECTIVE_MAP
 
 
-def test_solution_with_edited_map_rejected():
-    c, sol, _ = routed_example()
-    seq = list(sol.map_sequence)
-    rolled = seq[0].placement[1:] + seq[0].placement[:1]
-    seq[0] = RawMap(rolled)
-    tampered = replace(sol, map_sequence=tuple(seq))
-    verdict = verify_solution(c, tampered, LINE4)
-    assert not verdict.ok and verdict.violation.kind == MAP_MISMATCH
+def _replayed(initial, swaps):
+    live, maps = list(initial.placement), []
+    for group in swaps:
+        for u, v in group:
+            live = [v if p == u else u if p == v else p for p in live]
+        maps.append(QubitMap(tuple(live)))
+    return tuple(maps)
+
+
+def test_slot_maps_final_map_and_swap_count_are_the_replay_of_the_swaps(rng):
+    for _ in range(15):
+        g = load_arch(rng.choice(["line:3", "line:4", "cycle:4", "star:4"]))
+        c = random_circuit(rng, rng.randint(2, min(4, g.num_physical)), rng.randint(1, 5))
+        optimum, witness = brute_force_oracle(c, g, diameter(g))
+        assert witness.swap_count == optimum
+        for sol in (solve_global(c, g, DriverConfig(n=diameter(g))), witness):
+            maps = _replayed(sol.initial_map, sol.swaps)
+            assert sol.map_sequence == maps
+            assert sol.final_map == maps[-1]
+            assert sol.swap_count == sum(len(group) for group in sol.swaps)
+
+    _, sol, _ = routed_example()
+    before = sol.map_sequence  # derived and kept on the original
+    swaps = tuple(() for _ in sol.swaps)
+    bare = replace(sol, swaps=swaps)
+    assert bare.map_sequence == _replayed(sol.initial_map, swaps) != before
+    assert bare.final_map == sol.initial_map and bare.swap_count == 0
+    assert sol.map_sequence is before
 
 
 def test_solution_with_non_edge_swap_rejected():
