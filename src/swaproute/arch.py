@@ -245,6 +245,10 @@ def _star(n: int) -> ConnectivityGraph:
 
 
 _PARAMETRIC = re.compile(r"^(line|cycle|star):(\d+)$|^grid:(\d+)x(\d+)$")
+# The largest parametric device: the largest real devices have about 1,100
+# qubits, and an edge-list file still describes anything larger.  A size
+# above it is refused before any edge is built.
+MAX_PARAMETRIC_QUBITS = 4096
 
 
 def load_arch(spec: str) -> ConnectivityGraph:
@@ -267,14 +271,24 @@ def load_arch(spec: str) -> ConnectivityGraph:
             n = int(m.group(2))
             if n < 2:
                 raise ArchError(f"{m.group(1)} needs at least 2 qubits")
+            _check_size(spec, n)
             return {"line": _line, "cycle": _cycle, "star": _star}[m.group(1)](n)
         rows, cols = int(m.group(3)), int(m.group(4))
         if rows < 1 or cols < 1 or rows * cols < 2:
             raise ArchError(f"grid needs at least 1x2 qubits, got {rows}x{cols}")
+        _check_size(spec, rows * cols)
         return ConnectivityGraph(rows * cols, frozenset(_grid_edges(rows, cols)))
     if os.path.exists(spec):
         return _load_arch_file(spec)
     raise ArchError(f"unknown architecture {spec!r} (not a built-in name or a readable file)")
+
+
+def _check_size(spec: str, n: int):
+    if n > MAX_PARAMETRIC_QUBITS:
+        raise ArchError(
+            f"{spec} has {n} qubits, more than the {MAX_PARAMETRIC_QUBITS} a built-in device may have; "
+            "describe a larger device in an edge-list file"
+        )
 
 
 def _load_arch_file(path: str) -> ConnectivityGraph:

@@ -338,10 +338,10 @@ _parser: argparse.ArgumentParser | None = None  # main's, built on its first cal
 def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic garbage collector paused.
 
-    A device-scale command builds hundreds of thousands of clause tuples
-    and solver lists, and each collection re-walks every one of them.
-    None of them is in a reference cycle, so reference counting frees
-    them all the same; the caller's setting comes back on every exit.
+    A device-scale command builds hundreds of thousands of solver
+    lists, and each collection re-walks every one of them.  None of them
+    is in a reference cycle, so reference counting frees them all the
+    same; the caller's setting comes back on every exit.
 
     The argument parser is built on the first call, not at import, and
     kept for every later call in the process.

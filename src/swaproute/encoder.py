@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, orbit_minima, swap_weight
 from .circuit import Circuit
-from .cnf import Clause, InstanceBuilder, MaxSatInstance, Model
+from .cnf import InstanceBuilder, MaxSatInstance, Model
 from .errors import EncodingError, UnroutableError
 from .solution import Edge, QubitMap, RoutingSolution
 
@@ -209,24 +209,32 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     for p in range(P):
         builder.at_most_one_pairwise([first[q][p] for q in active])
 
+    # Hard B, C', D and the closing clauses are written straight into the
+    # builder's clause list, each clause's literals followed by a 0, and
+    # each block adds the number of clauses it wrote.
+    #
     # Hard B: wherever one operand of slot k's gate sits, the other sits
     # on a neighbour.  (A) and (D) put each operand on exactly one place,
     # so one clause per operand and place says the gate acts on an edge.
     touching = [[j for j, e in enumerate(pairs) if j and p in e] for p in range(P)]  # where p's edges sit in pairs
     neighbours = [[u + v - p for u, v in edges if p in (u, v)] for p in range(P)]  # the far end of each edge
-    hard: list[Clause] = []
+    hard = builder.hard
     for k, gate in enumerate(slot_gates, start=1):
         for x, y in (gate.operands, gate.operands[::-1]):
             xrow, yrow = maps[k][x], maps[k][y]
-            hard += [(neg[xrow[p]], *map(yrow.__getitem__, far)) for p, far in enumerate(neighbours)]
-    builder.extend_hard_raw(hard)
+            for p, far in enumerate(neighbours):
+                hard += (neg[xrow[p]], *map(yrow.__getitem__, far), 0)
+    builder.hard_count += 2 * K * P
 
     # Hard C: each swap position picks exactly one pair (possibly the no-op).
     for picks, _ in hops:
         builder.exactly_one(picks)
     # Hard C': a slot's no-op positions come after its swaps (see the
     # module docstring).
-    builder.extend_hard_raw((neg[hops[j][0][0]], hops[j + 1][0][0]) for j in range(len(hops)) if (j + 1) % opt.n)
+    for j in range(len(hops)):
+        if (j + 1) % opt.n:
+            hard += (neg[hops[j][0][0]], hops[j + 1][0][0], 0)
+    builder.hard_count += len(hops) - K
 
     # Hard D: each swap position carries its layer before into its layer
     # after.  Frame axioms: q is on p after iff it was on p before,
@@ -238,18 +246,19 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # maps back to earlier ones.  Forward halves plus (A) at every slot
     # would also be sound, but the search then slows by orders of
     # magnitude.
-    hard = []
     for (picks, after), before in zip(hops, [first, *(a for _, a in hops)]):
-        fires = [tuple(map(picks.__getitem__, at)) for at in touching]
-        for q in active:
-            for b, a, f in zip(before[q], after[q], fires):
-                hard += ((neg[b], a, *f), (b, neg[a], *f))
+        fires = [(*map(picks.__getitem__, at), 0) for at in touching]  # each closes its clause
+        rows = [(before[q], after[q]) for q in active]
+        for brow, arow in rows:
+            for b, a, f in zip(brow, arow, fires):
+                hard += (neg[b], a, *f, b, neg[a], *f)
         for s, (u, v) in zip(picks[1:], edges):
             ns = neg[s]
-            for q in active:
-                bu, bv = before[q][u], before[q][v]
-                au, av = after[q][u], after[q][v]
-                hard += ((ns, neg[bu], av), (ns, bu, neg[av]), (ns, neg[bv], au), (ns, bv, neg[au]))
+            for brow, arow in rows:
+                bu, bv = brow[u], brow[v]
+                au, av = arow[u], arow[v]
+                hard += (ns, neg[bu], av, 0, ns, bu, neg[av], 0, ns, neg[bv], au, 0, ns, bv, neg[au], 0)
+    builder.hard_count += len(hops) * len(active) * (2 * P + 4 * len(edges))
 
     # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted),
     # each swap position's and each gate's least weight once (see the
@@ -274,13 +283,18 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         offset = K * least_cx
 
     if opt.pinned_initial is not None:
-        hard += [(first[q][opt.pinned_initial[q]],) for q in active]
+        for q in active:
+            hard += (first[q][opt.pinned_initial[q]], 0)
+        builder.hard_count += len(active)
     if opt.pinned_final is not None:
-        hard += [(last[q][opt.pinned_final[q]],) for q in active]
+        for q in active:
+            hard += (last[q][opt.pinned_final[q]], 0)
+        builder.hard_count += len(active)
     if opt.cyclic:
         for q in active:
             for f, l in zip(first[q], last[q]):
-                hard += ((neg[f], l), (f, neg[l]))
+                hard += (neg[f], l, 0, f, neg[l], 0)
+        builder.hard_count += 2 * len(active) * P
 
     # Hard E: canonical initial placement (see the module docstring).
     # Pins name places that an automorphism would move, and a noise
@@ -289,8 +303,10 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     if opt.canonical_placement and opt.weighted is None and not pinned:
         orbit = orbit_minima(g)
         largest = {o: p for p, o in enumerate(orbit)}
-        hard += [(neg[first[active[0]][p]],) for p in range(P) if largest[orbit[p]] != p]
-    builder.extend_hard_raw(hard)
+        off = [p for p in range(P) if largest[orbit[p]] != p]
+        for p in off:
+            hard += (neg[first[active[0]][p]], 0)
+        builder.hard_count += len(off)
 
     return builder.build(Layout(circuit.num_logical, active, pairs, maps, hops, opt.pinned_initial, offset))
 

@@ -28,11 +28,11 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
-from .cnf import MaxSatInstance, Model
+from .cnf import HardClauses, MaxSatInstance, Model
 from .errors import SolverIntegrityError, SolverOutputError
 
 logger = logging.getLogger(__name__)
@@ -149,7 +149,8 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     nv = instance.num_vars
     size = 2 * nv + 2
     # code[lit] is a DIMACS literal's index form; -v lands on Python's
-    # negative index.  The set-up is the only reader of signed literals.
+    # negative index, and code[0] is 0.  The set-up is the only reader of
+    # signed literals.
     code = [*range(0, size, 2), *range(size - 1, 2, -2)]
 
     # Per-literal arrays: one slot per index-form literal (slots 0 and 1,
@@ -160,31 +161,43 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     watches: list[list[list[int]]] = [[] for _ in range(size)]  # clauses to visit when the key turns true
     implied: list[list[int]] = [[] for _ in range(size)]  # binary clauses: literals the key forces
 
+    # The hard clauses are read a piece of whole clauses at a time: one
+    # lookup translates the piece, the 0 that closes each clause stays 0
+    # (variable 0's index form), and a clause's width shows in which of its
+    # next items is that 0.
     root_units: list[int] = []
-    hard = instance.hard
-    for start in range(0, len(hard), 4096):
+    for piece in instance.hard.pieces():
         if deadline is not None and time.monotonic() >= deadline:
             return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
-        for c in hard[start : start + 4096]:
-            if len(c) == 3:  # the commonest width, built at its exact size
-                a, b, d = c
-                a = code[a]
-                b = code[b]
-                cl = [a, b, code[d]]
-                watches[a ^ 1].append(cl)
-                watches[b ^ 1].append(cl)
-            elif len(c) == 2:
-                a, b = c
-                a = code[a]
-                b = code[b]
+        piece = itemgetter(*piece)(code)  # every piece holds a whole clause, so two items or more
+        i = 0
+        end = len(piece)
+        while i < end:
+            a = piece[i]
+            b = piece[i + 1]
+            if not b:
+                root_units.append(a)
+                i += 2
+                continue
+            d = piece[i + 2]
+            if not d:
                 implied[a ^ 1].append(b)
                 implied[b ^ 1].append(a)
-            elif len(c) == 1:
-                root_units.append(code[c[0]])
+                i += 3
+                continue
+            e = piece[i + 3]
+            if not e:  # the commonest widths, built at their exact size
+                cl = [a, b, d]
+                i += 4
+            elif not piece[i + 4]:
+                cl = [a, b, d, e]
+                i += 5
             else:
-                cl = list(map(code.__getitem__, c))
-                watches[cl[0] ^ 1].append(cl)
-                watches[cl[1] ^ 1].append(cl)
+                j = piece.index(0, i + 5)
+                cl = list(piece[i:j])
+                i = j + 1
+            watches[a ^ 1].append(cl)
+            watches[b ^ 1].append(cl)
     implied = [x or () for x in implied]  # most literals force nothing; they share one ()
 
     # Soft clauses: count non-false literals; at zero the clause is
@@ -492,34 +505,36 @@ def _forget(learned: list[list[int]], watches: list[list[list[int]]], implied: l
 # ---------------------------------------------------------------------------
 
 
-WCNF_CHUNK = 4096  # clause lines per piece of :func:`wcnf_chunks`
+WCNF_CHUNK = 4096  # hard-clause items, or soft clause lines, per piece of :func:`wcnf_chunks`
 
 
 def wcnf_chunks(instance: MaxSatInstance) -> Iterator[str]:
-    """Classic weighted DIMACS, in pieces of at most :data:`WCNF_CHUNK`
-    clause lines: hard clauses carry the top weight (1 + total soft
-    weight), soft clauses their own weight.
+    """Classic weighted DIMACS, in pieces: hard clauses carry the top
+    weight (1 + total soft weight), soft clauses their own weight.
 
-    Every literal is looked up in one table of ``2 * max_var + 1``
-    strings indexed by the signed literal, so the cost is linear in the
-    literal count: the table covers only the variables the clauses use,
-    whatever the header declares.  A writer that takes the pieces one at
-    a time never holds the whole text.
+    A hard piece is the text of :data:`WCNF_CHUNK` items of the clause
+    arena, literals and closing 0s, so it may end inside a line; a soft
+    piece is :data:`WCNF_CHUNK` whole lines.  Every item is looked up in
+    one table of ``2 * max_var + 1`` strings indexed by the signed
+    literal, so the cost is linear in the literal count: the table covers
+    only the variables the clauses use, whatever the header declares.  A
+    writer that takes the pieces one at a time never holds the whole text.
     """
-    nv, mv, hard, soft = instance.num_vars, instance.max_var, instance.hard, instance.soft
+    nv, mv, lits, soft = instance.num_vars, instance.max_var, instance.hard.lits, instance.soft
     top = 1 + instance.soft_weight_total
     prefix = f"{top} "
     # text[lit] is the literal and a space; -v lands on Python's negative
-    # index.  Slot 0 ends a hard line and opens the next, so each piece of
-    # hard clauses is one join over its clauses, each followed by a 0.
+    # index.  Slot 0 ends a hard line and opens the next, so a piece of the
+    # arena is one lookup and one join.
     text = [f"{v} " for v in range(mv + 1)] + [f"{v} " for v in range(-mv, 0)]
     text[0] = f"0\n{prefix}"
-    yield f"p wcnf {nv} {len(hard) + len(soft)} {top}\n" + (prefix if hard else "")
-    for i in range(0, len(hard), WCNF_CHUNK):
-        lits = chain.from_iterable(chain.from_iterable(zip(hard[i : i + WCNF_CHUNK], repeat((0,)))))
-        piece = "".join(map(text.__getitem__, lits))
+    yield f"p wcnf {nv} {len(instance.hard) + len(soft)} {top}\n" + (prefix if lits else "")
+    for i in range(0, len(lits), WCNF_CHUNK):
+        # A one-item piece looks up one string, and joining a string's
+        # characters gives it back.
+        piece = "".join(itemgetter(*lits[i : i + WCNF_CHUNK])(text))
         # the last hard line opens no next one
-        yield piece if i + WCNF_CHUNK < len(hard) else piece[: -len(prefix)]
+        yield piece if i + WCNF_CHUNK < len(lits) else piece[: -len(prefix)]
     for i in range(0, len(soft), WCNF_CHUNK):
         yield "".join([f"{w} {''.join(map(text.__getitem__, c))}0\n" for c, w in soft[i : i + WCNF_CHUNK]])
 
@@ -532,7 +547,8 @@ def emit_wcnf(instance: MaxSatInstance) -> str:
 def parse_wcnf(text: str) -> MaxSatInstance:
     """Parse classic ``p wcnf`` files and the newer headerless format
     whose hard clauses start with ``h``."""
-    hard = []
+    hard: list[int] = []  # the clause arena: each clause's literals, then a 0
+    count = 0
     soft = []
     top = None
     max_var = 0
@@ -580,10 +596,12 @@ def parse_wcnf(text: str) -> MaxSatInstance:
         if any(-l in lits for l in lits):
             continue  # tautology: always satisfied, never falsified
         if is_hard:
-            hard.append(lits)
+            hard += lits
+            hard.append(0)
+            count += 1
         else:
             soft.append((lits, weight))
-    return MaxSatInstance(max(declared, max_var), tuple(hard), tuple(soft), None)
+    return MaxSatInstance(max(declared, max_var), HardClauses(hard, count), tuple(soft), None)
 
 
 # ---------------------------------------------------------------------------

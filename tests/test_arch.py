@@ -207,3 +207,19 @@ def test_orbit_minima_match_the_whole_group_on_small_graphs():
 def test_orbit_search_that_gives_up_only_loses_merges(monkeypatch):
     monkeypatch.setattr(arch, "AUTOMORPHISM_SEARCH_STEPS", 1)
     assert orbit_minima.__wrapped__(load_arch("cycle:6")) == tuple(range(6))
+
+
+@pytest.mark.parametrize("spec", ["line:4097", "cycle:5000", "star:1000000000", "grid:65x64", "grid:1x4097"])
+def test_parametric_devices_above_the_cap_are_refused_before_any_edge(monkeypatch, spec):
+    def refuse(*args):  # a regression fails here instead of building every edge
+        raise AssertionError("edges built for a device above the size cap")
+
+    for builder in ("_line", "_cycle", "_star", "_grid_edges"):
+        monkeypatch.setattr(arch, builder, refuse)
+    with pytest.raises(ArchError, match=f"more than the {arch.MAX_PARAMETRIC_QUBITS}"):
+        load_arch(spec)
+
+
+@pytest.mark.parametrize("spec", ["line:4096", "grid:64x64"])
+def test_parametric_devices_at_the_cap_load(spec):
+    assert load_arch(spec).num_physical == arch.MAX_PARAMETRIC_QUBITS

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import gc
+import hashlib
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from swaproute.cnf import MaxSatInstance
 from swaproute.encoder import EncodeOptions, encode
 from swaproute.errors import SolveTimeoutError, UnroutableError
 from swaproute.maxsat import emit_wcnf
+from test_encoder import GOLDEN_WCNF_SHA256
 
 STUB = str(Path(__file__).parent / "external_stub.py")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -612,3 +614,34 @@ def test_a_device_with_a_huge_count_and_one_edge_exits_1(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith(f"error: {device}: connectivity graph is disconnected")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["map", "verify", "emit-wcnf", "arch"])
+def test_a_parametric_device_above_the_cap_exits_1(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args):  # a regression fails here instead of building a billion edges
+        raise AssertionError("edges built for a device above the size cap")
+
+    monkeypatch.setattr("swaproute.arch._line", refuse)
+    src = tmp_path / "in.qasm"
+    src.write_text("qreg q[2];\ncx q[0],q[1];\n")
+    device = "line:1000000000"
+    args = {
+        "map": ["map", "--input", str(src), "--arch", device],
+        "verify": ["verify", "--source", str(src), "--routed", str(src), "--arch", device, "--initial-map", "0,1"],
+        "emit-wcnf": ["emit-wcnf", "--input", str(src), "--arch", device],
+        "arch": ["arch", "--name", device],
+    }[command]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {device} has 1000000000 qubits, more than the 4096")
+    assert "Traceback" not in err
+
+
+def test_emit_wcnf_of_qaoa8_on_tokyo_has_the_golden_digest(tmp_path):
+    # The whole command path: gen-qaoa, the clause arena through the
+    # encoder and the writer, and the file written in place.
+    src, out = tmp_path / "qaoa8.qasm", tmp_path / "qaoa8.wcnf"
+    assert run(["gen-qaoa", "--qubits", "8", "--cycles", "1", "--seed", "7", "--output", str(src)]) == 0
+    out.write_text("x" * 3_000_000)  # a longer file, overwritten in place
+    assert run(["emit-wcnf", "--input", str(src), "--arch", "tokyo", "--n", "1", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_WCNF_SHA256["qaoa8-tokyo-n1"]

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from swaproute import maxsat
+from swaproute import cnf, maxsat
 from swaproute.arch import NoiseModel, load_arch
-from swaproute.circuit import Circuit, Gate
-from swaproute.cnf import InstanceBuilder, MaxSatInstance, Model, make_clause
+from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
+from swaproute.cnf import HardClauses, InstanceBuilder, MaxSatInstance, Model, make_clause
 from swaproute.encoder import EncodeOptions, encode
 from swaproute.errors import SolverIntegrityError, SolverOutputError
 from swaproute.maxsat import (
@@ -510,6 +510,65 @@ def test_instance_rejects_empty_clause():
         MaxSatInstance(2, ((1,),), (((), 1),))
 
 
+def test_hard_is_a_view_of_the_clause_arena():
+    b = InstanceBuilder()
+    b.new_vars(4)
+    b.add_hard([1, -2])
+    b.exactly_one([3, 4])
+    b.add_hard([-4])
+    hard = b.build().hard
+    clauses = ((1, -2), (3, 4), (-3, -4), (-4,))
+    assert hard.lits == [1, -2, 0, 3, 4, 0, -3, -4, 0, -4, 0]
+    assert len(hard) == 4 and bool(hard)
+    assert tuple(hard) == clauses and list(hard) == list(clauses)
+    assert hard == clauses and clauses == hard and hard == list(clauses)
+    assert hard != clauses[:3] and hard != (*clauses[:3], (4,)) and hard != "abcd"
+    assert hard == HardClauses.of(clauses) and hash(hard) == hash(clauses)
+    assert len(MaxSatInstance(4, (), ()).hard) == 0
+
+
+def test_an_instance_of_clause_tuples_equals_the_built_one():
+    rng = random.Random("tuples-or-builder")
+    for _ in range(50):
+        b = InstanceBuilder()
+        b.new_vars(9)
+        for _ in range(rng.randint(0, 12)):
+            b.add_hard([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 10), rng.randint(1, 4))])
+        b.add_soft([rng.randint(1, 9)], rng.randint(1, 5))
+        built = b.build()
+        again = MaxSatInstance(9, tuple(built.hard), built.soft)
+        assert again == built and again.hard.lits == built.hard.lits
+        assert (again.max_var, len(again.hard)) == (built.max_var, len(built.hard))
+
+
+@pytest.fixture(scope="module")
+def qaoa8_tokyo():
+    inst = encode(generate_qaoa_maxcut(8, 1, 7), load_arch("tokyo"), EncodeOptions(n=1))
+    model = solve_builtin(inst, budget=5.0).model  # any model of the hard clauses will do
+    return inst, model
+
+
+@pytest.mark.parametrize("which", ["first", "straddling", "last"])
+def test_hard_satisfied_finds_the_one_falsified_clause(qaoa8_tokyo, which):
+    # The re-check reads the arena a piece at a time.  The QAOA-8 Tokyo
+    # instance with one clause's signs turned so that a satisfying model
+    # falsifies that clause alone, at the arena's start, across the first
+    # piece's nominal end or last, keeps its layout and is refused.
+    inst, model = qaoa8_tokyo
+    clauses = list(inst.hard)
+    starts = list(itertools.accumulate((len(c) + 1 for c in clauses), initial=0))
+    at = {
+        "first": 0,
+        "straddling": next(i for i, s in enumerate(starts) if s < cnf.PIECE <= s + len(clauses[i])),
+        "last": len(clauses) - 1,
+    }[which]
+    clauses[at] = tuple(-lit if model.holds(lit) else lit for lit in clauses[at])
+    turned = MaxSatInstance(inst.num_vars, clauses, inst.soft)
+    assert turned.hard.lits[starts[at]:starts[at + 1]] == [*clauses[at], 0]
+    assert [c for c in turned.hard if not any(model.holds(lit) for lit in c)] == [clauses[at]]
+    assert inst.hard_satisfied(model) and not turned.hard_satisfied(model)
+
+
 def reference_at_most_one(builder: InstanceBuilder, lits):
     """One normalized clause per pair, one pair at a time."""
     for i in range(len(lits)):
@@ -636,8 +695,11 @@ def test_emit_wcnf_sizes_its_table_by_the_variables_in_use():
 
 @pytest.mark.parametrize("chunk", [3, maxsat.WCNF_CHUNK])
 def test_wcnf_chunks_are_bounded_and_join_to_the_text(monkeypatch, chunk):
-    # Piece boundaries fall before, on and after each clause-count multiple
-    # of the piece size, on the hard and the soft side, either side empty.
+    # A hard piece is the text of ``chunk`` items of the clause arena
+    # (literals and closing 0s), a soft piece ``chunk`` lines.  Piece
+    # boundaries fall before, on and after each multiple of the piece size,
+    # inside and between lines, on the hard and the soft side, either side
+    # empty.
     monkeypatch.setattr(maxsat, "WCNF_CHUNK", chunk)
     rng = random.Random("wcnf-chunks")
     for hard_count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk):
@@ -649,8 +711,11 @@ def test_wcnf_chunks_are_bounded_and_join_to_the_text(monkeypatch, chunk):
             inst = MaxSatInstance(9, hard, soft)
             pieces = list(maxsat.wcnf_chunks(inst))
             assert "".join(pieces) == emit_wcnf(inst) == reference_emit_wcnf(inst)
-            assert all(piece.count("\n") <= chunk for piece in pieces)
-            assert len(pieces) == 1 + -(-hard_count // chunk) + -(-soft_count // chunk)
+            hard_pieces = -(-4 * hard_count // chunk)  # three literals and a 0 per clause
+            # each item's text ends in one space, but for the last 0
+            assert all(piece.count(" ") <= chunk for piece in pieces[1 : 1 + hard_pieces])
+            assert all(piece.count("\n") <= chunk for piece in pieces[1 + hard_pieces :])
+            assert len(pieces) == 1 + hard_pieces + -(-soft_count // chunk)
 
 
 def test_external_solver_reads_the_streamed_wcnf(tmp_path, monkeypatch):
