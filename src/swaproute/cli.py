@@ -18,6 +18,7 @@ from .circuit import Circuit, emit_qasm, generate_qaoa_maxcut, parse_qasm
 from .driver import DriverConfig, SizeRun, as_cyclic_blocks, solve_best, solve_cyclic, solve_global
 from .encoder import EncodeOptions, encode
 from .errors import SolveTimeoutError, SwaprouteError, UnroutableError
+from .kernel import name as kernel_name
 from .maxsat import emit_wcnf
 from .solution import SliceStats, apply_routing
 from .verifier import verify, verify_solution
@@ -60,7 +61,9 @@ class StatsRecord:
     ``phase_ms`` splits the run's wall time: ``parse`` reads the circuit,
     the device and the noise file; ``route`` runs the strategy;
     ``verify`` builds the routed circuit and checks it twice; ``emit``
-    writes the routed QASM.
+    writes the routed QASM.  ``kernel`` names the search kernel that the
+    built-in solver runs in this process, ``"c"`` (compiled) or
+    ``"python"``; it is None with an external solver.
     """
 
     input: str
@@ -83,6 +86,7 @@ class StatsRecord:
     weighted_objective: int | None = None
     selected_slice_size: int | None = None
     size_runs: list[SizeRun] | None = None
+    kernel: str | None = None
 
 
 def _read_circuit(path: str) -> Circuit:
@@ -210,6 +214,7 @@ def _cmd_map(args) -> int:
         weighted_objective=solution.weighted_objective,
         selected_slice_size=selected,
         size_runs=size_runs,
+        kernel=kernel_name() if args.solver == "builtin" else None,
     )
     if args.stats:
         # One pass: json writes each dataclass from its own field dict, where

@@ -13,25 +13,31 @@ lower-bound search (Martins et al., SAT 2014).  Decisions follow a fixed
 variable order; a variable in some soft clause always takes its
 soft-preferred value, and every other variable takes the value it last
 had (phase saving, Pipatsrisawat & Darwiche, SAT 2007), kept from the
-probe into branch and bound.  The solver is exact and anytime:
+probe into branch and bound.  Learned clauses are reduced by LBD
+(Audemard & Simon, IJCAI 2009).  The solver is exact and anytime:
 interrupting it at the time budget yields the best incumbent found so
-far.  Scale beyond desk size is the job of external solvers via the
-WCNF interface.
+far.  The search runs in a compiled kernel (``_kernel.c``, built and
+loaded by :mod:`swaproute.kernel`) when one can be built, and otherwise
+in Python, decision for decision the same.  Scale beyond desk size is
+the job of external solvers via the WCNF interface.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import shlex
 import subprocess
 import tempfile
 import time
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
+from . import kernel
 from .cnf import HardClauses, MaxSatInstance, Model
 from .errors import SolverIntegrityError, SolverOutputError
 
@@ -79,6 +85,11 @@ class _BudgetExpired(Exception):
 
 
 PROBE_SHARE = 0.25  # share of a solve's budget the zero-cost probe may use
+REDUCE_FIRST = 2000  # a phase's conflicts before its first learned-clause reduction
+REDUCE_GROWTH = 300  # each gap between reductions is this many conflicts longer than the one before
+SETUP_PIECE = 65536  # arena items the compiled kernel's set-up converts between deadline checks
+_EV_DONE, _EV_INCUMBENT = 0, 1  # sr_run's events (_kernel.c)
+_ERR_EMPTY_CLAUSE, _ERR_NOMEM = 1, 2  # sr_new's errors (_kernel.c)
 
 
 def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> SolveOutcome:
@@ -94,16 +105,104 @@ def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> Solv
     proven lower bound.
     """
     t0 = time.monotonic()
+    return _search(instance, _phases(instance, budget, t0), t0)
+
+
+def _phases(instance: MaxSatInstance, budget: float | None, t0: float) -> list[tuple[int, float | None]]:
+    """The phases of :func:`solve_builtin`: the probe when there are soft clauses, then branch and bound."""
     deadline = None if budget is None else t0 + budget
     phases = [(instance.soft_weight_total + 1, deadline)]
     if instance.soft:
         cap = None if budget is None else t0 + PROBE_SHARE * budget
         phases.insert(0, (min(w for _, w in instance.soft), cap))
-    return _search(instance, phases, t0)
+    return phases
 
 
 def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0: float) -> SolveOutcome:
-    """Branch and bound in phases over one clause set-up.
+    """The search of :func:`_search_python`, run by the compiled kernel
+    when this process has one (see :mod:`swaproute.kernel`), else by
+    that Python reference."""
+    if kernel.load() is None:
+        return _search_python(instance, phases, t0)
+    return _search_c(instance, phases, t0)
+
+
+def _outcome(model: Model | None, exhausted: bool, best: int, lower: int, t0: float, counters: tuple) -> SolveOutcome:
+    """A search's outcome from its last phase: the model it found, if any,
+    and whether that phase was exhausted (its incumbent proved optimal,
+    or, with no incumbent, the hard clauses refuted)."""
+    elapsed = time.monotonic() - t0
+    if model is not None:
+        if exhausted:
+            return SolveOutcome(SolveStatus.OPTIMAL, model, best, elapsed, *counters, lower_bound=best)
+        return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, best, elapsed, *counters, lower_bound=lower)
+    status = SolveStatus.HARD_UNSAT if exhausted else SolveStatus.UNKNOWN
+    return SolveOutcome(status, None, None, elapsed, *counters, lower_bound=lower)
+
+
+def _search_c(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0: float) -> SolveOutcome:
+    """The search of :func:`_search_python`, decision for decision, in the
+    compiled kernel (``_kernel.c``, loaded by :mod:`swaproute.kernel`).
+
+    The hard clauses go over as one array of DIMACS literals, each clause
+    closed by a 0, converted a piece at a time with the deadline read
+    between pieces; the kernel refuses an empty clause as the Python
+    set-up does.  It returns at each incumbent, which is timed and logged
+    here, and is then called again.  Every 2,048 propagations it checks
+    its phase's deadline, lets other threads run, and checks the
+    interpreter's pending signals, so Ctrl-C ends an uncapped solve with
+    KeyboardInterrupt.
+    """
+    import ctypes
+
+    lib = kernel.load()
+    deadline = phases[-1][1]
+    if deadline is not None and time.monotonic() >= deadline:
+        return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
+    lits = instance.hard.lits
+    hard = array("i")
+    for i in range(0, len(lits), SETUP_PIECE):
+        hard.fromlist(lits[i : i + SETUP_PIECE])
+        if deadline is not None and time.monotonic() >= deadline:
+            return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
+    soft = array("i")
+    for c, _ in instance.soft:
+        soft.fromlist([*c, 0])
+    weights = array("q", [w for _, w in instance.soft])
+    uppers = array("q", [upper for upper, _ in phases])
+    untils = array("d", [math.inf if until is None else until for _, until in phases])
+    err = ctypes.c_int()
+    solver = lib.sr_new(
+        instance.num_vars, hard.buffer_info()[0], len(hard), soft.buffer_info()[0], weights.buffer_info()[0],
+        len(instance.soft), uppers.buffer_info()[0], untils.buffer_info()[0], len(phases), REDUCE_FIRST,
+        REDUCE_GROWTH, *lib.interpreter, ctypes.byref(err),
+    )
+    del hard  # the kernel keeps its own copy
+    if not solver:
+        if err.value == _ERR_NOMEM:
+            raise MemoryError("the compiled search kernel could not set up its clauses")
+        raise ValueError("empty hard clause" if err.value == _ERR_EMPTY_CLAUSE else "malformed clause arena")
+    out = (ctypes.c_longlong * 8)()  # decisions, conflicts, propagations, best, lower, exhausted, model, phase
+    incumbents: list[tuple[float, int]] = []
+    try:
+        while (event := lib.sr_run(solver)) == _EV_INCUMBENT:
+            lib.sr_result(solver, out, None)
+            incumbents.append((time.monotonic() - t0, out[3]))
+            stage = "probe" if phases[out[7]][0] <= instance.soft_weight_total else "branch and bound"
+            logger.info("incumbent: cost %d at %.3f s (%s)", out[3], incumbents[-1][0], stage)
+        if event != _EV_DONE:  # an interrupt raises its exception as the call returns
+            raise MemoryError("the compiled search kernel ran out of memory")
+        values = ctypes.create_string_buffer(instance.num_vars + 1)
+        lib.sr_result(solver, out, values)
+    finally:
+        lib.sr_free(solver)
+    decisions, conflicts, props, best, lower, exhausted, found, _ = out
+    model = Model(tuple(map(bool, values.raw))) if found else None
+    return _outcome(model, bool(exhausted), best, lower, t0, (decisions, conflicts, props, tuple(incumbents)))
+
+
+def _search_python(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0: float) -> SolveOutcome:
+    """Branch and bound in phases over one clause set-up: the reference kernel.
 
     Phase ``(upper, until)`` searches the models that falsify less than
     ``upper`` and stops at the time ``until``.  A phase that finds a model
@@ -127,7 +226,9 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     implication point at the clause's highest level; the learned clause
     is kept, and the search jumps back to the level where it becomes
     unit.  Learned clauses stay valid within a phase because the
-    incumbent only falls.
+    incumbent only falls.  Each phase reduces them after
+    :data:`REDUCE_FIRST` conflicts, and again after gaps that grow by
+    :data:`REDUCE_GROWTH` each time (see :func:`_reduce`).
     A conflict at level 0 proves the incumbent optimal, or, with no
     incumbent, refutes the phase (hard unsatisfiability when ``upper``
     exceeds the total soft weight).  A phase that runs out of time
@@ -164,16 +265,19 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     # The hard clauses are read a piece of whole clauses at a time: one
     # lookup translates the piece, the 0 that closes each clause stays 0
     # (variable 0's index form), and a clause's width shows in which of its
-    # next items is that 0.
+    # next items is that 0.  A 0 where a clause should open is an empty
+    # clause, which is refused.
     root_units: list[int] = []
     for piece in instance.hard.pieces():
         if deadline is not None and time.monotonic() >= deadline:
             return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
-        piece = itemgetter(*piece)(code)  # every piece holds a whole clause, so two items or more
-        i = 0
+        piece = itemgetter(0, *piece)(code)  # a leading 0 keeps even a one-item piece a tuple
+        i = 1
         end = len(piece)
         while i < end:
             a = piece[i]
+            if not a:
+                raise ValueError("empty hard clause")
             b = piece[i + 1]
             if not b:
                 root_units.append(a)
@@ -221,13 +325,19 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
     saved = list(map(code.__getitem__, range(0, -nv - 1, -1)))  # per variable: the literal it last had, false at first
     del code
     lower = 0  # every model falsifies at least this much
-    learned: list = []  # clauses learned in the current phase
+    learned: list = []  # clauses of three literals or more learned in the current phase, oldest first
+    lbds: list[int] = []  # their LBDs
+    learned_bin: list = []  # binary clauses learned in the current phase
     incumbents: list[tuple[float, int]] = []
     decisions = conflicts = props = 0
 
     for phase, (upper, until) in enumerate(phases):
-        _forget(learned, watches, implied)  # unassign everything, drop what the previous phase learned
+        _forget(learned, learned_bin, watches, implied)  # unassign everything, drop what the previous phase learned
         learned = []
+        lbds = []
+        learned_bin = []
+        gap = REDUCE_FIRST
+        next_reduce = conflicts + gap  # the conflict count at the phase's next reduction
         lv = [0] * size  # 1 true, -1 false, 0 unassigned
         trail: list[int] = []
         trail_lim: list[int] = []  # trail length at each decision
@@ -425,11 +535,15 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                 # there becomes kept[1], the second watch) and assert the first
                 # UIP there.  Undoing a literal the propagation already took
                 # gives back its soft clauses' counts; every literal undone
-                # saves its polarity.
+                # saves its polarity.  The clause's LBD counts its levels:
+                # the first UIP's, and those of the rest.
                 level = at = 0
+                levels = set()
                 for k in range(1, len(kept)):
-                    if lvl[kept[k] ^ 1] > level:
-                        level = lvl[kept[k] ^ 1]
+                    x = lvl[kept[k] ^ 1]
+                    levels.add(x)
+                    if x > level:
+                        level = x
                         at = k
                 if at:
                     kept[1], kept[at] = kept[at], kept[1]
@@ -456,48 +570,68 @@ def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0
                             implied[a ^ 1].append(b)
                         else:
                             implied[a ^ 1] = [b]
-                    learned.append(kept)
+                    learned_bin.append(kept)
                     r = tuple(kept)
                 else:
                     watches[u ^ 1].append(kept)
                     watches[kept[1] ^ 1].append(kept)
                     learned.append(kept)
+                    lbds.append(len(levels) + 1)
                     r = kept
                 lv[u] = 1
                 lv[u ^ 1] = -1
                 lvl[u] = dl
                 rsn[u] = r
                 append(u)
+                if conflicts >= next_reduce:
+                    learned, lbds = _reduce(learned, lbds, watches, lv, rsn)
+                    gap += REDUCE_GROWTH
+                    next_reduce += gap
         except _BudgetExpired:
             pass
         if best_vals is not None or phase == len(phases) - 1:
             break
         if exhausted:
             lower = upper
-    elapsed = time.monotonic() - t0
-    counters = (decisions, conflicts, props, tuple(incumbents))
-    if best_vals is not None:
-        model = Model((False, *(x == 1 for x in best_vals)))
-        if exhausted:
-            return SolveOutcome(SolveStatus.OPTIMAL, model, best, elapsed, *counters, lower_bound=best)
-        return SolveOutcome(SolveStatus.SATISFIABLE_BOUND, model, best, elapsed, *counters, lower_bound=lower)
-    status = SolveStatus.HARD_UNSAT if exhausted else SolveStatus.UNKNOWN
-    return SolveOutcome(status, None, None, elapsed, *counters, lower_bound=lower)
+    model = None if best_vals is None else Model((False, *(x == 1 for x in best_vals)))
+    return _outcome(model, exhausted, best, lower, t0, (decisions, conflicts, props, tuple(incumbents)))
 
 
-def _forget(learned: list[list[int]], watches: list[list[list[int]]], implied: list[list[int]]):
-    """Remove the clauses in ``learned`` from the watch and implication lists."""
-    dead = set()
-    keys = set()
-    for c in learned:
-        if len(c) == 2:
-            implied[c[0] ^ 1].remove(c[1])
-            implied[c[1] ^ 1].remove(c[0])
-        else:
-            dead.add(id(c))
-            keys.update((c[0] ^ 1, c[1] ^ 1))
-    for key in keys:
+def _forget(learned: list[list[int]], learned_bin: list[list[int]], watches: list, implied: list):
+    """Remove the long clauses ``learned`` from the watch lists, and the
+    binary ones ``learned_bin`` from the implication lists, each by its
+    first occurrence there."""
+    for a, b in learned_bin:
+        implied[a ^ 1].remove(b)
+        implied[b ^ 1].remove(a)
+    _unwatch(learned, watches)
+
+
+def _unwatch(clauses: list[list[int]], watches: list):
+    """Remove ``clauses`` from the watch lists, keeping the others' order."""
+    dead = {id(c) for c in clauses}
+    for key in {c[k] ^ 1 for c in clauses for k in (0, 1)}:
         watches[key] = [c for c in watches[key] if id(c) not in dead]
+
+
+def _reduce(learned: list[list[int]], lbds: list[int], watches: list, lv: list[int], rsn: list):
+    """Learned-clause reduction (Audemard & Simon, IJCAI 2009).
+
+    Ranks the learned long clauses by LBD, highest first, then oldest
+    first, and deletes those in the first half of that ranking except the
+    ones with LBD 2 or less and the ones that are the reason for an
+    assigned literal (the first literal of a reason is the one it
+    implied).  Returns the survivors and their LBDs, oldest first.
+    """
+    ranked = sorted(range(len(learned)), key=lambda i: (-lbds[i], i))
+    dead = set()
+    for i in ranked[: len(ranked) // 2]:
+        c = learned[i]
+        if lbds[i] > 2 and not (lv[c[0]] == 1 and rsn[c[0]] is c):
+            dead.add(i)
+    _unwatch([learned[i] for i in dead], watches)
+    keep = [i for i in range(len(learned)) if i not in dead]
+    return [learned[i] for i in keep], [lbds[i] for i in keep]
 
 
 # ---------------------------------------------------------------------------

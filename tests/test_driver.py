@@ -340,13 +340,15 @@ def test_sliced_solves_get_a_share_each(monkeypatch):
 
 
 def test_timeout_without_incumbent():
-    # A cyclic QAOA-16 block on Tokyo: building the instance takes a good
-    # part of the budget, and the built-in solver finds no first model within
-    # seconds, so a small budget must surface as a timeout.
+    # A cyclic QAOA-16 block on Tokyo: encoding it and setting up its
+    # clauses take tens of milliseconds, so a 1 ms budget (the least share
+    # a solve gets) runs out before the search starts, and the solver
+    # returns no model.  That must surface as a timeout, however fast the
+    # search is.
     block = generate_qaoa_maxcut(16, 1, 7)
     g = load_arch("tokyo")
-    with pytest.raises(SolveTimeoutError, match=r"\(slice 0, \d+\.\d\d s spent, budget 0\.3 s\)"):
-        solve_cyclic(block, 2, g, DriverConfig(n=1, budget=0.3))
+    with pytest.raises(SolveTimeoutError, match=r"\(slice 0, \d+\.\d\d s spent, budget 0\.001 s\)"):
+        solve_cyclic(block, 2, g, DriverConfig(n=1, budget=0.001))
 
 
 def test_interrupted_global_solve_still_verifies():
@@ -356,7 +358,10 @@ def test_interrupted_global_solve_still_verifies():
         sol = solve_global(block, g, DriverConfig(n=1, budget=0.5))
     except SolveTimeoutError:
         return  # legal under load: no incumbent yet, and nothing was emitted
-    assert sol.status == "best_effort"
+    if sol.status == "optimal":  # proved within the budget: it must be the optimum
+        assert sol.swap_count == solve_global(block, g, DriverConfig(n=1)).swap_count
+    else:
+        assert sol.status == "best_effort"
     check_solution(block, sol, g)
 
 

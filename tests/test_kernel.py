@@ -1,0 +1,169 @@
+"""The compiled search kernel's build cache, its fallback, and Ctrl-C."""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from swaproute import kernel, maxsat
+from swaproute.arch import load_arch
+from swaproute.cli import main as cli_main
+from swaproute.circuit import Circuit, Gate, emit_qasm, generate_qaoa_maxcut
+from swaproute.encoder import EncodeOptions, encode
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+needs_cc = pytest.mark.skipif(kernel._compiler() is None, reason="no C compiler (cc) on PATH")
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch):
+    """An empty build cache for this test; every later test loads its own kernel again."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    kernel.load.cache_clear()
+    yield tmp_path / "cache" / "swaproute"
+    kernel.load.cache_clear()
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The compile commands run, recorded."""
+    calls = []
+    run = subprocess.run
+
+    def recording(argv, *args, **kwargs):
+        calls.append(argv)
+        return run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recording)
+    return calls
+
+
+def five_gate_circuit() -> Circuit:
+    pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)]
+    return Circuit(4, tuple(Gate("cx", p) for p in pairs))
+
+
+def outcome_key(out):
+    return (out.status, out.decisions, out.conflicts, out.propagations, tuple(w for _, w in out.incumbents),
+            out.lower_bound, out.model)
+
+
+@needs_cc
+def test_without_a_compiler_the_python_kernel_runs_the_same_search(cold_cache, monkeypatch, tmp_path):
+    inst = encode(five_gate_circuit(), load_arch("line:4"), EncodeOptions(n=1))
+    compiled = maxsat.solve_builtin(inst)
+    assert kernel.name() == "c"
+    kernel.load.cache_clear()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))  # cold: nothing to load
+    monkeypatch.setattr(kernel, "_compiler", lambda: None)
+    assert kernel.load() is None and kernel.name() == "python"
+    assert outcome_key(maxsat.solve_builtin(inst)) == outcome_key(compiled)
+
+    qasm, stats = tmp_path / "c.qasm", tmp_path / "stats.json"
+    qasm.write_text(emit_qasm(five_gate_circuit()), encoding="utf-8")
+    argv = ["map", "--input", str(qasm), "--arch", "line:4", "--output", str(tmp_path / "r.qasm"), "--stats", str(stats)]
+    assert cli_main(argv) == 0
+    assert json.loads(stats.read_text())["kernel"] == "python"
+
+
+@needs_cc
+def test_a_warm_cache_never_runs_the_compiler(cold_cache, compiles):
+    assert kernel.load() is not None and len(compiles) == 1
+    kernel.load.cache_clear()
+    assert kernel.load() is not None and len(compiles) == 1  # a new process's first load
+    builds = list(cold_cache.iterdir())
+    assert len(builds) == 1 and builds[0].stat().st_mode & 0o777 == 0o700
+    assert cold_cache.stat().st_mode & 0o777 == 0o700
+
+
+@needs_cc
+def test_partly_written_or_foreign_builds_are_never_loaded(cold_cache, compiles, monkeypatch):
+    good = kernel.build(cold_cache)
+    data = good.read_bytes()
+    compiler = kernel._compiler
+    monkeypatch.setattr(kernel, "_compiler", lambda: None)
+    # Under the name of the whole build: its first half, then the whole
+    # build open to others' writes.  A build still being written has a
+    # temporary name that no load looks for.
+    (cold_cache / ".build-x.so").write_bytes(data)
+    for content, mode in ((data[: len(data) // 2], 0o700), (data, 0o722)):
+        good.write_bytes(content)
+        os.chmod(good, mode)
+        assert not kernel._verified(good)
+        with pytest.raises(OSError, match="no C compiler"):
+            kernel.build(cold_cache)
+        assert kernel.load() is None
+
+    monkeypatch.setattr(kernel, "_compiler", compiler)
+    compiles.clear()
+    fresh = kernel.build(cold_cache)
+    assert len(compiles) == 1 and fresh == good  # a fresh build replaced the foreign file
+    assert fresh.read_bytes() == data and kernel._verified(fresh)
+
+
+def test_ctrl_c_stops_an_uncapped_solve(tmp_path):
+    # The whole-circuit QAOA-16 instance on Tokyo, with no budget, runs for
+    # far longer than this test waits.  The child says which kernel it runs
+    # once the kernel is loaded and the instance encoded, just before it
+    # starts the solve.
+    code = (
+        "from swaproute import kernel, maxsat\n"
+        "from swaproute.arch import load_arch\n"
+        "from swaproute.circuit import generate_qaoa_maxcut\n"
+        "from swaproute.encoder import EncodeOptions, encode\n"
+        "inst = encode(generate_qaoa_maxcut(16, 1, 7), load_arch('tokyo'), EncodeOptions(n=1))\n"
+        "print(kernel.name(), flush=True)\n"
+        "maxsat.solve_builtin(inst)\n"
+        "print('finished', flush=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+    try:
+        name = proc.stdout.readline().strip()
+        assert name == ("c" if kernel.load() is not None else "python")
+        time.sleep(1.0)  # well into the search: its set-up takes tens of milliseconds
+        assert proc.poll() is None
+        sent = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        waited = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "finished" not in out
+    assert proc.returncode != 0 and "KeyboardInterrupt" in err
+    assert waited < 2.0
+
+
+def test_other_threads_run_during_a_solve():
+    # A thread that wakes every millisecond, beside a one-second solve of
+    # the whole-circuit QAOA-16 instance on Tokyo.  The compiled kernel
+    # searches without the interpreter lock, and the Python one lets go of
+    # it every few milliseconds, so the thread keeps waking.
+    inst = encode(generate_qaoa_maxcut(16, 1, 7), load_arch("tokyo"), EncodeOptions(n=1))
+    ticks = []
+    done = threading.Event()
+
+    def tick():
+        while not done.is_set():
+            ticks.append(time.monotonic())
+            time.sleep(0.001)
+
+    ticker = threading.Thread(target=tick)
+    ticker.start()
+    try:
+        start = time.monotonic()
+        out = maxsat.solve_builtin(inst, budget=1.0)
+    finally:
+        done.set()
+        ticker.join(timeout=10)
+    assert not ticker.is_alive()
+    assert sum(start < t < start + out.elapsed for t in ticks) > 50

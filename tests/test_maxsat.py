@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from swaproute import cnf, maxsat
+from swaproute import cnf, kernel, maxsat
 from swaproute.arch import NoiseModel, load_arch
 from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
 from swaproute.cnf import HardClauses, InstanceBuilder, MaxSatInstance, Model, make_clause
@@ -350,6 +350,8 @@ def test_budget_with_incumbent_is_satisfiable_bound():
 # conflicts, propagations, incumbent weights, lower bound and a digest of
 # the model.  A change that only makes the search faster must reproduce
 # them exactly; one that changes its decisions re-records them and says why.
+# Both search kernels, the Python reference and the compiled one, must
+# reproduce them.
 
 
 def fixed_circuit(num_qubits: int, slots: int, tag: str) -> Circuit:
@@ -403,6 +405,9 @@ ROUTING_SHAPES = [  # the global rows of the exact-small benchmark, and one Toky
     ("line4-noise", "line:4", 4, 6, 1, True),
     ("cycle4-noise", "cycle:4", 4, 6, 1, True),
     ("rand8x10-global", "tokyo", 8, 10, 1, False),
+    # Its branch and bound runs 8,474 conflicts, past three learned-clause
+    # reductions (at 2,000, 4,300 and 6,900).
+    ("grid3x3-10s", "grid:3x3", 5, 10, 1, False),
 ]
 
 TRAJECTORIES = {
@@ -419,6 +424,7 @@ TRAJECTORIES = {
     "line4-noise": ("optimal", 226, 208, 4930, (325, 312, 233, 151, 111), 111, "1ce784325010b511"),
     "cycle4-noise": ("optimal", 511, 464, 10378, (120, 114, 109, 90, 80), 80, "8ed988b0987350cc"),
     "rand8x10-global": ("optimal", 5912, 1124, 227739, (4, 3, 2, 1), 1, "72ac98214be54d0e"),
+    "grid3x3-10s": ("optimal", 10671, 8487, 610406, (7, 6, 5, 4, 3, 2), 2, "1cc8112c91e69330"),
     "random-0": ("optimal", 11, 3, 20, (5, 2), 2, "be58233c8b1c33d2"),
     "random-1": ("optimal", 6, 3, 24, (10,), 10, "056f49b3e64b3989"),
     "random-2": ("optimal", 27, 5, 32, (9, 5, 4), 4, "45b43ab125e4eb02"),
@@ -450,10 +456,19 @@ def trajectory_instances():
         yield f"dense-{i}", dense_instance(rng, 50 + 10 * i)
 
 
-def test_search_trajectory_is_pinned():
+@pytest.fixture(params=["python", "c"])
+def search(request):
+    """Each search kernel, called directly."""
+    if request.param == "c" and kernel.load() is None:
+        pytest.skip("no compiled kernel: no C compiler, or no usable cache")
+    return {"python": maxsat._search_python, "c": maxsat._search_c}[request.param]
+
+
+def test_search_trajectory_is_pinned(search):
     got = {}
     for name, inst in trajectory_instances():
-        out = solve_builtin(inst)
+        t0 = time.monotonic()
+        out = search(inst, maxsat._phases(inst, None, t0), t0)
         digest = None if out.model is None else hashlib.sha256(bytes(out.model.values)).hexdigest()[:16]
         weights = tuple(w for _, w in out.incumbents)
         got[name] = (out.status.value, out.decisions, out.conflicts, out.propagations, weights, out.lower_bound, digest)
@@ -465,7 +480,12 @@ def test_search_trajectory_is_pinned():
 def test_search_keeps_its_state_in_fast_locals():
     # A closure over the search's state would turn it into cell variables,
     # which every access in the hot loop then pays for.
-    assert maxsat._search.__code__.co_cellvars == ()
+    assert maxsat._search_python.__code__.co_cellvars == ()
+
+
+def test_an_empty_hard_clause_is_refused_before_searching(search):
+    with pytest.raises(ValueError, match="empty hard clause"):
+        search(MaxSatInstance(2, HardClauses([1, 0, 0], 2), ()), [(1, None)], time.monotonic())
 
 
 # -- instances and the builder -------------------------------------------------
