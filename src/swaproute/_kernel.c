@@ -1,5 +1,7 @@
 /* The search of swaproute.maxsat in C: the same branch and bound, step
- * for step, as the Python reference kernel `maxsat._search_python`.
+ * for step, as the Python reference kernel `maxsat._search_python`, and
+ * the passes over an instance's hard clauses that run at every instance
+ * and every WCNF file: the arena check and the writer of the hard lines.
  *
  * Literals are in index form (MiniSat; Een & Sorensson, SAT 2003):
  * variable v is 2v and its negation 2v + 1.  Clauses of three literals or
@@ -13,11 +15,16 @@
  * clauses.  The solver state is one heap object that the caller creates
  * with sr_new, runs with sr_run (which returns at each new incumbent and
  * is called again to go on) and frees with sr_free.  sr_run searches
- * without the interpreter lock (`save` lets it go, `restore` takes it
- * back), so the caller's other threads run meanwhile.  Every 2,048
- * propagations it checks the phase's deadline and, holding the lock,
- * calls the caller's `check`, which returns nonzero to stop the search
- * at once.
+ * without the interpreter lock, so the caller's other threads run
+ * meanwhile.  Every 2,048 propagations it checks the phase's deadline
+ * and, holding the lock, checks the interpreter's pending signals, which
+ * stop the search at once when a handler raises.
+ *
+ * The hard clauses are read where they lie: in the caller's Python list
+ * of DIMACS literals, each clause closed by a 0 (`cnf.HardClauses.lits`),
+ * one item at a time through the interpreter's own functions.  sr_init
+ * hands over those functions' addresses once per process, so this file
+ * needs no Python headers.
  *
  * Build: cc -O2 -shared -fPIC.  Only the C library is used.
  */
@@ -30,10 +37,124 @@
 
 typedef long long i64;
 
-#define CHECK_MASK 2047 /* deadline and `check` every 2,048 propagations */
+#define CHECK_MASK 2047  /* deadline and signals every 2,048 propagations */
+#define SETUP_MASK 65535 /* the set-up's deadline every 65,536 hard clause items */
 
 enum { EV_DONE, EV_INCUMBENT, EV_INTERRUPTED, EV_NOMEM };
-enum { ERR_NONE, ERR_EMPTY_CLAUSE, ERR_NOMEM, ERR_MALFORMED };
+enum { ERR_NONE, ERR_EMPTY_CLAUSE, ERR_NOMEM, ERR_MALFORMED, ERR_EXPIRED };
+
+/* The interpreter's functions (see sr_init).  A list's item is a borrowed
+ * reference; PyLong_AsLong gives -1 with an exception set for an item
+ * that is not an int or does not fit a long. */
+static struct {
+    void *(*save)(void);                  /* PyEval_SaveThread */
+    void (*restore)(void *);              /* PyEval_RestoreThread */
+    int (*check)(void);                   /* PyErr_CheckSignals */
+    void *(*list_item)(void *, long);     /* PyList_GetItem */
+    long (*as_long)(void *);              /* PyLong_AsLong */
+    void *(*error)(void);                 /* PyErr_Occurred */
+    void (*clear)(void);                  /* PyErr_Clear */
+    void *(*latin1)(const char *, long, const char *); /* PyUnicode_DecodeLatin1 */
+} py;
+
+/* Take the interpreter's functions, in the order of `py`'s fields. */
+void sr_init(void *const *api) {
+    memcpy(&py, api, sizeof py);
+}
+
+/* Item i of a Python list as a long.  Returns 0 with *bad set, and the
+ * interpreter's exception left set, when there is no such item or it is
+ * not an int that fits. */
+static long item(void *list, long i, int *bad) {
+    void *x = py.list_item(list, i);
+    long v = x ? py.as_long(x) : -1;
+    *bad = v == -1 && (!x || py.error());
+    return *bad ? 0 : v;
+}
+
+/* Check a list of `n` DIMACS items that should hold `count` hard clauses
+ * over variables 1..nv: every item an int in -nv..nv, every clause closed
+ * by a 0 and none empty, and `count` 0s.  Returns the largest variable
+ * used (0 for no clause), or -1 when anything is wrong; the interpreter's
+ * exception, if one was raised, is cleared, as the caller names the fault
+ * itself. */
+long sr_check(void *list, long n, long count, long nv) {
+    long top = 0, zeros = 0;
+    int open = 0, bad;
+    for (long i = 0; i < n; i++) {
+        long v = item(list, i, &bad);
+        if (bad) {
+            py.clear();
+            return -1;
+        }
+        if (!v) {
+            if (!open)
+                return -1; /* an empty clause */
+            open = 0;
+            zeros++;
+            continue;
+        }
+        if (v > nv || v < -nv)
+            return -1;
+        if (v < 0)
+            v = -v;
+        if (v > top)
+            top = v;
+        open = 1;
+    }
+    return open || zeros != count ? -1 : top;
+}
+
+/* Write v in decimal at p; returns the end. */
+static char *put_long(char *p, long v) {
+    static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+                                "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+                                "8081828384858687888990919293949596979899";
+    unsigned long u = v < 0 ? -(unsigned long)v : (unsigned long)v;
+    if (v < 0)
+        *p++ = '-';
+    int n = 1;
+    for (unsigned long x = u; x >= 10; x /= 10)
+        n++;
+    char *end = p + n;
+    for (p = end; u >= 100; u /= 100) {
+        p -= 2;
+        memcpy(p, pairs + 2 * (u % 100), 2);
+    }
+    if (u >= 10) {
+        p -= 2;
+        memcpy(p, pairs + 2 * u, 2);
+    } else
+        *--p = (char)('0' + u);
+    return end;
+}
+
+/* The WCNF text of items start..stop-1 of a checked list of hard clauses,
+ * as a new str: each literal and a space, and each closing 0 as "0", a
+ * newline and `prefix` (the next hard line's weight and a space).  `buf`
+ * holds `cap` bytes.  Returns NULL when the text does not fit or an item
+ * is not an int (with the interpreter's exception set for the latter). */
+void *sr_wcnf(void *list, long start, long stop, char *buf, long cap, const char *prefix, long plen) {
+    char *p = buf, *end = buf + cap - 24 - plen; /* room for one more item */
+    int bad;
+    for (long i = start; i < stop; i++) {
+        if (p > end)
+            return NULL;
+        long v = item(list, i, &bad);
+        if (bad)
+            return NULL;
+        if (v) {
+            p = put_long(p, v);
+            *p++ = ' ';
+        } else {
+            *p++ = '0';
+            *p++ = '\n';
+            memcpy(p, prefix, (size_t)plen);
+            p += plen;
+        }
+    }
+    return py.latin1(buf, p - buf, NULL);
+}
 
 typedef struct {
     int *d;
@@ -44,9 +165,6 @@ typedef struct {
     int nv, size, nphases;
     i64 *upper;
     double *until;
-    void *(*save)(void);
-    void (*restore)(void *);
-    int (*check)(void);
     int reduce_first, reduce_growth; /* a phase's first reduction, and how much longer each later gap is */
 
     /* per literal */
@@ -158,19 +276,20 @@ void sr_free(S *s) {
     free(s);
 }
 
-/* Set up a solver over `nhard` items of DIMACS hard clauses, each closed
- * by a 0, and `nsoft` soft clauses laid out the same way with their
- * weights.  Phase k searches below upper[k] until the monotonic time
- * until[k] (infinity for none).  Each phase reduces its learned clauses
- * after `reduce_first` conflicts, then after gaps `reduce_growth` longer
- * each time.  `save` and `restore` are both given or both NULL, and
- * `check` may be NULL.  On failure returns NULL with *err set. */
-S *sr_new(int nv, const int *hard, long nhard, const int *soft, const i64 *weight, int nsoft,
-          const i64 *upper, const double *until, int nphases, int reduce_first, int reduce_growth,
-          void *(*save)(void), void (*restore)(void *), int (*check)(void), int *err) {
+/* Set up a solver over the first `nhard` items of `hard`, a Python list
+ * of DIMACS hard clauses, each closed by a 0, and `nsoft` soft clauses
+ * laid out the same way in an int array, with their weights.  Phase k
+ * searches below upper[k] until the monotonic time until[k] (infinity
+ * for none).  Each phase reduces its learned clauses after
+ * `reduce_first` conflicts, then after gaps `reduce_growth` longer each
+ * time.  The set-up stops at the last phase's time.  Needs sr_init.  On
+ * failure returns NULL with *err set. */
+S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, int nsoft, const i64 *upper,
+          const double *until, int nphases, int reduce_first, int reduce_growth, int *err) {
     *err = ERR_NOMEM;
     if (nv < 0 || nv > (INT_MAX - 2) / 2 || nsoft < 0 || nphases < 1)
         return NULL;
+    Vec c = {0}; /* the hard clause being read, in index form */
     S *s = calloc(1, sizeof *s);
     if (!s)
         return NULL;
@@ -178,9 +297,6 @@ S *sr_new(int nv, const int *hard, long nhard, const int *soft, const i64 *weigh
     s->nv = nv;
     s->size = size;
     s->nphases = nphases;
-    s->save = save;
-    s->restore = restore;
-    s->check = check;
     s->reduce_first = reduce_first;
     s->reduce_growth = reduce_growth;
     s->upper = malloc((size_t)nphases * sizeof(i64));
@@ -218,47 +334,52 @@ S *sr_new(int nv, const int *hard, long nhard, const int *soft, const i64 *weigh
     s->alen = 1; /* offset 0 names no clause */
 
     /* Hard clauses, in order: units, binary implications, watched clauses. */
-    for (long i = 0; i < nhard;) {
-        long j = i;
-        while (j < nhard && hard[j])
-            j++;
-        if (j == nhard) {
-            *err = ERR_MALFORMED; /* the last clause is not closed */
+    for (long i = 0; i < nhard; i++) {
+        int bad;
+        if (!(i & SETUP_MASK) && now() >= until[nphases - 1]) {
+            *err = ERR_EXPIRED;
             goto fail;
         }
-        long w = j - i;
+        long v = item(hard, i, &bad);
+        if (bad || v > nv || v < -nv) {
+            if (bad)
+                py.clear();
+            *err = ERR_MALFORMED;
+            goto fail;
+        }
+        if (v) {
+            if (push(&c, code((int)v)))
+                goto nomem;
+            continue;
+        }
+        int w = c.n, a = c.d ? c.d[0] : 0;
+        c.n = 0;
         if (w == 0) {
             *err = ERR_EMPTY_CLAUSE;
             goto fail;
         }
-        for (long k = i; k < j; k++) {
-            if (hard[k] > nv || hard[k] < -nv) {
-                *err = ERR_MALFORMED;
-                goto fail;
-            }
-        }
-        int a = code(hard[i]);
         if (w == 1) {
             if (push(&s->units, a))
                 goto nomem;
         } else if (w == 2) {
-            int b = code(hard[i + 1]);
+            int b = c.d[1];
             if (push(&s->implied[a ^ 1], b) || push(&s->implied[b ^ 1], a))
                 goto nomem;
         } else {
             if (reserve(s, 2 + w))
                 goto nomem;
             int cr = (int)s->alen;
-            s->arena[cr] = (int)w;
+            s->arena[cr] = w;
             s->arena[cr + 1] = 0;
-            for (long k = 0; k < w; k++)
-                s->arena[cr + 2 + k] = code(hard[i + k]);
+            memcpy(s->arena + cr + 2, c.d, (size_t)w * sizeof(int));
             s->alen += 2 + w;
-            int b = s->arena[cr + 3];
-            if (push(&s->watches[a ^ 1], cr) || push(&s->watches[b ^ 1], cr))
+            if (push(&s->watches[a ^ 1], cr) || push(&s->watches[c.d[1] ^ 1], cr))
                 goto nomem;
         }
-        i = j + 1;
+    }
+    if (c.n) {
+        *err = ERR_MALFORMED; /* the last clause is not closed */
+        goto fail;
     }
     s->learned_at = s->alen;
 
@@ -301,11 +422,13 @@ S *sr_new(int nv, const int *hard, long nhard, const int *soft, const i64 *weigh
     free(fill);
     for (int v = 0; v <= nv; v++)
         s->saved[v] = 2 * v + 1;
+    free(c.d);
     *err = ERR_NONE;
     return s;
 nomem:
     *err = ERR_NOMEM;
 fail:
+    free(c.d);
     sr_free(s);
     return NULL;
 }
@@ -516,16 +639,13 @@ static int run(S *s, void **ts) {
             while (qhead < tn) {
                 int p = trail[qhead++];
                 if (!(++props & CHECK_MASK)) {
-                    if (s->save) {
-                        s->restore(*ts);
-                        *ts = NULL;
-                    }
-                    if (s->check && s->check()) {
+                    py.restore(*ts);
+                    *ts = NULL;
+                    if (py.check()) {
                         STORE();
                         return EV_INTERRUPTED;
                     }
-                    if (s->save)
-                        *ts = s->save();
+                    *ts = py.save();
                     if (until < INFINITY && now() > until)
                         goto expired;
                 }
@@ -812,10 +932,10 @@ static int run(S *s, void **ts) {
 }
 
 int sr_run(S *s) {
-    void *ts = s->save ? s->save() : NULL;
+    void *ts = py.save();
     int event = run(s, &ts);
     if (ts)
-        s->restore(ts);
+        py.restore(ts);
     return event;
 }
 

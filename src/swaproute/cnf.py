@@ -9,14 +9,22 @@ one tuple per clause.  Its weighted soft clauses stay (clause, weight)
 pairs.  An instance built by the encoder also carries the layout of its
 variables: the rows of ids that say which placement or swap choice each
 variable stands for.
+
+Every new instance checks its arena in one pass: in the compiled kernel
+(``_kernel.c``, loaded by :mod:`swaproute.kernel`) when the process has
+one, else in Python here (:func:`_arena_top`).  Both passes give the same
+verdict, and on a fault the same Python clause-by-clause pass names it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
-from operator import eq, itemgetter, not_
+from operator import eq, index, itemgetter, not_
 from typing import Iterable, Iterator, Sequence
+
+from . import kernel
 
 Clause = tuple[int, ...]
 
@@ -133,41 +141,44 @@ class MaxSatInstance:
             hard = HardClauses.of(clauses)
             object.__setattr__(self, "hard", hard)
         object.__setattr__(self, "soft", tuple(self.soft))
-        # Two passes over the arena at C speed, neither of which builds
-        # anything per item, find whether anything is wrong: the set of
-        # literals in use gives the range, and the 0s must number the
-        # clauses, so a literal 0 shows as one 0 too many.  An empty clause
-        # is refused where clauses come in as tuples; the arena's writers
-        # (the builder's methods, the encoder, the parser) open every clause
-        # with a literal.  Only on a fault does the clause-by-clause check
-        # run, to name the first fault in clause order.
+        # One pass over the arena (see _arena_top) and the set of soft
+        # literals find whether anything is wrong.  Only on a fault does the
+        # clause-by-clause check run, to name the first fault in clause order.
         nv = self.num_vars
         lits = hard.lits
-        used = set(lits)
-        zeros = lits.count(0)
+        if not isinstance(lits, list):
+            raise TypeError(f"the hard clause arena must be a list, not {type(lits).__name__}")
+        top = _arena_top(lits, hard.count, nv)
         soft_lits = set(chain.from_iterable(c for c, _ in self.soft))
-        used |= soft_lits
-        max_var = max(max(used), -min(used)) if used else 0
+        max_var = max(top or 0, max(soft_lits), -min(soft_lits)) if soft_lits else top or 0
         object.__setattr__(self, "max_var", max_var)
-        arena_ok = zeros == hard.count and (not lits or lits[-1] == 0) and (clauses is hard or all(clauses))
         in_range = max_var <= nv and 0 not in soft_lits
         non_empty = all(c for c, _ in self.soft)
-        if not (arena_ok and in_range and non_empty and all(w >= 1 for _, w in self.soft)):
+        if not (top is not None and in_range and non_empty and all(w >= 1 for _, w in self.soft)):
             for clause in clauses if clauses is not hard else _split(lits):
                 self._check(clause)
             for clause, weight in self.soft:
                 self._check(clause)
                 if weight < 1:
                     raise ValueError(f"soft weight must be >= 1, got {weight}")
-            # Every clause is sound, so the arena's 0s disagree with its count.
-            raise ValueError(f"literal 0 out of range (num_vars={nv})" if zeros > hard.count
-                             else f"{hard.count} hard clauses, {zeros} closed by a 0")
+            # Every clause is sound, so the arena's 0s disagree with its
+            # count, or its last clause is not closed.
+            zeros = sum(1 for lit in lits if _is_zero(lit))
+            if zeros > hard.count:
+                raise ValueError(f"literal 0 out of range (num_vars={nv})")
+            if lits and not _is_zero(lits[-1]):
+                raise ValueError("the last hard clause is not closed by a 0")
+            raise ValueError(f"{hard.count} hard clauses, {zeros} closed by a 0")
 
     def _check(self, clause: Clause):
         if not clause:
             raise ValueError("empty clause")
         for lit in clause:
-            if not 1 <= abs(lit) <= self.num_vars:
+            try:
+                var = abs(index(lit))
+            except TypeError:
+                raise TypeError(f"literal {lit!r} is not an int") from None
+            if not 1 <= var <= self.num_vars:
                 raise ValueError(f"literal {lit} out of range (num_vars={self.num_vars})")
 
     @property
@@ -197,10 +208,57 @@ class MaxSatInstance:
         return sum(w for clause, w in self.soft if not any(model.holds(lit) for lit in clause))
 
 
-def _split(lits: list[int]) -> Iterator[Clause]:
-    """Each run of literals closed by a 0, whatever the arena's count says."""
+def _arena_top(lits: list, count: int, nv: int) -> int | None:
+    """The largest variable that the arena ``lits`` of ``count`` hard
+    clauses over variables 1..nv uses (0 when there is no clause), or None
+    when something is wrong: an item that is not an int in -nv..nv, a
+    clause that is empty or not closed by a 0, or a count that disagrees
+    with the 0s.
+
+    The compiled kernel walks the list in place when this process has
+    one; otherwise the set of items and one lookup per item give the
+    same verdict.
+    """
+    lib = kernel.load()
+    if lib is not None and 0 <= count <= sys.maxsize and 0 <= nv <= sys.maxsize:  # C longs
+        top = lib.sr_check(lits, len(lits), count, nv)
+        return None if top < 0 else top
+    if not lits:
+        return 0 if count == 0 else None
+    try:
+        used = set(lits)
+        top = max(max(used), -min(used))
+        if top > nv:
+            return None
+        # Each item becomes one byte, 0 for a closing 0 and 1 for a literal
+        # (an item that is not an int fails the lookup).  A piece opens with
+        # the byte of the item before it, a 0 before the first, so an empty
+        # clause shows as a 0 right after a 0.
+        ends = [0, *repeat(1, 2 * top)]
+        zeros = 0
+        for i in range(0, len(lits), PIECE):
+            piece = bytes(itemgetter(*(lits[i - 1 : i + PIECE] if i else [0, *lits[:PIECE]]))(ends))
+            if b"\0\0" in piece:
+                return None
+            zeros += piece.count(0, 1)
+    except (TypeError, IndexError):
+        return None
+    return top if zeros == count and not piece[-1] else None
+
+
+def _is_zero(item) -> bool:
+    """True for an int item that is 0, a clause's closing 0."""
+    try:
+        return index(item) == 0
+    except TypeError:
+        return False
+
+
+def _split(lits: list) -> Iterator[tuple]:
+    """Each run of items closed by a 0, whatever the arena's count says,
+    and the unclosed run at its end, if any."""
     start = 0
-    for stop in [i for i, lit in enumerate(lits) if lit == 0]:
+    for stop in [i for i, item in enumerate(lits) if _is_zero(item)]:
         yield tuple(lits[start:stop])
         start = stop + 1
     if start < len(lits):
@@ -215,9 +273,10 @@ class InstanceBuilder:
         # The hard clauses, each clause's literals and then a 0, and their
         # number.  A caller may write pre-normalized clauses into ``hard``
         # directly, each opening with a literal, and add their number to
-        # ``hard_count``; ``build`` rejects a literal out of range and a
-        # count that disagrees with the 0s (a literal 0 is one 0 too many),
-        # and hands the list to the instance, so a builder builds once.
+        # ``hard_count``; ``build`` rejects a literal out of range, an empty
+        # clause and a count that disagrees with the 0s (a literal 0 is one
+        # 0 too many), and hands the list to the instance, so a builder
+        # builds once.
         self.hard: list[int] = []
         self.hard_count = 0
         self._soft: list[tuple[Clause, int]] = []
@@ -239,16 +298,6 @@ class InstanceBuilder:
         self.hard += make_clause(lits)
         self.hard.append(0)
         self.hard_count += 1
-
-    def extend_hard_raw(self, clauses: Iterable[Clause]):
-        """Append pre-normalized clauses in order; the caller guarantees
-        each is a tuple with no duplicate or complementary literals.
-        ``build`` rejects an empty one."""
-        hard = self.hard
-        for clause in clauses:
-            hard += clause or (0,)  # an empty clause as a literal 0, which ``build`` refuses
-            hard.append(0)
-            self.hard_count += 1
 
     def add_soft(self, lits: Iterable[int], weight: int):
         if weight == 0:

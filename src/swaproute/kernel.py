@@ -1,11 +1,14 @@
-"""The compiled search kernel: build it once per user, load it once per process.
+"""The compiled kernel: build it once per user, load it once per process.
 
-``_kernel.c`` is the search of :mod:`swaproute.maxsat` in C.  The first
-solve of a process calls :func:`load`, which finds a build of the
-current source in the user's cache or compiles one there with the
-system's ``cc -O2 -shared -fPIC``, and loads it with :mod:`ctypes`.
-Nothing here runs at import, so parsing, encoding, ``emit-wcnf`` and
-``verify`` never touch a compiler or :mod:`ctypes`.
+``_kernel.c`` is the search of :mod:`swaproute.maxsat` in C, with the
+two other passes over a whole clause list: the check of every new
+:class:`~swaproute.cnf.MaxSatInstance`'s hard clauses and the writer of
+their WCNF lines.  The first of these a process runs calls :func:`load`,
+which finds a build of the current source in the user's cache or
+compiles one there with the system's ``cc -O2 -shared -fPIC``, and
+loads it with :mod:`ctypes`.  Nothing here runs at import, so parsing a
+circuit and ``verify`` never touch a compiler or :mod:`ctypes`; encoding,
+``emit-wcnf`` and ``map`` do.
 
 The cache is ``$XDG_CACHE_HOME/swaproute``, else ``~/.cache/swaproute``,
 else ``swaproute-<uid>`` in the temp directory; it is made with mode 0700
@@ -16,7 +19,7 @@ temporary file that :func:`os.replace` then renames, and a file whose
 bytes do not hash to its name is never loaded, so a partly written or
 foreign file is skipped (and a fresh build replaces it).  With no
 compiler, a failed build or an unusable cache, :func:`load` returns None
-and the Python kernel runs.
+and the Python code of each pass runs.
 """
 
 from __future__ import annotations
@@ -65,9 +68,17 @@ def _private(directory: Path) -> Path:
 
 
 def _digest(data: bytes) -> str:
-    import hashlib  # its OpenSSL backend costs about 4 MB of RSS, which commands that never solve skip
-
-    return hashlib.sha256(data).hexdigest()[:32]
+    """The first 32 hex digits of ``data``'s SHA-256, from the interpreter's
+    built-in SHA-256 module: :mod:`hashlib`'s OpenSSL backend would add
+    about 4 MB to the process's RSS."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:  # an interpreter built without them
+            from hashlib import sha256
+    return sha256(data).hexdigest()[:32]
 
 
 def build(directory: Path) -> Path:
@@ -110,7 +121,7 @@ def _verified(path: Path) -> bool:
 
 
 def _open(path: Path):
-    """Load a build and declare its functions.
+    """Load a build, declare its functions and hand it the interpreter's.
 
     The library is a :class:`ctypes.PyDLL`, whose calls return holding
     the interpreter lock and raise the exception a call leaves set.  The
@@ -118,15 +129,21 @@ def _open(path: Path):
     process's other threads keep running, and takes it back
     (``PyEval_RestoreThread``) every few thousand propagations to call
     ``PyErr_CheckSignals``: a signal handler's exception, Ctrl-C's
-    KeyboardInterrupt, ends the call.  ``lib.interpreter`` holds the
-    three functions' addresses.
+    KeyboardInterrupt, ends the call.  It reads a clause list's items
+    with ``PyList_GetItem`` and ``PyLong_AsLong`` while it holds the lock.
     """
     import ctypes
 
     lib = ctypes.PyDLL(str(path))
-    ptr, i64p = ctypes.c_void_p, ctypes.POINTER(ctypes.c_longlong)
-    lib.sr_new.argtypes = [ctypes.c_int, ptr, ctypes.c_long, ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_int,
-                           ctypes.c_int, ctypes.c_int, ptr, ptr, ptr, ctypes.POINTER(ctypes.c_int)]
+    ptr, obj, long, i64p = ctypes.c_void_p, ctypes.py_object, ctypes.c_long, ctypes.POINTER(ctypes.c_longlong)
+    lib.sr_init.argtypes = [ctypes.POINTER(ptr)]
+    lib.sr_init.restype = None
+    lib.sr_check.argtypes = [obj, long, long, long]
+    lib.sr_check.restype = long
+    lib.sr_wcnf.argtypes = [obj, long, long, ctypes.c_char_p, long, ctypes.c_char_p, long]
+    lib.sr_wcnf.restype = obj
+    lib.sr_new.argtypes = [ctypes.c_int, obj, long, ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_int, ctypes.c_int,
+                           ctypes.c_int, ctypes.POINTER(ctypes.c_int)]
     lib.sr_new.restype = ptr
     lib.sr_run.argtypes = [ptr]
     lib.sr_run.restype = ctypes.c_int
@@ -135,8 +152,9 @@ def _open(path: Path):
     lib.sr_free.argtypes = [ptr]
     lib.sr_free.restype = None
     api = ctypes.pythonapi
-    lib.interpreter = tuple(ctypes.cast(f, ptr) for f in (api.PyEval_SaveThread, api.PyEval_RestoreThread,
-                                                           api.PyErr_CheckSignals))
+    functions = (api.PyEval_SaveThread, api.PyEval_RestoreThread, api.PyErr_CheckSignals, api.PyList_GetItem,
+                 api.PyLong_AsLong, api.PyErr_Occurred, api.PyErr_Clear, api.PyUnicode_DecodeLatin1)
+    lib.sr_init((ptr * len(functions))(*(ctypes.cast(f, ptr) for f in functions)))
     return lib
 
 

@@ -87,9 +87,8 @@ class _BudgetExpired(Exception):
 PROBE_SHARE = 0.25  # share of a solve's budget the zero-cost probe may use
 REDUCE_FIRST = 2000  # a phase's conflicts before its first learned-clause reduction
 REDUCE_GROWTH = 300  # each gap between reductions is this many conflicts longer than the one before
-SETUP_PIECE = 65536  # arena items the compiled kernel's set-up converts between deadline checks
 _EV_DONE, _EV_INCUMBENT = 0, 1  # sr_run's events (_kernel.c)
-_ERR_EMPTY_CLAUSE, _ERR_NOMEM = 1, 2  # sr_new's errors (_kernel.c)
+_ERR_EMPTY_CLAUSE, _ERR_NOMEM, _ERR_EXPIRED = 1, 2, 4  # sr_new's errors (_kernel.c)
 
 
 def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> SolveOutcome:
@@ -144,9 +143,9 @@ def _search_c(instance: MaxSatInstance, phases: list[tuple[int, float | None]], 
     """The search of :func:`_search_python`, decision for decision, in the
     compiled kernel (``_kernel.c``, loaded by :mod:`swaproute.kernel`).
 
-    The hard clauses go over as one array of DIMACS literals, each clause
-    closed by a 0, converted a piece at a time with the deadline read
-    between pieces; the kernel refuses an empty clause as the Python
+    The kernel reads the hard clauses where they lie, in the instance's
+    list of DIMACS literals (``HardClauses.lits``), with the deadline
+    read every 65,536 items, and refuses an empty clause as the Python
     set-up does.  It returns at each incumbent, which is timed and logged
     here, and is then called again.  Every 2,048 propagations it checks
     its phase's deadline, lets other threads run, and checks the
@@ -160,11 +159,6 @@ def _search_c(instance: MaxSatInstance, phases: list[tuple[int, float | None]], 
     if deadline is not None and time.monotonic() >= deadline:
         return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
     lits = instance.hard.lits
-    hard = array("i")
-    for i in range(0, len(lits), SETUP_PIECE):
-        hard.fromlist(lits[i : i + SETUP_PIECE])
-        if deadline is not None and time.monotonic() >= deadline:
-            return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
     soft = array("i")
     for c, _ in instance.soft:
         soft.fromlist([*c, 0])
@@ -173,12 +167,13 @@ def _search_c(instance: MaxSatInstance, phases: list[tuple[int, float | None]], 
     untils = array("d", [math.inf if until is None else until for _, until in phases])
     err = ctypes.c_int()
     solver = lib.sr_new(
-        instance.num_vars, hard.buffer_info()[0], len(hard), soft.buffer_info()[0], weights.buffer_info()[0],
-        len(instance.soft), uppers.buffer_info()[0], untils.buffer_info()[0], len(phases), REDUCE_FIRST,
-        REDUCE_GROWTH, *lib.interpreter, ctypes.byref(err),
+        instance.num_vars, lits, len(lits), soft.buffer_info()[0], weights.buffer_info()[0], len(instance.soft),
+        uppers.buffer_info()[0], untils.buffer_info()[0], len(phases), REDUCE_FIRST, REDUCE_GROWTH,
+        ctypes.byref(err),
     )
-    del hard  # the kernel keeps its own copy
     if not solver:
+        if err.value == _ERR_EXPIRED:
+            return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
         if err.value == _ERR_NOMEM:
             raise MemoryError("the compiled search kernel could not set up its clauses")
         raise ValueError("empty hard clause" if err.value == _ERR_EMPTY_CLAUSE else "malformed clause arena")
@@ -647,30 +642,54 @@ def wcnf_chunks(instance: MaxSatInstance) -> Iterator[str]:
     weight (1 + total soft weight), soft clauses their own weight.
 
     A hard piece is the text of :data:`WCNF_CHUNK` items of the clause
-    arena, literals and closing 0s, so it may end inside a line; a soft
-    piece is :data:`WCNF_CHUNK` whole lines.  Every item is looked up in
-    one table of ``2 * max_var + 1`` strings indexed by the signed
-    literal, so the cost is linear in the literal count: the table covers
-    only the variables the clauses use, whatever the header declares.  A
-    writer that takes the pieces one at a time never holds the whole text.
+    arena, literals and closing 0s, so it may end inside a line (see
+    :func:`_hard_text`); a soft piece is :data:`WCNF_CHUNK` whole lines.
+    A writer that takes the pieces one at a time never holds the whole
+    text.
     """
-    nv, mv, lits, soft = instance.num_vars, instance.max_var, instance.hard.lits, instance.soft
+    nv, lits, soft = instance.num_vars, instance.hard.lits, instance.soft
     top = 1 + instance.soft_weight_total
     prefix = f"{top} "
-    # text[lit] is the literal and a space; -v lands on Python's negative
-    # index.  Slot 0 ends a hard line and opens the next, so a piece of the
-    # arena is one lookup and one join.
-    text = [f"{v} " for v in range(mv + 1)] + [f"{v} " for v in range(-mv, 0)]
-    text[0] = f"0\n{prefix}"
     yield f"p wcnf {nv} {len(instance.hard) + len(soft)} {top}\n" + (prefix if lits else "")
-    for i in range(0, len(lits), WCNF_CHUNK):
-        # A one-item piece looks up one string, and joining a string's
-        # characters gives it back.
-        piece = "".join(itemgetter(*lits[i : i + WCNF_CHUNK])(text))
+    for i, piece in enumerate(_hard_text(lits, instance.max_var, prefix), 1):
         # the last hard line opens no next one
-        yield piece if i + WCNF_CHUNK < len(lits) else piece[: -len(prefix)]
+        yield piece if i * WCNF_CHUNK < len(lits) else piece[: -len(prefix)]
     for i in range(0, len(soft), WCNF_CHUNK):
-        yield "".join([f"{w} {''.join(map(text.__getitem__, c))}0\n" for c, w in soft[i : i + WCNF_CHUNK]])
+        yield "".join([f"{w} {' '.join(map('%d'.__mod__, c))} 0\n" for c, w in soft[i : i + WCNF_CHUNK]])
+
+
+def _hard_text(lits: list[int], max_var: int, prefix: str) -> Iterator[str]:
+    """The text of each :data:`WCNF_CHUNK` items of the arena ``lits``
+    over variables 1..max_var: each literal and a space, and each closing
+    0 as ``0``, a newline and ``prefix``.
+
+    The compiled kernel writes it when this process has one (see
+    :mod:`swaproute.kernel`).  Otherwise every item is looked up in one
+    table of ``2 * max_var + 1`` strings indexed by the signed literal, so
+    the cost is linear in the literal count: the table covers only the
+    variables the clauses use, whatever the header declares.  Both give
+    the same text.
+    """
+    lib = kernel.load()
+    if lib is None:
+        # text[lit] is the literal and a space; -v lands on Python's negative
+        # index.  Slot 0 ends a hard line and opens the next, so a piece of
+        # the arena is one lookup and one join.
+        text = [f"{v} " for v in range(max_var + 1)] + [f"{v} " for v in range(-max_var, 0)]
+        text[0] = f"0\n{prefix}"
+        for i in range(0, len(lits), WCNF_CHUNK):
+            # A one-item piece looks up one string, and joining a string's
+            # characters gives it back.
+            yield "".join(itemgetter(*lits[i : i + WCNF_CHUNK])(text))
+        return
+    import ctypes
+
+    head = prefix.encode()
+    # per item, a long's digits, its sign and a space, or "0\n" and the prefix
+    cap = min(WCNF_CHUNK, len(lits)) * (24 + len(head))
+    buf = ctypes.create_string_buffer(cap)
+    for i in range(0, len(lits), WCNF_CHUNK):
+        yield lib.sr_wcnf(lits, i, min(i + WCNF_CHUNK, len(lits)), buf, cap, head, len(head))
 
 
 def emit_wcnf(instance: MaxSatInstance) -> str:

@@ -1,7 +1,10 @@
-"""The compiled search kernel's build cache, its fallback, and Ctrl-C."""
+"""The compiled kernel's build cache, its fallback, Ctrl-C, and its
+passes over the clause list against their Python references."""
 
+import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -15,11 +18,21 @@ from swaproute import kernel, maxsat
 from swaproute.arch import load_arch
 from swaproute.cli import main as cli_main
 from swaproute.circuit import Circuit, Gate, emit_qasm, generate_qaoa_maxcut
+from swaproute.cnf import HardClauses, MaxSatInstance
 from swaproute.encoder import EncodeOptions, encode
+from test_encoder import GOLDEN_WCNF_SHA256, golden_cases
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 needs_cc = pytest.mark.skipif(kernel._compiler() is None, reason="no C compiler (cc) on PATH")
+
+
+@pytest.fixture
+def without_kernel(monkeypatch):
+    """Call it to run the rest of the test as a process with no compiled kernel."""
+    if kernel.load() is None:
+        pytest.skip("no compiled kernel: no C compiler, or no usable cache")
+    return lambda: monkeypatch.setattr(kernel, "load", lambda: None)
 
 
 @pytest.fixture
@@ -167,3 +180,83 @@ def test_other_threads_run_during_a_solve():
         ticker.join(timeout=10)
     assert not ticker.is_alive()
     assert sum(start < t < start + out.elapsed for t in ticks) > 50
+
+
+# -- the passes over the clause list, compiled and in Python -----------------
+
+
+FAULTS = ("out of range", "literal 0", "miscount", "unclosed", "empty clause", "not an int")
+
+
+def random_arena(rng: random.Random, fault: str | None) -> tuple[list, int, int]:
+    """An arena of random clauses over 1..nv, its count and nv, with one
+    fault of the given kind planted (none for None)."""
+    nv = rng.randint(1, 40)
+    clauses = [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), rng.randint(1, min(nv, 5)))]
+               for _ in range(rng.randint(1 if fault else 0, 12))]
+    lits = [item for c in clauses for item in (*c, 0)]
+    count = len(clauses)
+    literals = [i for i, item in enumerate(lits) if item]
+    if fault == "out of range":
+        lits[rng.choice(literals)] = rng.choice((nv + 1, -nv - 1, nv + rng.randint(2, 10**6), 2**70, -(2**63)))
+    elif fault == "literal 0":
+        lits[rng.choice(literals)] = 0
+    elif fault == "miscount":
+        count += rng.choice((-1, 1, 2))
+    elif fault == "unclosed":
+        if rng.random() < 0.5:
+            lits.pop()
+        else:
+            lits.append(rng.randint(1, nv))
+    elif fault == "empty clause":
+        at = rng.choice([0] + [i + 1 for i, item in enumerate(lits) if not item])
+        lits.insert(at, 0)
+        count += 1
+    elif fault == "not an int":
+        lits[rng.randrange(len(lits))] = rng.choice(("1", 1.0, 2.5, None, 0.0, b"\0", (1,)))
+    elif rng.random() < 0.2 and lits:
+        lits[rng.choice(literals)] = True  # an int subclass: literal 1
+    return lits, count, nv
+
+
+def verdict(lits: list, count: int, nv: int):
+    """The instance's max_var, or the type and message of its refusal."""
+    try:
+        return MaxSatInstance(nv, HardClauses(list(lits), count), ()).max_var
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_the_compiled_and_python_arena_checks_agree(without_kernel):
+    rng = random.Random("arena-check")
+    arenas = [random_arena(rng, fault) for _ in range(100) for fault in (None, *FAULTS)]
+    compiled = [verdict(*arena) for arena in arenas]
+    without_kernel()
+    assert [verdict(*arena) for arena in arenas] == compiled
+    for (lits, count, nv), got, fault in zip(arenas, compiled, [None, *FAULTS] * 100):
+        if fault is None:
+            assert got == max(map(abs, lits), default=0), (lits, count)
+        else:
+            assert isinstance(got, tuple), (fault, lits, count)
+
+
+def test_emit_wcnf_is_the_same_text_without_the_kernel(without_kernel, tmp_path):
+    rng = random.Random("wcnf-text")
+    instances = {name: encode(c, g, opt) for name, c, g, opt in golden_cases(tmp_path)}
+    for i in range(50):
+        lits, count, nv = random_arena(rng, None)
+        nv = rng.choice((nv, 10**6))  # wide literals: the kernel's buffer holds them
+        soft = tuple(((rng.choice((v, -v)),), rng.choice((1, 7, 10**12))) for v in range(1, rng.randint(1, 4)))
+        instances[f"random-{i}"] = MaxSatInstance(nv, HardClauses(lits, count), soft)
+    qasm, first, second = tmp_path / "qaoa8.qasm", tmp_path / "c.wcnf", tmp_path / "python.wcnf"
+    argv = ["emit-wcnf", "--input", str(qasm), "--arch", "tokyo", "--n", "1", "--output"]
+    assert cli_main(["gen-qaoa", "--qubits", "8", "--cycles", "1", "--seed", "7", "--output", str(qasm)]) == 0
+    assert cli_main([*argv, str(first)]) == 0
+    compiled = {name: maxsat.emit_wcnf(inst) for name, inst in instances.items()}
+    without_kernel()
+    assert cli_main([*argv, str(second)]) == 0
+    assert {name: maxsat.emit_wcnf(inst) for name, inst in instances.items()} == compiled
+    assert first.read_bytes() == second.read_bytes()
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == GOLDEN_WCNF_SHA256["qaoa8-tokyo-n1"]
+    digests = {name: hashlib.sha256(compiled[name].encode()).hexdigest() for name in GOLDEN_WCNF_SHA256}
+    assert digests == GOLDEN_WCNF_SHA256

@@ -484,8 +484,12 @@ def test_search_keeps_its_state_in_fast_locals():
 
 
 def test_an_empty_hard_clause_is_refused_before_searching(search):
+    # An instance refuses an empty clause when it is built, so the faulty
+    # arena is put in behind the check.
+    inst = MaxSatInstance(2, HardClauses([1, 0, 2, 0], 2), ())
+    object.__setattr__(inst, "hard", HardClauses([1, 0, 0], 2))
     with pytest.raises(ValueError, match="empty hard clause"):
-        search(MaxSatInstance(2, HardClauses([1, 0, 0], 2), ()), [(1, None)], time.monotonic())
+        search(inst, [(1, None)], time.monotonic())
 
 
 # -- instances and the builder -------------------------------------------------
@@ -520,12 +524,13 @@ def test_instance_names_the_first_fault_in_clause_order():
 
 def test_instance_rejects_empty_clause():
     # An empty clause can be neither written as a WCNF line nor watched by
-    # the solver, so an instance never holds one.
-    b = InstanceBuilder()
-    b.new_vars(2)
-    b.extend_hard_raw([(1, 2), ()])
+    # the solver, so an instance never holds one: not as a tuple, and not
+    # in an arena, where it is a 0 that opens the arena or follows a 0.
+    for lits, count in (([1, 2, 0, 0], 2), ([0, 1, 0], 2), ([0], 1)):
+        with pytest.raises(ValueError, match="empty clause"):
+            MaxSatInstance(2, HardClauses(lits, count), ())
     with pytest.raises(ValueError, match="empty clause"):
-        b.build()
+        MaxSatInstance(2, ((1, 2), ()), ())
     with pytest.raises(ValueError, match="empty clause"):
         MaxSatInstance(2, ((1,),), (((), 1),))
 
