@@ -12,13 +12,15 @@
  *
  * Every list is visited, extended and cut in the same order as the Python
  * kernel's lists, so both take the same decisions and learn the same
- * clauses.  The solver state is one heap object that the caller creates
- * with sr_new, runs with sr_run (which returns at each new incumbent and
- * is called again to go on) and frees with sr_free.  sr_run searches
- * without the interpreter lock, so the caller's other threads run
- * meanwhile.  Every 2,048 propagations it checks the phase's deadline
- * and, holding the lock, checks the interpreter's pending signals, which
- * stop the search at once when a handler raises.
+ * clauses.  A solver runs one search, with one bound and one deadline,
+ * over its own set-up of the clauses: the caller creates it with sr_new,
+ * runs it with sr_run (which returns at each new incumbent and is called
+ * again to go on), reads its counters, model and saved polarities with
+ * sr_result and frees it with sr_free.  sr_run searches without the
+ * interpreter lock, so the caller's other threads run meanwhile.  Every
+ * 2,048 propagations it checks the deadline and, holding the lock, checks
+ * the interpreter's pending signals, which stop the search at once when a
+ * handler raises.
  *
  * The hard clauses are read where they lie: in the caller's Python list
  * of DIMACS literals, each clause closed by a 0 (`cnf.HardClauses.lits`),
@@ -162,10 +164,9 @@ typedef struct {
 } Vec;
 
 typedef struct {
-    int nv, size, nphases;
-    i64 *upper;
-    double *until;
-    int reduce_first, reduce_growth; /* a phase's first reduction, and how much longer each later gap is */
+    int nv, size;
+    double until;                    /* the deadline, a monotonic time (infinity for none) */
+    int reduce_growth;               /* how much longer each gap between reductions is than the one before */
 
     /* per literal */
     signed char *lv; /* 1 true, -1 false, 0 unassigned */
@@ -190,11 +191,8 @@ typedef struct {
     /* clauses */
     int *arena;
     long alen, acap, learned_at; /* learned clauses start at learned_at */
-    Vec units;                   /* unit hard clauses */
-    Vec learned_bin;             /* learned binary clauses, in pairs, in learning order */
 
     /* soft clauses */
-    int nsoft;
     int *soft_at; /* clause si is soft_lits[soft_at[si] .. soft_at[si + 1]] */
     int *soft_lits;
     i64 *weight;
@@ -205,7 +203,7 @@ typedef struct {
     /* search state */
     int *trail, *trail_lim, *learnt, *kept, *confl;
     int tn, qhead, dl, nxt;
-    int phase, started, resume, finished, exhausted, has_model;
+    int resume, exhausted, has_model;
     i64 lb, best, lower, next_reduce, gap;
     i64 decisions, conflicts, props;
 } S;
@@ -227,17 +225,6 @@ static int push(Vec *v, int x) {
     }
     v->d[v->n++] = x;
     return 0;
-}
-
-/* Python's list.remove: drop the first occurrence of x. */
-static void remove_first(Vec *v, int x) {
-    for (int k = 0; k < v->n; k++) {
-        if (v->d[k] == x) {
-            memmove(v->d + k, v->d + k + 1, (size_t)(v->n - k - 1) * sizeof(int));
-            v->n--;
-            return;
-        }
-    }
 }
 
 static int code(int lit) { return lit > 0 ? 2 * lit : -2 * lit + 1; }
@@ -267,10 +254,10 @@ void sr_free(S *s) {
     if (s->implied)
         for (int l = 0; l < s->size; l++)
             free(s->implied[l].d);
-    void *blocks[] = {s->upper, s->until, s->lv, s->lvl, s->rsn, s->seen, s->mark, s->watches,
-                      s->implied, s->socc_at, s->socc, s->preferred, s->saved, s->model, s->stamp,
-                      s->arena, s->units.d, s->learned_bin.d, s->soft_at, s->soft_lits, s->weight,
-                      s->sfree, s->falsified, s->trail, s->trail_lim, s->learnt, s->kept, s->confl};
+    void *blocks[] = {s->lv, s->lvl, s->rsn, s->seen, s->mark, s->watches, s->implied, s->socc_at,
+                      s->socc, s->preferred, s->saved, s->model, s->stamp, s->arena, s->soft_at,
+                      s->soft_lits, s->weight, s->sfree, s->falsified, s->trail, s->trail_lim, s->learnt,
+                      s->kept, s->confl};
     for (size_t k = 0; k < sizeof blocks / sizeof *blocks; k++)
         free(blocks[k]);
     free(s);
@@ -278,16 +265,18 @@ void sr_free(S *s) {
 
 /* Set up a solver over the first `nhard` items of `hard`, a Python list
  * of DIMACS hard clauses, each closed by a 0, and `nsoft` soft clauses
- * laid out the same way in an int array, with their weights.  Phase k
- * searches below upper[k] until the monotonic time until[k] (infinity
- * for none).  Each phase reduces its learned clauses after
- * `reduce_first` conflicts, then after gaps `reduce_growth` longer each
- * time.  The set-up stops at the last phase's time.  Needs sr_init.  On
- * failure returns NULL with *err set. */
-S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, int nsoft, const i64 *upper,
-          const double *until, int nphases, int reduce_first, int reduce_growth, int *err) {
+ * laid out the same way in an int array, with their weights.  It searches
+ * below `upper` until the monotonic time `until` (infinity for none), and
+ * stops as optimal at an incumbent of `lower` or less.  Variable v starts
+ * with the saved value true when polarity[v] is non-zero, false
+ * otherwise.  It reduces its learned clauses after `reduce_first`
+ * conflicts, then after gaps `reduce_growth` longer each time.  The
+ * set-up stops at `until` too.  Needs sr_init.  On failure returns NULL
+ * with *err set. */
+S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, int nsoft, i64 upper, double until,
+          i64 lower, const char *polarity, int reduce_first, int reduce_growth, int *err) {
     *err = ERR_NOMEM;
-    if (nv < 0 || nv > (INT_MAX - 2) / 2 || nsoft < 0 || nphases < 1)
+    if (nv < 0 || nv > (INT_MAX - 2) / 2 || nsoft < 0)
         return NULL;
     Vec c = {0}; /* the hard clause being read, in index form */
     S *s = calloc(1, sizeof *s);
@@ -296,11 +285,8 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
     int size = 2 * nv + 2;
     s->nv = nv;
     s->size = size;
-    s->nphases = nphases;
-    s->reduce_first = reduce_first;
+    s->until = until;
     s->reduce_growth = reduce_growth;
-    s->upper = malloc((size_t)nphases * sizeof(i64));
-    s->until = malloc((size_t)nphases * sizeof(double));
     s->lv = calloc((size_t)size, 1);
     s->lvl = calloc((size_t)size, sizeof(int));
     s->rsn = calloc((size_t)size, sizeof(int));
@@ -324,19 +310,18 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
     s->falsified = malloc(((size_t)nsoft + 1) * sizeof(int));
     s->acap = 1024;
     s->arena = malloc((size_t)s->acap * sizeof(int));
-    if (!s->upper || !s->until || !s->lv || !s->lvl || !s->rsn || !s->seen || !s->mark || !s->watches ||
+    if (!s->lv || !s->lvl || !s->rsn || !s->seen || !s->mark || !s->watches ||
         !s->implied || !s->socc_at || !s->preferred || !s->saved || !s->model || !s->stamp || !s->trail ||
         !s->trail_lim || !s->learnt || !s->kept || !s->confl || !s->soft_at || !s->weight || !s->sfree ||
         !s->falsified || !s->arena)
         goto fail;
-    memcpy(s->upper, upper, (size_t)nphases * sizeof(i64));
-    memcpy(s->until, until, (size_t)nphases * sizeof(double));
     s->alen = 1; /* offset 0 names no clause */
 
-    /* Hard clauses, in order: units, binary implications, watched clauses. */
+    /* Hard clauses, in order: units, asserted at level 0 as they are read,
+     * binary implications and watched clauses. */
     for (long i = 0; i < nhard; i++) {
         int bad;
-        if (!(i & SETUP_MASK) && now() >= until[nphases - 1]) {
+        if (!(i & SETUP_MASK) && now() >= until) {
             *err = ERR_EXPIRED;
             goto fail;
         }
@@ -359,8 +344,12 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
             goto fail;
         }
         if (w == 1) {
-            if (push(&s->units, a))
-                goto nomem;
+            if (!s->lv[a]) {
+                s->lv[a] = 1;
+                s->lv[a ^ 1] = -1;
+                s->trail[s->tn++] = a;
+            } else if (s->lv[a] == -1)
+                s->exhausted = 1; /* unit clauses that contradict each other */
         } else if (w == 2) {
             int b = c.d[1];
             if (push(&s->implied[a ^ 1], b) || push(&s->implied[b ^ 1], a))
@@ -396,7 +385,6 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
         }
         k++;
     }
-    s->nsoft = nsoft;
     s->soft_lits = malloc(((size_t)nsl + 1) * sizeof(int));
     s->socc = malloc(((size_t)nsl + 1) * sizeof(int));
     int *fill = calloc((size_t)size, sizeof(int));
@@ -418,10 +406,15 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
         }
         k++;
         s->soft_at[si + 1] = n;
+        s->sfree[si] = n - s->soft_at[si];
     }
     free(fill);
     for (int v = 0; v <= nv; v++)
-        s->saved[v] = 2 * v + 1;
+        s->saved[v] = polarity[v] ? 2 * v : 2 * v + 1;
+    s->nxt = 2;
+    s->best = upper;
+    s->lower = lower;
+    s->gap = s->next_reduce = reduce_first;
     free(c.d);
     *err = ERR_NONE;
     return s;
@@ -431,29 +424,6 @@ fail:
     free(c.d);
     sr_free(s);
     return NULL;
-}
-
-/* Drop every learned clause: binaries from the implication lists, each
- * by its first occurrence as Python's list.remove does, and long ones from
- * the watch lists and the arena. */
-static void forget(S *s) {
-    for (int k = 0; k < s->learned_bin.n; k += 2) {
-        int a = s->learned_bin.d[k], b = s->learned_bin.d[k + 1];
-        remove_first(&s->implied[a ^ 1], b);
-        remove_first(&s->implied[b ^ 1], a);
-    }
-    s->learned_bin.n = 0;
-    if (s->alen == s->learned_at)
-        return;
-    for (int l = 0; l < s->size; l++) {
-        Vec *ws = &s->watches[l];
-        int j = 0;
-        for (int i = 0; i < ws->n; i++)
-            if (ws->d[i] < s->learned_at)
-                ws->d[j++] = ws->d[i];
-        ws->n = j;
-    }
-    s->alen = s->learned_at;
 }
 
 typedef struct {
@@ -544,51 +514,6 @@ static int reduce(S *s) {
     return 0;
 }
 
-/* Start phase s->phase: nothing assigned, nothing learned, the unit
- * clauses asserted.  Returns 0, or 1 when the units contradict each other. */
-static int start_phase(S *s) {
-    forget(s);
-    memset(s->lv, 0, (size_t)s->size);
-    s->tn = s->qhead = s->dl = 0;
-    s->nxt = 2;
-    for (int si = 0; si < s->nsoft; si++)
-        s->sfree[si] = s->soft_at[si + 1] - s->soft_at[si];
-    s->nf = 0;
-    s->lb = 0;
-    s->best = s->upper[s->phase];
-    s->has_model = 0;
-    s->exhausted = 0;
-    s->next_reduce = s->conflicts + s->reduce_first;
-    s->gap = s->reduce_first;
-    s->started = 1;
-    for (int k = 0; k < s->units.n; k++) {
-        int lit = s->units.d[k];
-        if (s->lv[lit] == -1)
-            return 1;
-        if (s->lv[lit] == 0) {
-            s->lv[lit] = 1;
-            s->lv[lit ^ 1] = -1;
-            s->lvl[lit] = 0;
-            s->rsn[lit] = 0;
-            s->trail[s->tn++] = lit;
-        }
-    }
-    return 0;
-}
-
-/* A phase ends: the solve ends with a model or after the last phase;
- * otherwise a refuted phase proves its bound, and the next one starts. */
-static void end_phase(S *s) {
-    if (s->has_model || s->phase == s->nphases - 1) {
-        s->finished = 1;
-        return;
-    }
-    if (s->exhausted)
-        s->lower = s->upper[s->phase];
-    s->phase++;
-    s->started = 0;
-}
-
 /* The search; *ts is the saved interpreter state while the lock is let go, NULL while it is held. */
 static int run(S *s, void **ts) {
     signed char *lv = s->lv;
@@ -603,12 +528,12 @@ static int run(S *s, void **ts) {
     int pair[2];
     int tn, qhead, dl, nxt, nf;
     i64 lb, best, props;
-    double until;
+    const double until = s->until;
     int *cl; /* the clause being analysed, and its width */
     int cn;
 
 #define LOAD() (tn = s->tn, qhead = s->qhead, dl = s->dl, nxt = s->nxt, nf = s->nf, lb = s->lb, \
-                best = s->best, props = s->props, until = s->until[s->phase])
+                best = s->best, props = s->props)
 #define STORE() (s->tn = tn, s->qhead = qhead, s->dl = dl, s->nxt = nxt, s->nf = nf, s->lb = lb, \
                  s->best = best, s->props = props)
 #define ASSIGN(lit, reason) (lv[lit] = 1, lv[(lit) ^ 1] = -1, lvl[lit] = dl, rsn[lit] = (reason), \
@@ -619,312 +544,296 @@ static int run(S *s, void **ts) {
         LOAD();
         goto after_leaf;
     }
-    while (!s->finished) {
-        if (!s->started) {
-            if (start_phase(s)) {
-                s->exhausted = 1; /* contradictory unit clauses */
-                s->finished = 1;
-                break;
+    if (s->exhausted || (until < INFINITY && now() >= until))
+        return EV_DONE;
+    LOAD();
+    for (;;) {
+        /* -- unit propagation: binary implications, then watched clauses */
+        cl = NULL;
+        cn = 0;
+        while (qhead < tn) {
+            int p = trail[qhead++];
+            if (!(++props & CHECK_MASK)) {
+                py.restore(*ts);
+                *ts = NULL;
+                if (py.check()) {
+                    STORE();
+                    return EV_INTERRUPTED;
+                }
+                *ts = py.save();
+                if (until < INFINITY && now() > until)
+                    goto done;
             }
-            if (s->until[s->phase] < INFINITY && now() >= s->until[s->phase]) {
-                end_phase(s);
-                continue;
+            int np = p ^ 1;
+            for (int k = socc_at[np]; k < socc_at[np + 1]; k++) {
+                int si = socc[k];
+                if (!--sfree[si]) {
+                    lb += weight[si];
+                    falsified[nf++] = si;
+                }
             }
-        }
-        LOAD();
-        for (;;) {
-            /* -- unit propagation: binary implications, then watched clauses */
-            cl = NULL;
-            cn = 0;
-            while (qhead < tn) {
-                int p = trail[qhead++];
-                if (!(++props & CHECK_MASK)) {
-                    py.restore(*ts);
-                    *ts = NULL;
-                    if (py.check()) {
-                        STORE();
-                        return EV_INTERRUPTED;
-                    }
-                    *ts = py.save();
-                    if (until < INFINITY && now() > until)
-                        goto expired;
-                }
-                int np = p ^ 1;
-                for (int k = socc_at[np]; k < socc_at[np + 1]; k++) {
-                    int si = socc[k];
-                    if (!--sfree[si]) {
-                        lb += weight[si];
-                        falsified[nf++] = si;
-                    }
-                }
-                Vec *im = &implied[p];
-                for (int k = 0; k < im->n; k++) {
-                    int q = im->d[k];
-                    signed char x = lv[q];
-                    if (x == 1)
-                        continue;
-                    if (x == -1) {
-                        pair[0] = q;
-                        pair[1] = np;
-                        cl = pair;
-                        cn = 2;
-                        break;
-                    }
-                    ASSIGN(q, -np);
-                }
-                if (cl)
+            Vec *im = &implied[p];
+            for (int k = 0; k < im->n; k++) {
+                int q = im->d[k];
+                signed char x = lv[q];
+                if (x == 1)
+                    continue;
+                if (x == -1) {
+                    pair[0] = q;
+                    pair[1] = np;
+                    cl = pair;
+                    cn = 2;
                     break;
-                int *arena = s->arena;
-                Vec *ws = &watches[p];
-                int *w = ws->d;
-                int i = 0, j = 0, end = ws->n;
-                while (i < end) {
-                    int cr = w[i++];
-                    int *c = arena + cr + 2;
-                    int f = c[0];
-                    if (f == np) {
-                        f = c[1];
-                        if (lv[f] == 1) {
-                            w[j++] = cr;
-                            continue;
-                        }
-                        c[0] = f;
-                        c[1] = np;
-                    } else if (lv[f] == 1) {
+                }
+                ASSIGN(q, -np);
+            }
+            if (cl)
+                break;
+            int *arena = s->arena;
+            Vec *ws = &watches[p];
+            int *w = ws->d;
+            int i = 0, j = 0, end = ws->n;
+            while (i < end) {
+                int cr = w[i++];
+                int *c = arena + cr + 2;
+                int f = c[0];
+                if (f == np) {
+                    f = c[1];
+                    if (lv[f] == 1) {
                         w[j++] = cr;
                         continue;
                     }
-                    int width = arena[cr], k;
-                    for (k = 2; k < width; k++) {
-                        int q = c[k];
-                        if (lv[q] != -1) {
-                            c[1] = q;
-                            c[k] = np;
-                            if (push(&watches[q ^ 1], cr)) {
-                                STORE();
-                                return EV_NOMEM; /* the caller frees the solver */
-                            }
-                            break;
-                        }
-                    }
-                    if (k < width)
-                        continue;
+                    c[0] = f;
+                    c[1] = np;
+                } else if (lv[f] == 1) {
                     w[j++] = cr;
-                    if (lv[f]) {
-                        cl = c;
-                        cn = width;
-                        break;
-                    }
-                    ASSIGN(f, cr);
-                }
-                if (j < i)
-                    memmove(w + j, w + i, (size_t)(end - i) * sizeof(int));
-                ws->n = j + (end - i);
-                if (cl)
-                    break;
-            }
-
-            if (!cl) {
-                if (lb < best) {
-                    int v = nxt;
-                    while (v < size && lv[v])
-                        v += 2;
-                    nxt = v;
-                    if (v < size) {
-                        s->decisions++;
-                        trail_lim[dl++] = tn;
-                        int u = preferred[v >> 1] ? preferred[v >> 1] : saved[v >> 1];
-                        ASSIGN(u, 0);
-                        continue;
-                    }
-                    best = lb; /* leaf: every variable assigned */
-                    for (int x = 1; x <= s->nv; x++)
-                        s->model[x] = lv[2 * x] == 1;
-                    s->has_model = 1;
-                    s->resume = 1;
-                    STORE();
-                    return EV_INCUMBENT;
-                after_leaf:
-                    if (best <= s->lower) {
-                        s->exhausted = 1;
-                        break;
-                    }
-                }
-                /* Bound conflict: the earliest-falsified soft clauses whose
-                 * weight reaches the incumbent's cannot all stay falsified. */
-                i64 acc = 0;
-                cn = 0;
-                cl = s->confl;
-                for (int k = 0; k < nf; k++) {
-                    int si = falsified[k];
-                    for (int m = soft_at[si]; m < soft_at[si + 1]; m++) {
-                        int q = soft_lits[m];
-                        if (!mark[q]) {
-                            mark[q] = 1;
-                            cl[cn++] = q;
-                        }
-                    }
-                    acc += weight[si];
-                    if (acc >= best)
-                        break;
-                }
-                for (int k = 0; k < cn; k++)
-                    mark[cl[k]] = 0;
-            }
-
-            /* -- conflict analysis at the clause's highest level */
-            s->conflicts++;
-            int top = 0;
-            for (int k = 0; k < cn; k++)
-                if (lvl[cl[k] ^ 1] > top)
-                    top = lvl[cl[k] ^ 1];
-            if (!top) {
-                s->exhausted = 1;
-                break;
-            }
-            int ln = 1, path = 0, p = 0;
-            int idx = top == dl ? tn - 1 : trail_lim[top] - 1; /* the last literal of level top */
-            for (;;) {
-                for (int k = 0; k < cn; k++) {
-                    int q = cl[k];
-                    if (q == p)
-                        continue;
-                    int t = q ^ 1;
-                    if (!seen[t] && lvl[t]) {
-                        seen[t] = 1;
-                        if (lvl[t] == top)
-                            path++;
-                        else
-                            learnt[ln++] = q;
-                    }
-                }
-                while (!seen[trail[idx]])
-                    idx--;
-                p = trail[idx--];
-                seen[p] = 0;
-                if (!--path)
-                    break;
-                int r = rsn[p];
-                if (r > 0) {
-                    cl = s->arena + r + 2;
-                    cn = s->arena[r];
-                } else {
-                    pair[0] = p;
-                    pair[1] = -r;
-                    cl = pair;
-                    cn = r ? 2 : 0;
-                }
-            }
-            int u = p ^ 1;
-
-            /* Local minimization: drop a literal whose reason is covered by
-             * the rest of the clause (or by level-0 facts). */
-            kept[0] = u;
-            int kn = 1;
-            for (int k = 1; k < ln; k++) {
-                int q = learnt[k], t = q ^ 1, r = rsn[t];
-                if (!r) {
-                    kept[kn++] = q;
                     continue;
                 }
-                int *rl = pair, rn = 2;
-                if (r > 0) {
-                    rl = s->arena + r + 2;
-                    rn = s->arena[r];
-                } else {
-                    pair[0] = t;
-                    pair[1] = -r;
-                }
-                for (int m = 0; m < rn; m++) {
-                    int x = rl[m];
-                    if (x != t && !seen[x ^ 1] && lvl[x ^ 1]) {
-                        kept[kn++] = q;
+                int width = arena[cr], k;
+                for (k = 2; k < width; k++) {
+                    int q = c[k];
+                    if (lv[q] != -1) {
+                        c[1] = q;
+                        c[k] = np;
+                        if (push(&watches[q ^ 1], cr)) {
+                            STORE();
+                            return EV_NOMEM; /* the caller frees the solver */
+                        }
                         break;
                     }
                 }
+                if (k < width)
+                    continue;
+                w[j++] = cr;
+                if (lv[f]) {
+                    cl = c;
+                    cn = width;
+                    break;
+                }
+                ASSIGN(f, cr);
             }
-            for (int k = 1; k < ln; k++)
-                seen[learnt[k] ^ 1] = 0;
+            if (j < i)
+                memmove(w + j, w + i, (size_t)(end - i) * sizeof(int));
+            ws->n = j + (end - i);
+            if (cl)
+                break;
+        }
 
-            /* Jump to the clause's second-highest level and assert the first
-             * UIP there; count the clause's levels (its LBD) on the way. */
-            int level = 0, at = 0, lbd = 1;
-            s->stamp_now++;
-            for (int k = 1; k < kn; k++) {
-                int x = lvl[kept[k] ^ 1];
-                if (s->stamp[x] != s->stamp_now) {
-                    s->stamp[x] = s->stamp_now;
-                    lbd++;
+        if (!cl) {
+            if (lb < best) {
+                int v = nxt;
+                while (v < size && lv[v])
+                    v += 2;
+                nxt = v;
+                if (v < size) {
+                    s->decisions++;
+                    trail_lim[dl++] = tn;
+                    int u = preferred[v >> 1] ? preferred[v >> 1] : saved[v >> 1];
+                    ASSIGN(u, 0);
+                    continue;
                 }
-                if (x > level) {
-                    level = x;
-                    at = k;
+                best = lb; /* leaf: every variable assigned */
+                for (int x = 1; x <= s->nv; x++)
+                    s->model[x] = lv[2 * x] == 1;
+                s->has_model = 1;
+                s->resume = 1;
+                STORE();
+                return EV_INCUMBENT;
+            after_leaf:
+                if (best <= s->lower) {
+                    s->exhausted = 1;
+                    break;
                 }
             }
-            if (at) {
-                int x = kept[1];
-                kept[1] = kept[at];
-                kept[at] = x;
-            }
-            int lim = trail_lim[level];
-            nxt = trail[lim] & ~1; /* the first decision undone */
-            for (int k = lim; k < qhead; k++) {
-                int nq = trail[k] ^ 1;
-                for (int m = socc_at[nq]; m < socc_at[nq + 1]; m++) {
-                    int si = socc[m];
-                    if (!sfree[si]) {
-                        lb -= weight[si];
-                        nf--;
+            /* Bound conflict: the earliest-falsified soft clauses whose
+             * weight reaches the incumbent's cannot all stay falsified. */
+            i64 acc = 0;
+            cn = 0;
+            cl = s->confl;
+            for (int k = 0; k < nf; k++) {
+                int si = falsified[k];
+                for (int m = soft_at[si]; m < soft_at[si + 1]; m++) {
+                    int q = soft_lits[m];
+                    if (!mark[q]) {
+                        mark[q] = 1;
+                        cl[cn++] = q;
                     }
-                    sfree[si]++;
+                }
+                acc += weight[si];
+                if (acc >= best)
+                    break;
+            }
+            for (int k = 0; k < cn; k++)
+                mark[cl[k]] = 0;
+        }
+
+        /* -- conflict analysis at the clause's highest level */
+        s->conflicts++;
+        int top = 0;
+        for (int k = 0; k < cn; k++)
+            if (lvl[cl[k] ^ 1] > top)
+                top = lvl[cl[k] ^ 1];
+        if (!top) {
+            s->exhausted = 1;
+            break;
+        }
+        int ln = 1, path = 0, p = 0;
+        int idx = top == dl ? tn - 1 : trail_lim[top] - 1; /* the last literal of level top */
+        for (;;) {
+            for (int k = 0; k < cn; k++) {
+                int q = cl[k];
+                if (q == p)
+                    continue;
+                int t = q ^ 1;
+                if (!seen[t] && lvl[t]) {
+                    seen[t] = 1;
+                    if (lvl[t] == top)
+                        path++;
+                    else
+                        learnt[ln++] = q;
                 }
             }
-            for (int k = lim; k < tn; k++) {
-                int q = trail[k];
-                lv[q] = lv[q ^ 1] = 0;
-                saved[q >> 1] = q;
-            }
-            tn = qhead = lim;
-            dl = level;
-            int r = 0;
-            if (kn == 2) {
-                int b = kept[1];
-                if (push(&implied[u ^ 1], b) || push(&implied[b ^ 1], u) || push(&s->learned_bin, u) ||
-                    push(&s->learned_bin, b)) {
-                    STORE();
-                    return EV_NOMEM;
-                }
-                r = -b;
-            } else if (kn > 2) {
-                if (reserve(s, 2 + kn) || push(&watches[u ^ 1], (int)s->alen) ||
-                    push(&watches[kept[1] ^ 1], (int)s->alen)) {
-                    STORE();
-                    return EV_NOMEM;
-                }
-                r = (int)s->alen;
-                s->arena[r] = kn;
-                s->arena[r + 1] = lbd;
-                memcpy(s->arena + r + 2, kept, (size_t)kn * sizeof(int));
-                s->alen += 2 + kn;
-            }
-            ASSIGN(u, r);
-            if (s->conflicts >= s->next_reduce) {
-                s->tn = tn;
-                if (reduce(s)) {
-                    STORE();
-                    return EV_NOMEM;
-                }
-                s->gap += s->reduce_growth;
-                s->next_reduce += s->gap;
+            while (!seen[trail[idx]])
+                idx--;
+            p = trail[idx--];
+            seen[p] = 0;
+            if (!--path)
+                break;
+            int r = rsn[p];
+            if (r > 0) {
+                cl = s->arena + r + 2;
+                cn = s->arena[r];
+            } else {
+                pair[0] = p;
+                pair[1] = -r;
+                cl = pair;
+                cn = r ? 2 : 0;
             }
         }
-        STORE();
-        end_phase(s);
-        continue;
-    expired:
-        STORE();
-        end_phase(s);
+        int u = p ^ 1;
+
+        /* Local minimization: drop a literal whose reason is covered by
+         * the rest of the clause (or by level-0 facts). */
+        kept[0] = u;
+        int kn = 1;
+        for (int k = 1; k < ln; k++) {
+            int q = learnt[k], t = q ^ 1, r = rsn[t];
+            if (!r) {
+                kept[kn++] = q;
+                continue;
+            }
+            int *rl = pair, rn = 2;
+            if (r > 0) {
+                rl = s->arena + r + 2;
+                rn = s->arena[r];
+            } else {
+                pair[0] = t;
+                pair[1] = -r;
+            }
+            for (int m = 0; m < rn; m++) {
+                int x = rl[m];
+                if (x != t && !seen[x ^ 1] && lvl[x ^ 1]) {
+                    kept[kn++] = q;
+                    break;
+                }
+            }
+        }
+        for (int k = 1; k < ln; k++)
+            seen[learnt[k] ^ 1] = 0;
+
+        /* Jump to the clause's second-highest level and assert the first
+         * UIP there; count the clause's levels (its LBD) on the way. */
+        int level = 0, at = 0, lbd = 1;
+        s->stamp_now++;
+        for (int k = 1; k < kn; k++) {
+            int x = lvl[kept[k] ^ 1];
+            if (s->stamp[x] != s->stamp_now) {
+                s->stamp[x] = s->stamp_now;
+                lbd++;
+            }
+            if (x > level) {
+                level = x;
+                at = k;
+            }
+        }
+        if (at) {
+            int x = kept[1];
+            kept[1] = kept[at];
+            kept[at] = x;
+        }
+        int lim = trail_lim[level];
+        nxt = trail[lim] & ~1; /* the first decision undone */
+        for (int k = lim; k < qhead; k++) {
+            int nq = trail[k] ^ 1;
+            for (int m = socc_at[nq]; m < socc_at[nq + 1]; m++) {
+                int si = socc[m];
+                if (!sfree[si]) {
+                    lb -= weight[si];
+                    nf--;
+                }
+                sfree[si]++;
+            }
+        }
+        for (int k = lim; k < tn; k++) {
+            int q = trail[k];
+            lv[q] = lv[q ^ 1] = 0;
+            saved[q >> 1] = q;
+        }
+        tn = qhead = lim;
+        dl = level;
+        int r = 0;
+        if (kn == 2) {
+            int b = kept[1];
+            if (push(&implied[u ^ 1], b) || push(&implied[b ^ 1], u)) {
+                STORE();
+                return EV_NOMEM;
+            }
+            r = -b;
+        } else if (kn > 2) {
+            if (reserve(s, 2 + kn) || push(&watches[u ^ 1], (int)s->alen) ||
+                push(&watches[kept[1] ^ 1], (int)s->alen)) {
+                STORE();
+                return EV_NOMEM;
+            }
+            r = (int)s->alen;
+            s->arena[r] = kn;
+            s->arena[r + 1] = lbd;
+            memcpy(s->arena + r + 2, kept, (size_t)kn * sizeof(int));
+            s->alen += 2 + kn;
+        }
+        ASSIGN(u, r);
+        if (s->conflicts >= s->next_reduce) {
+            s->tn = tn;
+            if (reduce(s)) {
+                STORE();
+                return EV_NOMEM;
+            }
+            s->gap += s->reduce_growth;
+            s->next_reduce += s->gap;
+        }
     }
+done:
+    STORE();
     return EV_DONE;
 #undef LOAD
 #undef STORE
@@ -939,12 +848,16 @@ int sr_run(S *s) {
     return event;
 }
 
-/* out: decisions, conflicts, propagations, incumbent weight, lower bound,
- * exhausted, has a model, phase.  With a model and a buffer of nv + 1
- * bytes, the model's values go there (index 0 unused). */
-void sr_result(const S *s, i64 *out, char *model) {
-    i64 vals[] = {s->decisions, s->conflicts, s->props, s->best, s->lower, s->exhausted, s->has_model, s->phase};
+/* out: decisions, conflicts, propagations, incumbent weight, exhausted,
+ * has a model.  With a model and a buffer of nv + 1 bytes, the model's
+ * values go to `model`; with a buffer of nv + 1 bytes, the saved values go
+ * to `polarity`, 1 for true (both with index 0 unused, and 0). */
+void sr_result(const S *s, i64 *out, char *model, char *polarity) {
+    i64 vals[] = {s->decisions, s->conflicts, s->props, s->best, s->exhausted, s->has_model};
     memcpy(out, vals, sizeof vals);
     if (model && s->has_model)
         memcpy(model, s->model, (size_t)s->nv + 1);
+    if (polarity)
+        for (int v = 0; v <= s->nv; v++)
+            polarity[v] = !(s->saved[v] & 1);
 }

@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_SOLUTION = 2  # budget expired without any incumbent
 EXIT_UNROUTABLE = 3  # hard-unsat: no routing with n swaps per slot
+EXIT_INTERNAL = 4  # the routing found fails verification: a fault in swaproute, not in its input
 
 _MAP_COMMENT = "initial_map:"
 
@@ -181,12 +182,12 @@ def _cmd_map(args) -> int:
     structural = verify_solution(source, solution, g)
     if not structural:
         print(f"internal error: solution fails structural verification: {structural.violation}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INTERNAL
     routed = apply_routing(source, solution, g.num_physical)
     replay = verify(source, routed, solution.initial_map, g)
     if not replay:
         print(f"internal error: routed circuit fails verification: {replay.violation}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_INTERNAL
     phases.end("verify")
 
     comment = f"{_MAP_COMMENT} " + " ".join(str(p) for p in solution.initial_map.placement)

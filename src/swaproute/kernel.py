@@ -1,7 +1,8 @@
 """The compiled kernel: build it once per user, load it once per process.
 
-``_kernel.c`` is the search of :mod:`swaproute.maxsat` in C, with the
-two other passes over a whole clause list: the check of every new
+``_kernel.c`` is the search of :mod:`swaproute.maxsat` in C, one search
+per call over its own clause set-up, with the two other passes over a
+whole clause list: the check of every new
 :class:`~swaproute.cnf.MaxSatInstance`'s hard clauses and the writer of
 their WCNF lines.  The first of these a process runs calls :func:`load`,
 which finds a build of the current source in the user's cache or
@@ -142,12 +143,12 @@ def _open(path: Path):
     lib.sr_check.restype = long
     lib.sr_wcnf.argtypes = [obj, long, long, ctypes.c_char_p, long, ctypes.c_char_p, long]
     lib.sr_wcnf.restype = obj
-    lib.sr_new.argtypes = [ctypes.c_int, obj, long, ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_int, ctypes.c_int,
-                           ctypes.c_int, ctypes.POINTER(ctypes.c_int)]
+    lib.sr_new.argtypes = [ctypes.c_int, obj, long, ptr, ptr, ctypes.c_int, ctypes.c_longlong, ctypes.c_double,
+                           ctypes.c_longlong, ptr, ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int)]
     lib.sr_new.restype = ptr
     lib.sr_run.argtypes = [ptr]
     lib.sr_run.restype = ctypes.c_int
-    lib.sr_result.argtypes = [ptr, i64p, ctypes.c_char_p]
+    lib.sr_result.argtypes = [ptr, i64p, ctypes.c_char_p, ptr]
     lib.sr_result.restype = None
     lib.sr_free.argtypes = [ptr]
     lib.sr_free.restype = None

@@ -16,10 +16,14 @@ had (phase saving, Pipatsrisawat & Darwiche, SAT 2007), kept from the
 probe into branch and bound.  Learned clauses are reduced by LBD
 (Audemard & Simon, IJCAI 2009).  The solver is exact and anytime:
 interrupting it at the time budget yields the best incumbent found so
-far.  The search runs in a compiled kernel (``_kernel.c``, built and
-loaded by :mod:`swaproute.kernel`) when one can be built, and otherwise
-in Python, decision for decision the same.  Scale beyond desk size is
-the job of external solvers via the WCNF interface.
+far.
+
+Each search runs in one kernel call, over its own set-up of the clauses:
+in a compiled kernel (``_kernel.c``, built and loaded by
+:mod:`swaproute.kernel`) when one can be built, and otherwise in Python,
+decision for decision the same.  :func:`solve_builtin` alone decides
+which searches run, with which bound, budget and saved values.  Scale
+beyond desk size is the job of external solvers via the WCNF interface.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ import subprocess
 import tempfile
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from operator import itemgetter
+from operator import itemgetter, sub
 from pathlib import Path
 from typing import Iterator
 
@@ -85,7 +89,7 @@ class _BudgetExpired(Exception):
 
 
 PROBE_SHARE = 0.25  # share of a solve's budget the zero-cost probe may use
-REDUCE_FIRST = 2000  # a phase's conflicts before its first learned-clause reduction
+REDUCE_FIRST = 2000  # a search's conflicts before its first learned-clause reduction
 REDUCE_GROWTH = 300  # each gap between reductions is this many conflicts longer than the one before
 _EV_DONE, _EV_INCUMBENT = 0, 1  # sr_run's events (_kernel.c)
 _ERR_EMPTY_CLAUSE, _ERR_NOMEM, _ERR_EXPIRED = 1, 2, 4  # sr_new's errors (_kernel.c)
@@ -95,41 +99,51 @@ def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> Solv
     """Exact conflict-driven branch and bound, opened by a zero-cost probe.
 
     The probe asks whether some model falsifies no soft clause: it is the
-    branch and bound below with its incumbent bound set to the smallest
-    soft weight, and it stops once :data:`PROBE_SHARE` of the budget has
-    passed.  A model it finds is optimal at once; a refutation proves that
-    weight a lower bound.  Branch and bound then starts again without the
-    probe's learned clauses (they rest on its bound) but with its saved
-    polarities, and stops as optimal as soon as its incumbent reaches the
-    proven lower bound.
+    search below with its incumbent bound set to the smallest soft weight,
+    and it stops once :data:`PROBE_SHARE` of the budget has passed.  A
+    model it finds is optimal at once; a refutation proves that weight a
+    lower bound.  Branch and bound then runs over a fresh clause set-up,
+    so nothing the probe learned (it rests on the probe's bound) carries
+    over, but it starts from the polarities the probe saved, and it stops
+    as optimal as soon as its incumbent reaches the proven lower bound.
+    The outcome counts the work of both searches.
     """
     t0 = time.monotonic()
-    return _search(instance, _phases(instance, budget, t0), t0)
-
-
-def _phases(instance: MaxSatInstance, budget: float | None, t0: float) -> list[tuple[int, float | None]]:
-    """The phases of :func:`solve_builtin`: the probe when there are soft clauses, then branch and bound."""
     deadline = None if budget is None else t0 + budget
-    phases = [(instance.soft_weight_total + 1, deadline)]
-    if instance.soft:
-        cap = None if budget is None else t0 + PROBE_SHARE * budget
-        phases.insert(0, (min(w for _, w in instance.soft), cap))
-    return phases
+    upper = instance.soft_weight_total + 1  # branch and bound's: every model falsifies less
+    polarity = bytearray(instance.num_vars + 1)
+    if not instance.soft:
+        return _search(instance, upper, deadline, 0, polarity, t0)
+    least = min(w for _, w in instance.soft)
+    probe = _search(instance, least, None if budget is None else t0 + PROBE_SHARE * budget, 0, polarity, t0)
+    lower = least if probe.status is SolveStatus.HARD_UNSAT else 0
+    if probe.model is not None:
+        verdict = "found a zero-cost model"
+    elif lower:
+        verdict = f"refuted: lower bound {lower}"
+    else:
+        verdict = "stopped at its share of the budget"
+    logger.info("probe %s (%d conflicts, %.3f s)", verdict, probe.conflicts, probe.elapsed)
+    if probe.model is not None:
+        return probe
+    out = _search(instance, upper, deadline, lower, polarity, t0)
+    return replace(out, decisions=probe.decisions + out.decisions, conflicts=probe.conflicts + out.conflicts,
+                   propagations=probe.propagations + out.propagations)
 
 
-def _search(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0: float) -> SolveOutcome:
-    """The search of :func:`_search_python`, run by the compiled kernel
+def _search(instance: MaxSatInstance, upper: int, until: float | None, lower: int, polarity: bytearray,
+            t0: float) -> SolveOutcome:
+    """One search of :func:`_search_python`, run by the compiled kernel
     when this process has one (see :mod:`swaproute.kernel`), else by
     that Python reference."""
-    if kernel.load() is None:
-        return _search_python(instance, phases, t0)
-    return _search_c(instance, phases, t0)
+    search = _search_python if kernel.load() is None else _search_c
+    return search(instance, upper, until, lower, polarity, t0)
 
 
 def _outcome(model: Model | None, exhausted: bool, best: int, lower: int, t0: float, counters: tuple) -> SolveOutcome:
-    """A search's outcome from its last phase: the model it found, if any,
-    and whether that phase was exhausted (its incumbent proved optimal,
-    or, with no incumbent, the hard clauses refuted)."""
+    """A search's outcome: the model it found, if any, and whether the
+    search was exhausted (its incumbent proved optimal, or, with no
+    incumbent, every model refuted below its bound)."""
     elapsed = time.monotonic() - t0
     if model is not None:
         if exhausted:
@@ -139,7 +153,8 @@ def _outcome(model: Model | None, exhausted: bool, best: int, lower: int, t0: fl
     return SolveOutcome(status, None, None, elapsed, *counters, lower_bound=lower)
 
 
-def _search_c(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0: float) -> SolveOutcome:
+def _search_c(instance: MaxSatInstance, upper: int, until: float | None, lower: int, polarity: bytearray,
+              t0: float) -> SolveOutcome:
     """The search of :func:`_search_python`, decision for decision, in the
     compiled kernel (``_kernel.c``, loaded by :mod:`swaproute.kernel`).
 
@@ -148,28 +163,27 @@ def _search_c(instance: MaxSatInstance, phases: list[tuple[int, float | None]], 
     read every 65,536 items, and refuses an empty clause as the Python
     set-up does.  It returns at each incumbent, which is timed and logged
     here, and is then called again.  Every 2,048 propagations it checks
-    its phase's deadline, lets other threads run, and checks the
-    interpreter's pending signals, so Ctrl-C ends an uncapped solve with
+    its deadline, lets other threads run, and checks the interpreter's
+    pending signals, so Ctrl-C ends an uncapped solve with
     KeyboardInterrupt.
     """
     import ctypes
 
     lib = kernel.load()
-    deadline = phases[-1][1]
-    if deadline is not None and time.monotonic() >= deadline:
+    if len(polarity) != instance.num_vars + 1:  # the kernel reads and writes that many bytes
+        raise ValueError(f"polarity holds {len(polarity)} values, not {instance.num_vars + 1}")
+    if until is not None and time.monotonic() >= until:
         return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
     lits = instance.hard.lits
     soft = array("i")
     for c, _ in instance.soft:
         soft.fromlist([*c, 0])
     weights = array("q", [w for _, w in instance.soft])
-    uppers = array("q", [upper for upper, _ in phases])
-    untils = array("d", [math.inf if until is None else until for _, until in phases])
+    saved = (ctypes.c_char * len(polarity)).from_buffer(polarity)
     err = ctypes.c_int()
     solver = lib.sr_new(
         instance.num_vars, lits, len(lits), soft.buffer_info()[0], weights.buffer_info()[0], len(instance.soft),
-        uppers.buffer_info()[0], untils.buffer_info()[0], len(phases), REDUCE_FIRST, REDUCE_GROWTH,
-        ctypes.byref(err),
+        upper, math.inf if until is None else until, lower, saved, REDUCE_FIRST, REDUCE_GROWTH, ctypes.byref(err),
     )
     if not solver:
         if err.value == _ERR_EXPIRED:
@@ -177,42 +191,46 @@ def _search_c(instance: MaxSatInstance, phases: list[tuple[int, float | None]], 
         if err.value == _ERR_NOMEM:
             raise MemoryError("the compiled search kernel could not set up its clauses")
         raise ValueError("empty hard clause" if err.value == _ERR_EMPTY_CLAUSE else "malformed clause arena")
-    out = (ctypes.c_longlong * 8)()  # decisions, conflicts, propagations, best, lower, exhausted, model, phase
+    out = (ctypes.c_longlong * 6)()  # decisions, conflicts, propagations, best, exhausted, model
     incumbents: list[tuple[float, int]] = []
+    stage = "probe" if upper <= instance.soft_weight_total else "branch and bound"
     try:
         while (event := lib.sr_run(solver)) == _EV_INCUMBENT:
-            lib.sr_result(solver, out, None)
+            lib.sr_result(solver, out, None, None)
             incumbents.append((time.monotonic() - t0, out[3]))
-            stage = "probe" if phases[out[7]][0] <= instance.soft_weight_total else "branch and bound"
             logger.info("incumbent: cost %d at %.3f s (%s)", out[3], incumbents[-1][0], stage)
         if event != _EV_DONE:  # an interrupt raises its exception as the call returns
             raise MemoryError("the compiled search kernel ran out of memory")
         values = ctypes.create_string_buffer(instance.num_vars + 1)
-        lib.sr_result(solver, out, values)
+        lib.sr_result(solver, out, values, saved)
     finally:
         lib.sr_free(solver)
-    decisions, conflicts, props, best, lower, exhausted, found, _ = out
+    decisions, conflicts, props, best, exhausted, found = out
     model = Model(tuple(map(bool, values.raw))) if found else None
     return _outcome(model, bool(exhausted), best, lower, t0, (decisions, conflicts, props, tuple(incumbents)))
 
 
-def _search_python(instance: MaxSatInstance, phases: list[tuple[int, float | None]], t0: float) -> SolveOutcome:
-    """Branch and bound in phases over one clause set-up: the reference kernel.
+def _search_python(instance: MaxSatInstance, upper: int, until: float | None, lower: int, polarity: bytearray,
+                   t0: float) -> SolveOutcome:
+    """One branch-and-bound search over a fresh clause set-up: the reference kernel.
 
-    Phase ``(upper, until)`` searches the models that falsify less than
-    ``upper`` and stops at the time ``until``.  A phase that finds a model
-    ends the solve.  One that is refuted proves every model falsifies at
-    least ``upper``, and each later phase stops as optimal once its
-    incumbent reaches that bound.  Each phase starts with nothing assigned
-    and without the clauses the previous one learned, but with the
-    polarities the previous one saved.  The set-up reads the last
-    deadline, and a phase whose time has passed does not start.
+    The search looks for models that falsify less than ``upper`` and
+    stops at the time ``until`` (None for never); the set-up reads it
+    too, and a search whose time has passed does not start.  Every model
+    is known to falsify at least ``lower``, so an incumbent that reaches
+    it is optimal.  ``polarity[v]`` is 1 when variable v's saved value is
+    true: the search starts from it and writes back the values it saved,
+    so a later search can start where this one left off.  Refuting
+    ``upper`` proves every model falsifies at least that much, and is
+    reported as ``HARD_UNSAT``: hard unsatisfiability when ``upper`` is
+    above the total soft weight.  A search that runs out of time returns its incumbent as a satisfiable
+    bound, or unknown.  Times are seconds since ``t0``.
 
     Branching takes the lowest unassigned variable id.  A variable that
     occurs in a soft clause is set true if it occurs positively in one
     and false otherwise.  Any other variable takes its saved polarity:
-    the value it had when a backjump last unassigned it, false before that.
-    So the first descent of the first phase follows the soft preferences
+    the value it had when a backjump last unassigned it.  So the first
+    descent from an all-false ``polarity`` follows the soft preferences
     and the encoder's slot-by-slot id order, and later descents return to
     the values the search last reached for every variable no soft clause
     scores.  A violated clause -- a hard or learned clause, or the bound
@@ -220,15 +238,11 @@ def _search_python(instance: MaxSatInstance, phases: list[tuple[int, float | Non
     reaches the incumbent's -- is analysed to its first unique
     implication point at the clause's highest level; the learned clause
     is kept, and the search jumps back to the level where it becomes
-    unit.  Learned clauses stay valid within a phase because the
-    incumbent only falls.  Each phase reduces them after
-    :data:`REDUCE_FIRST` conflicts, and again after gaps that grow by
-    :data:`REDUCE_GROWTH` each time (see :func:`_reduce`).
-    A conflict at level 0 proves the incumbent optimal, or, with no
-    incumbent, refutes the phase (hard unsatisfiability when ``upper``
-    exceeds the total soft weight).  A phase that runs out of time
-    returns its incumbent as a satisfiable bound, or passes on; the last
-    returns unknown.  Times are seconds since ``t0``.
+    unit.  Learned clauses stay valid because the incumbent only falls.
+    They are reduced after :data:`REDUCE_FIRST` conflicts, and again after
+    gaps that grow by :data:`REDUCE_GROWTH` each time (see
+    :func:`_reduce`).  A conflict at level 0 proves the incumbent
+    optimal, or, with no incumbent, refutes ``upper``.
 
     The search runs on literals in index form (MiniSat's encoding; Eén
     & Sörensson, SAT 2003): variable v is 2v and its negation 2v + 1, so
@@ -239,8 +253,7 @@ def _search_python(instance: MaxSatInstance, phases: list[tuple[int, float | Non
     function's own locals, and no closure or generator captures any of
     it, so the loop reads fast locals, not cell variables.
     """
-    deadline = phases[-1][1]
-    if deadline is not None and time.monotonic() >= deadline:
+    if until is not None and time.monotonic() >= until:
         return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
     nv = instance.num_vars
     size = 2 * nv + 2
@@ -251,20 +264,23 @@ def _search_python(instance: MaxSatInstance, phases: list[tuple[int, float | Non
 
     # Per-literal arrays: one slot per index-form literal (slots 0 and 1,
     # variable 0's, stay unused).
+    lv = [0] * size  # 1 true, -1 false, 0 unassigned
     lvl = [0] * size  # decision level, stored under the true literal
     rsn: list = [None] * size  # reason clause, stored under the true literal
     seen = [False] * size  # conflict analysis marks, under the true literal
     watches: list[list[list[int]]] = [[] for _ in range(size)]  # clauses to visit when the key turns true
     implied: list[list[int]] = [[] for _ in range(size)]  # binary clauses: literals the key forces
+    trail: list[int] = []
+    exhausted = False  # set by unit clauses that contradict each other
 
     # The hard clauses are read a piece of whole clauses at a time: one
     # lookup translates the piece, the 0 that closes each clause stays 0
     # (variable 0's index form), and a clause's width shows in which of its
     # next items is that 0.  A 0 where a clause should open is an empty
-    # clause, which is refused.
-    root_units: list[int] = []
+    # clause, which is refused.  Unit clauses are asserted at level 0 as
+    # they are read.
     for piece in instance.hard.pieces():
-        if deadline is not None and time.monotonic() >= deadline:
+        if until is not None and time.monotonic() >= until:
             return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
         piece = itemgetter(0, *piece)(code)  # a leading 0 keeps even a one-item piece a tuple
         i = 1
@@ -275,7 +291,12 @@ def _search_python(instance: MaxSatInstance, phases: list[tuple[int, float | Non
                 raise ValueError("empty hard clause")
             b = piece[i + 1]
             if not b:
-                root_units.append(a)
+                if not lv[a]:
+                    lv[a] = 1
+                    lv[a ^ 1] = -1
+                    trail.append(a)
+                elif lv[a] == -1:
+                    exhausted = True
                 i += 2
                 continue
             d = piece[i + 2]
@@ -317,296 +338,251 @@ def _search_python(instance: MaxSatInstance, phases: list[tuple[int, float | Non
             socc[lit].append(si)
             if not lit & 1 or not preferred[lit >> 1]:
                 preferred[lit >> 1] = lit
-    saved = list(map(code.__getitem__, range(0, -nv - 1, -1)))  # per variable: the literal it last had, false at first
     del code
-    lower = 0  # every model falsifies at least this much
-    learned: list = []  # clauses of three literals or more learned in the current phase, oldest first
+    saved = list(map(sub, range(1, size, 2), polarity))  # per variable: the literal it last had
+    sfree = list(map(len, soft))
+    falsified: list[int] = []
+    lb = 0
+    learned: list = []  # clauses of three literals or more learned, oldest first
     lbds: list[int] = []  # their LBDs
-    learned_bin: list = []  # binary clauses learned in the current phase
+    gap = next_reduce = REDUCE_FIRST  # the conflict count at the next reduction
+    trail_lim: list[int] = []  # trail length at each decision
+    qhead = 0
+    dl = 0  # current decision level
+    nxt = 2  # every variable below this positive literal's is assigned
+    best = upper
+    best_vals: list[int] | None = None
     incumbents: list[tuple[float, int]] = []
     decisions = conflicts = props = 0
+    stage = "probe" if upper <= instance.soft_weight_total else "branch and bound"
 
-    for phase, (upper, until) in enumerate(phases):
-        _forget(learned, learned_bin, watches, implied)  # unassign everything, drop what the previous phase learned
-        learned = []
-        lbds = []
-        learned_bin = []
-        gap = REDUCE_FIRST
-        next_reduce = conflicts + gap  # the conflict count at the phase's next reduction
-        lv = [0] * size  # 1 true, -1 false, 0 unassigned
-        trail: list[int] = []
-        trail_lim: list[int] = []  # trail length at each decision
-        qhead = 0
-        dl = 0  # current decision level
-        nxt = 2  # every variable below this positive literal's is assigned
-        sfree = list(map(len, soft))
-        falsified: list[int] = []
-        lb = 0
-        best = upper
-        best_vals: list[int] | None = None
-        stage = "probe" if upper <= instance.soft_weight_total else "branch and bound"
-
-        append = trail.append
-        exhausted = False
-        for lit in root_units:
-            if lv[lit] == -1:
-                exhausted = True  # contradictory unit clauses
-                break
-            if lv[lit] == 0:
-                lv[lit] = 1
-                lv[lit ^ 1] = -1
-                lvl[lit] = 0
-                rsn[lit] = None
-                append(lit)
-        if exhausted:
-            break
-        try:
-            if until is not None and time.monotonic() >= until:
-                raise _BudgetExpired
-            while True:
-                # -- unit propagation: binary implications, then watched clauses
-                confl = None
-                while qhead < len(trail):
-                    p = trail[qhead]
-                    qhead += 1
-                    props += 1
-                    if until is not None and not props & 2047 and time.monotonic() > until:
-                        raise _BudgetExpired
-                    np = p ^ 1
-                    for si in socc[np]:
-                        sfree[si] -= 1
-                        if not sfree[si]:
-                            lb += sweight[si]
-                            falsified.append(si)
-                    for q in implied[p]:
-                        x = lv[q]
-                        if x == 1:
-                            continue
-                        if x == -1:
-                            confl = (q, np)
-                            break
-                        lv[q] = 1
-                        lv[q ^ 1] = -1
-                        lvl[q] = dl
-                        rsn[q] = (q, np)
-                        append(q)
-                    if confl is not None:
+    append = trail.append
+    try:
+        if until is not None and time.monotonic() >= until:
+            raise _BudgetExpired
+        while not exhausted:
+            # -- unit propagation: binary implications, then watched clauses
+            confl = None
+            while qhead < len(trail):
+                p = trail[qhead]
+                qhead += 1
+                props += 1
+                if until is not None and not props & 2047 and time.monotonic() > until:
+                    raise _BudgetExpired
+                np = p ^ 1
+                for si in socc[np]:
+                    sfree[si] -= 1
+                    if not sfree[si]:
+                        lb += sweight[si]
+                        falsified.append(si)
+                for q in implied[p]:
+                    x = lv[q]
+                    if x == 1:
+                        continue
+                    if x == -1:
+                        confl = (q, np)
                         break
-                    ws = watches[p]
-                    i = j = 0
-                    end = len(ws)
-                    while i < end:
-                        c = ws[i]
-                        i += 1
-                        f = c[0]
-                        if f == np:
-                            f = c[1]
-                            if lv[f] == 1:
-                                ws[j] = c
-                                j += 1
-                                continue
-                            c[0] = f
-                            c[1] = np
-                        elif lv[f] == 1:
+                    lv[q] = 1
+                    lv[q ^ 1] = -1
+                    lvl[q] = dl
+                    rsn[q] = (q, np)
+                    append(q)
+                if confl is not None:
+                    break
+                ws = watches[p]
+                i = j = 0
+                end = len(ws)
+                while i < end:
+                    c = ws[i]
+                    i += 1
+                    f = c[0]
+                    if f == np:
+                        f = c[1]
+                        if lv[f] == 1:
                             ws[j] = c
                             j += 1
                             continue
-                        q = c[2]  # every watched clause has a third literal
+                        c[0] = f
+                        c[1] = np
+                    elif lv[f] == 1:
+                        ws[j] = c
+                        j += 1
+                        continue
+                    q = c[2]  # every watched clause has a third literal
+                    if lv[q] != -1:
+                        c[1] = q
+                        c[2] = np
+                        watches[q ^ 1].append(c)
+                        continue
+                    for k in range(3, len(c)):
+                        q = c[k]
                         if lv[q] != -1:
                             c[1] = q
-                            c[2] = np
+                            c[k] = np
                             watches[q ^ 1].append(c)
-                            continue
-                        for k in range(3, len(c)):
-                            q = c[k]
-                            if lv[q] != -1:
-                                c[1] = q
-                                c[k] = np
-                                watches[q ^ 1].append(c)
-                                break
-                        else:
-                            ws[j] = c
-                            j += 1
-                            if lv[f]:
-                                confl = c
-                                break
-                            lv[f] = 1
-                            lv[f ^ 1] = -1
-                            lvl[f] = dl
-                            rsn[f] = c
-                            append(f)
-                    del ws[j:i]  # drop the watches that moved; the unvisited tail stays
-                    if confl is not None:
-                        break
-
-                if confl is None:
-                    if lb < best:
-                        v = nxt
-                        while v < size and lv[v]:
-                            v += 2
-                        nxt = v
-                        if v < size:
-                            decisions += 1
-                            trail_lim.append(len(trail))
-                            dl += 1
-                            u = preferred[v >> 1] or saved[v >> 1]
-                            lv[u] = 1
-                            lv[u ^ 1] = -1
-                            lvl[u] = dl
-                            rsn[u] = None
-                            append(u)
-                            continue
-                        best = lb  # leaf: every variable assigned
-                        best_vals = lv[2::2]
-                        incumbents.append((time.monotonic() - t0, best))
-                        logger.info("incumbent: cost %d at %.3f s (%s)", best, incumbents[-1][0], stage)
-                        if best <= lower:
-                            exhausted = True
                             break
-                    # Bound conflict: the earliest-falsified soft clauses whose
-                    # weight reaches the incumbent's cannot all stay falsified.
-                    acc = 0
-                    lits: dict[int, None] = {}
-                    for si in falsified:
-                        lits.update(dict.fromkeys(soft[si]))
-                        acc += sweight[si]
-                        if acc >= best:
+                    else:
+                        ws[j] = c
+                        j += 1
+                        if lv[f]:
+                            confl = c
                             break
-                    confl = list(lits)
-
-                # -- conflict analysis at the clause's highest level
-                conflicts += 1
-                top = 0
-                for q in confl:
-                    if lvl[q ^ 1] > top:
-                        top = lvl[q ^ 1]
-                if top == 0:
-                    exhausted = True
+                        lv[f] = 1
+                        lv[f ^ 1] = -1
+                        lvl[f] = dl
+                        rsn[f] = c
+                        append(f)
+                del ws[j:i]  # drop the watches that moved; the unvisited tail stays
+                if confl is not None:
                     break
-                learnt = [0]
-                path = 0
-                p = 0
-                idx = len(trail) - 1 if top == dl else trail_lim[top] - 1  # the last literal of level top
-                c = confl
-                while True:
-                    for q in c:
-                        if q == p:
-                            continue
-                        t = q ^ 1
-                        if not seen[t] and lvl[t]:
-                            seen[t] = True
-                            if lvl[t] == top:
-                                path += 1
-                            else:
-                                learnt.append(q)
-                    while not seen[trail[idx]]:
-                        idx -= 1
-                    p = trail[idx]
-                    idx -= 1
-                    seen[p] = False
-                    path -= 1
-                    if not path:
-                        break
-                    c = rsn[p]
-                learnt[0] = u = p ^ 1
 
-                # Local minimization: drop a literal whose reason is covered by
-                # the rest of the clause (or by level-0 facts).
-                kept = [u]
-                for q in learnt[1:]:
-                    t = q ^ 1
-                    r = rsn[t]
-                    if r is None:
-                        kept.append(q)
+            if confl is None:
+                if lb < best:
+                    v = nxt
+                    while v < size and lv[v]:
+                        v += 2
+                    nxt = v
+                    if v < size:
+                        decisions += 1
+                        trail_lim.append(len(trail))
+                        dl += 1
+                        u = preferred[v >> 1] or saved[v >> 1]
+                        lv[u] = 1
+                        lv[u ^ 1] = -1
+                        lvl[u] = dl
+                        rsn[u] = None
+                        append(u)
                         continue
-                    for x in r:
-                        if x != t and not seen[x ^ 1] and lvl[x ^ 1]:
-                            kept.append(q)
-                            break
-                for q in learnt[1:]:
-                    seen[q ^ 1] = False
+                    best = lb  # leaf: every variable assigned
+                    best_vals = lv[2::2]
+                    incumbents.append((time.monotonic() - t0, best))
+                    logger.info("incumbent: cost %d at %.3f s (%s)", best, incumbents[-1][0], stage)
+                    if best <= lower:
+                        exhausted = True
+                        break
+                # Bound conflict: the earliest-falsified soft clauses whose
+                # weight reaches the incumbent's cannot all stay falsified.
+                acc = 0
+                lits: dict[int, None] = {}
+                for si in falsified:
+                    lits.update(dict.fromkeys(soft[si]))
+                    acc += sweight[si]
+                    if acc >= best:
+                        break
+                confl = list(lits)
 
-                # Jump to the clause's second-highest level (its first literal
-                # there becomes kept[1], the second watch) and assert the first
-                # UIP there.  Undoing a literal the propagation already took
-                # gives back its soft clauses' counts; every literal undone
-                # saves its polarity.  The clause's LBD counts its levels:
-                # the first UIP's, and those of the rest.
-                level = at = 0
-                levels = set()
-                for k in range(1, len(kept)):
-                    x = lvl[kept[k] ^ 1]
-                    levels.add(x)
-                    if x > level:
-                        level = x
-                        at = k
-                if at:
-                    kept[1], kept[at] = kept[at], kept[1]
-                lim = trail_lim[level]
-                nxt = trail[lim] & -2  # the first decision undone
-                for q in trail[lim:qhead]:
-                    for si in socc[q ^ 1]:
-                        if not sfree[si]:
-                            lb -= sweight[si]
-                            falsified.pop()
-                        sfree[si] += 1
-                for q in trail[lim:]:
-                    lv[q] = lv[q ^ 1] = 0
-                    saved[q >> 1] = q
-                del trail[lim:]
-                del trail_lim[level:]
-                dl = level
-                qhead = lim
-                if len(kept) == 1:
-                    r = None
-                elif len(kept) == 2:
-                    for a, b in ((u, kept[1]), (kept[1], u)):
-                        if implied[a ^ 1]:
-                            implied[a ^ 1].append(b)
+            # -- conflict analysis at the clause's highest level
+            conflicts += 1
+            top = 0
+            for q in confl:
+                if lvl[q ^ 1] > top:
+                    top = lvl[q ^ 1]
+            if top == 0:
+                exhausted = True
+                break
+            learnt = [0]
+            path = 0
+            p = 0
+            idx = len(trail) - 1 if top == dl else trail_lim[top] - 1  # the last literal of level top
+            c = confl
+            while True:
+                for q in c:
+                    if q == p:
+                        continue
+                    t = q ^ 1
+                    if not seen[t] and lvl[t]:
+                        seen[t] = True
+                        if lvl[t] == top:
+                            path += 1
                         else:
-                            implied[a ^ 1] = [b]
-                    learned_bin.append(kept)
-                    r = tuple(kept)
-                else:
-                    watches[u ^ 1].append(kept)
-                    watches[kept[1] ^ 1].append(kept)
-                    learned.append(kept)
-                    lbds.append(len(levels) + 1)
-                    r = kept
-                lv[u] = 1
-                lv[u ^ 1] = -1
-                lvl[u] = dl
-                rsn[u] = r
-                append(u)
-                if conflicts >= next_reduce:
-                    learned, lbds = _reduce(learned, lbds, watches, lv, rsn)
-                    gap += REDUCE_GROWTH
-                    next_reduce += gap
-        except _BudgetExpired:
-            pass
-        if best_vals is not None or phase == len(phases) - 1:
-            break
-        if exhausted:
-            lower = upper
+                            learnt.append(q)
+                while not seen[trail[idx]]:
+                    idx -= 1
+                p = trail[idx]
+                idx -= 1
+                seen[p] = False
+                path -= 1
+                if not path:
+                    break
+                c = rsn[p]
+            learnt[0] = u = p ^ 1
+
+            # Local minimization: drop a literal whose reason is covered by
+            # the rest of the clause (or by level-0 facts).
+            kept = [u]
+            for q in learnt[1:]:
+                t = q ^ 1
+                r = rsn[t]
+                if r is None:
+                    kept.append(q)
+                    continue
+                for x in r:
+                    if x != t and not seen[x ^ 1] and lvl[x ^ 1]:
+                        kept.append(q)
+                        break
+            for q in learnt[1:]:
+                seen[q ^ 1] = False
+
+            # Jump to the clause's second-highest level (its first literal
+            # there becomes kept[1], the second watch) and assert the first
+            # UIP there.  Undoing a literal the propagation already took
+            # gives back its soft clauses' counts; every literal undone
+            # saves its polarity.  The clause's LBD counts its levels:
+            # the first UIP's, and those of the rest.
+            level = at = 0
+            levels = set()
+            for k in range(1, len(kept)):
+                x = lvl[kept[k] ^ 1]
+                levels.add(x)
+                if x > level:
+                    level = x
+                    at = k
+            if at:
+                kept[1], kept[at] = kept[at], kept[1]
+            lim = trail_lim[level]
+            nxt = trail[lim] & -2  # the first decision undone
+            for q in trail[lim:qhead]:
+                for si in socc[q ^ 1]:
+                    if not sfree[si]:
+                        lb -= sweight[si]
+                        falsified.pop()
+                    sfree[si] += 1
+            for q in trail[lim:]:
+                lv[q] = lv[q ^ 1] = 0
+                saved[q >> 1] = q
+            del trail[lim:]
+            del trail_lim[level:]
+            dl = level
+            qhead = lim
+            if len(kept) == 1:
+                r = None
+            elif len(kept) == 2:
+                for a, b in ((u, kept[1]), (kept[1], u)):
+                    if implied[a ^ 1]:
+                        implied[a ^ 1].append(b)
+                    else:
+                        implied[a ^ 1] = [b]
+                r = tuple(kept)
+            else:
+                watches[u ^ 1].append(kept)
+                watches[kept[1] ^ 1].append(kept)
+                learned.append(kept)
+                lbds.append(len(levels) + 1)
+                r = kept
+            lv[u] = 1
+            lv[u ^ 1] = -1
+            lvl[u] = dl
+            rsn[u] = r
+            append(u)
+            if conflicts >= next_reduce:
+                learned, lbds = _reduce(learned, lbds, watches, lv, rsn)
+                gap += REDUCE_GROWTH
+                next_reduce += gap
+    except _BudgetExpired:
+        pass
+    polarity[:] = bytes([~q & 1 for q in saved])
     model = None if best_vals is None else Model((False, *(x == 1 for x in best_vals)))
     return _outcome(model, exhausted, best, lower, t0, (decisions, conflicts, props, tuple(incumbents)))
-
-
-def _forget(learned: list[list[int]], learned_bin: list[list[int]], watches: list, implied: list):
-    """Remove the long clauses ``learned`` from the watch lists, and the
-    binary ones ``learned_bin`` from the implication lists, each by its
-    first occurrence there."""
-    for a, b in learned_bin:
-        implied[a ^ 1].remove(b)
-        implied[b ^ 1].remove(a)
-    _unwatch(learned, watches)
-
-
-def _unwatch(clauses: list[list[int]], watches: list):
-    """Remove ``clauses`` from the watch lists, keeping the others' order."""
-    dead = {id(c) for c in clauses}
-    for key in {c[k] ^ 1 for c in clauses for k in (0, 1)}:
-        watches[key] = [c for c in watches[key] if id(c) not in dead]
 
 
 def _reduce(learned: list[list[int]], lbds: list[int], watches: list, lv: list[int], rsn: list):
@@ -624,7 +600,9 @@ def _reduce(learned: list[list[int]], lbds: list[int], watches: list, lv: list[i
         c = learned[i]
         if lbds[i] > 2 and not (lv[c[0]] == 1 and rsn[c[0]] is c):
             dead.add(i)
-    _unwatch([learned[i] for i in dead], watches)
+    gone = {id(learned[i]) for i in dead}
+    for key in {learned[i][k] ^ 1 for i in dead for k in (0, 1)}:
+        watches[key] = [c for c in watches[key] if id(c) not in gone]
     keep = [i for i in range(len(learned)) if i not in dead]
     return [learned[i] for i in keep], [lbds[i] for i in keep]
 

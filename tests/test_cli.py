@@ -286,6 +286,30 @@ def test_map_best_of_failure_exit_class(tmp_path, monkeypatch, capsys, whole, co
         assert "unroutable: refuted" in err
 
 
+@pytest.mark.parametrize("check", ["structural", "replay"])
+def test_a_routing_that_fails_verification_exits_4(tmp_path, monkeypatch, capsys, check):
+    # The solver's routing, with slot 1 given a swap on a non-edge of the
+    # line (0 and 2 are not neighbours); with the structural check passed
+    # over, the replay of the routed circuit catches it.
+    solve = cli.solve_global
+
+    def faulty(circuit, g, cfg):
+        solution = solve(circuit, g, cfg)
+        return dataclasses.replace(solution, swaps=(((0, 2),), *solution.swaps[1:]))
+
+    monkeypatch.setattr(cli, "solve_global", faulty)
+    if check == "replay":
+        monkeypatch.setattr(cli, "verify_solution", lambda *args: True)
+    out = tmp_path / "routed.qasm"
+    argv = ["map", "--input", write_three_gate(tmp_path), "--arch", "line:4", "--strategy", "global",
+            "--output", str(out)]
+    assert run(argv) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert re.search(r"^internal error: .*non-edge \(0,2\)", err, re.M)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_map_usage_error_exits_1(tmp_path):
     assert run(["map", "--input", "/nonexistent.qasm", "--arch", "line:4"]) == 1
     src = write_three_gate(tmp_path)

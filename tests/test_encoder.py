@@ -570,7 +570,7 @@ def test_canonical_placement_keeps_the_first_incumbent():
 
     def branch_and_bound(inst):
         t0 = time.monotonic()
-        return maxsat._search(inst, [(inst.soft_weight_total + 1, t0 + 0.5)], t0)
+        return maxsat._search(inst, inst.soft_weight_total + 1, t0 + 0.5, 0, bytearray(inst.num_vars + 1), t0)
 
     compared = 0
     for _ in range(40):

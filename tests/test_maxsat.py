@@ -131,10 +131,16 @@ def test_builtin_matches_exhaustive_enumeration():
             assert inst.falsified_weight(out.model) == expected
 
 
+def search_once(inst: MaxSatInstance, upper: int):
+    """One kernel call below ``upper``, with no budget, no proven lower
+    bound and nothing saved."""
+    return maxsat._search(inst, upper, None, 0, bytearray(inst.num_vars + 1), time.monotonic())
+
+
 def branch_and_bound(inst: MaxSatInstance):
-    """The second phase of ``solve_builtin`` on its own: no probe, so no
+    """The branch and bound of ``solve_builtin`` on its own: no probe, so no
     proven lower bound to stop at."""
-    return maxsat._search(inst, [(inst.soft_weight_total + 1, None)], time.monotonic())
+    return search_once(inst, inst.soft_weight_total + 1)
 
 
 def test_builtin_weighted_matches_exhaustive_enumeration():
@@ -176,7 +182,7 @@ def test_lower_bound_brackets_the_optimum(max_weight):
             assert out.lower_bound == out.falsified_weight == expected
         # The probe finds a model exactly when one falsifies nothing.
         cheapest = min(w for _, w in inst.soft)
-        probe = maxsat._search(inst, [(cheapest, None)], time.monotonic())
+        probe = search_once(inst, cheapest)
         assert (probe.model is not None) == (expected == 0)
         refuted += probe.status is SolveStatus.HARD_UNSAT
     assert refuted >= 40
@@ -237,7 +243,7 @@ def test_branch_and_bound_stops_at_the_probes_bound():
     b.add_soft([-e], 1)
     b.add_soft([e], 1)
     inst = b.build()
-    probe = maxsat._search(inst, [(1, None)], time.monotonic())
+    probe = search_once(inst, 1)
     assert probe.status is SolveStatus.HARD_UNSAT
     out = solve_builtin(inst)
     assert out.status is SolveStatus.OPTIMAL
@@ -346,7 +352,7 @@ def test_budget_with_incumbent_is_satisfiable_bound():
 
 # -- the search trajectory ------------------------------------------------------
 #
-# The no-budget outcome of every solve below: status, decisions,
+# The no-budget outcome of solve_builtin on every instance below: status, decisions,
 # conflicts, propagations, incumbent weights, lower bound and a digest of
 # the model.  A change that only makes the search faster must reproduce
 # them exactly; one that changes its decisions re-records them and says why.
@@ -405,26 +411,26 @@ ROUTING_SHAPES = [  # the global rows of the exact-small benchmark, and one Toky
     ("line4-noise", "line:4", 4, 6, 1, True),
     ("cycle4-noise", "cycle:4", 4, 6, 1, True),
     ("rand8x10-global", "tokyo", 8, 10, 1, False),
-    # Its branch and bound runs 8,474 conflicts, past three learned-clause
+    # Its branch and bound runs 8,509 conflicts, past three learned-clause
     # reductions (at 2,000, 4,300 and 6,900).
     ("grid3x3-10s", "grid:3x3", 5, 10, 1, False),
 ]
 
 TRAJECTORIES = {
-    "line4-8s": ("optimal", 115, 79, 2221, (4, 2), 2, "4ec903ea3f093e8d"),
-    "line4-10s": ("optimal", 173, 153, 4514, (3,), 3, "ae3a9b01e8b49093"),
+    "line4-8s": ("optimal", 115, 79, 2211, (4, 2), 2, "4ec903ea3f093e8d"),
+    "line4-10s": ("optimal", 173, 153, 4504, (3,), 3, "ae3a9b01e8b49093"),
     "line4-n2": ("optimal", 22, 7, 531, (0,), 0, "a43e5c24117b0c0a"),
-    "line4-ndiam": ("optimal", 85, 50, 3397, (4, 2, 1), 1, "20bdfc3db46b036e"),
+    "line4-ndiam": ("optimal", 85, 50, 3371, (4, 2, 1), 1, "20bdfc3db46b036e"),
     "line5-5s": ("optimal", 132, 87, 3273, (2, 1), 1, "b2a42bfe5caa5877"),
     "line6-5s": ("optimal", 40, 6, 435, (0,), 0, "e6e4f0fb4cb3868f"),
-    "cycle4-10s": ("optimal", 197, 130, 3997, (3, 2), 2, "4da5806c804fd1cb"),
+    "cycle4-10s": ("optimal", 197, 130, 3983, (3, 2), 2, "4da5806c804fd1cb"),
     "cycle4-ndiam": ("optimal", 33, 11, 833, (1,), 1, "b1a1d295611c0782"),
     "cycle6-5s": ("optimal", 43, 7, 449, (0,), 0, "4d895b4cfcbba56d"),
-    "grid3x3-6s": ("optimal", 803, 418, 13498, (5, 4, 3, 1), 1, "6207611fe7e3e2ab"),
-    "line4-noise": ("optimal", 226, 208, 4930, (325, 312, 233, 151, 111), 111, "1ce784325010b511"),
-    "cycle4-noise": ("optimal", 511, 464, 10378, (120, 114, 109, 90, 80), 80, "8ed988b0987350cc"),
-    "rand8x10-global": ("optimal", 5912, 1124, 227739, (4, 3, 2, 1), 1, "72ac98214be54d0e"),
-    "grid3x3-10s": ("optimal", 10671, 8487, 610406, (7, 6, 5, 4, 3, 2), 2, "1cc8112c91e69330"),
+    "grid3x3-6s": ("optimal", 762, 411, 13771, (5, 4, 3, 1), 1, "6207611fe7e3e2ab"),
+    "line4-noise": ("optimal", 226, 208, 4918, (325, 312, 233, 151, 111), 111, "1ce784325010b511"),
+    "cycle4-noise": ("optimal", 508, 461, 10359, (120, 114, 109, 90, 80), 80, "8ed988b0987350cc"),
+    "rand8x10-global": ("optimal", 5833, 1068, 218385, (4, 3, 2, 1), 1, "72ac98214be54d0e"),
+    "grid3x3-10s": ("optimal", 10771, 8522, 607770, (7, 6, 5, 4, 3, 2), 2, "1cc8112c91e69330"),
     "random-0": ("optimal", 11, 3, 20, (5, 2), 2, "be58233c8b1c33d2"),
     "random-1": ("optimal", 6, 3, 24, (10,), 10, "056f49b3e64b3989"),
     "random-2": ("optimal", 27, 5, 32, (9, 5, 4), 4, "45b43ab125e4eb02"),
@@ -432,17 +438,17 @@ TRAJECTORIES = {
     "random-4": ("optimal", 5, 3, 12, (11, 5), 5, "5de16aef7fb69854"),
     "random-5": ("optimal", 9, 3, 20, (13, 2), 2, "24843325d0697969"),
     "random-6": ("optimal", 10, 0, 12, (0,), 0, "dd46c3eebb1884ff"),
-    "random-7": ("hard_unsat", 0, 0, 0, (), 0, None),
+    "random-7": ("hard_unsat", 0, 0, 0, (), 1, None),
     "random-8": ("optimal", 6, 2, 16, (7,), 7, "eabb5779c31cd4c0"),
     "random-9": ("optimal", 4, 4, 14, (4,), 4, "1a21c5c68e74f8db"),
     "random-10": ("hard_unsat", 0, 2, 8, (), 6, None),
     "random-11": ("optimal", 7, 0, 9, (0,), 0, "cd7ec3e14233dbce"),
-    "dense-0": ("optimal", 90, 42, 738, (33, 30, 28), 28, "ed8ba9aaa51cf3c1"),
+    "dense-0": ("optimal", 90, 42, 737, (33, 30, 28), 28, "ed8ba9aaa51cf3c1"),
     "dense-1": ("hard_unsat", 4, 4, 56, (), 1, None),
     "dense-2": ("hard_unsat", 54, 41, 917, (), 1, None),
     "dense-3": ("optimal", 125, 67, 1452, (49, 46, 40, 39), 39, "b35407ba50392d38"),
     "dense-4": ("hard_unsat", 14, 13, 290, (), 1, None),
-    "dense-5": ("optimal", 818, 470, 13543, (79, 75, 73, 72, 71, 70, 63, 57, 56, 53, 52), 52, "165122e7ea84859a"),
+    "dense-5": ("optimal", 818, 470, 13544, (79, 75, 73, 72, 71, 70, 63, 57, 56, 53, 52), 52, "165122e7ea84859a"),
 }
 
 
@@ -458,23 +464,72 @@ def trajectory_instances():
 
 @pytest.fixture(params=["python", "c"])
 def search(request):
-    """Each search kernel, called directly."""
+    """Each search kernel."""
     if request.param == "c" and kernel.load() is None:
         pytest.skip("no compiled kernel: no C compiler, or no usable cache")
     return {"python": maxsat._search_python, "c": maxsat._search_c}[request.param]
 
 
-def test_search_trajectory_is_pinned(search):
+def test_search_trajectory_is_pinned(search, monkeypatch):
+    monkeypatch.setattr(maxsat, "_search", search)
     got = {}
     for name, inst in trajectory_instances():
-        t0 = time.monotonic()
-        out = search(inst, maxsat._phases(inst, None, t0), t0)
+        out = solve_builtin(inst)
         digest = None if out.model is None else hashlib.sha256(bytes(out.model.values)).hexdigest()[:16]
         weights = tuple(w for _, w in out.incumbents)
         got[name] = (out.status.value, out.decisions, out.conflicts, out.propagations, weights, out.lower_bound, digest)
         if out.model is not None:
             assert inst.hard_satisfied(out.model)
     assert got == TRAJECTORIES
+
+
+def test_kernels_agree_call_by_call():
+    # solve_builtin's two calls made directly, the second even after a
+    # probe that found a model: each must give the same outcome and leave
+    # the same saved polarities in both kernels.
+    if kernel.load() is None:
+        pytest.skip("no compiled kernel: no C compiler, or no usable cache")
+    for name, inst in trajectory_instances():
+        least = min(w for _, w in inst.soft)
+        runs = []
+        for search in (maxsat._search_python, maxsat._search_c):
+            polarity = bytearray(inst.num_vars + 1)
+            probe = search(inst, least, None, 0, polarity, time.monotonic())
+            after_probe = bytes(polarity)
+            lower = least if probe.status is SolveStatus.HARD_UNSAT else 0
+            bnb = search(inst, inst.soft_weight_total + 1, None, lower, polarity, time.monotonic())
+            runs.append([(out.status, out.decisions, out.conflicts, out.propagations,
+                          tuple(w for _, w in out.incumbents), out.lower_bound, out.model) for out in (probe, bnb)]
+                        + [after_probe, bytes(polarity)])
+        assert runs[0] == runs[1], name
+
+
+def test_probe_verdict_is_logged(caplog):
+    b = InstanceBuilder()
+    a, bb, c = b.new_vars(3)
+    b.add_hard([-a, -bb])
+    b.add_soft([a, c], 1)
+    b.add_soft([bb], 1)
+    zero_cost = b.build()
+    b = InstanceBuilder()
+    e = escaped_pigeonhole(b)
+    b.add_soft([-e], 1)
+    b.add_soft([e], 1)
+    refuted = b.build()
+    b = InstanceBuilder()
+    pigeonhole_hard(b, 12, 11)
+    b.add_soft([b.new_var()], 1)
+    stopped = b.build()
+    verdicts = []
+    for inst, budget in ((zero_cost, None), (refuted, None), (stopped, 0.2)):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="swaproute.maxsat"):
+            solve_builtin(inst, budget)
+        verdicts += [r.getMessage() for r in caplog.records if r.getMessage().startswith("probe ")]
+    assert len(verdicts) == 3
+    assert re.fullmatch(r"probe found a zero-cost model \(\d+ conflicts, [\d.]+ s\)", verdicts[0])
+    assert re.fullmatch(r"probe refuted: lower bound 1 \(\d+ conflicts, [\d.]+ s\)", verdicts[1])
+    assert re.fullmatch(r"probe stopped at its share of the budget \(\d+ conflicts, [\d.]+ s\)", verdicts[2])
 
 
 def test_search_keeps_its_state_in_fast_locals():
@@ -489,7 +544,7 @@ def test_an_empty_hard_clause_is_refused_before_searching(search):
     inst = MaxSatInstance(2, HardClauses([1, 0, 2, 0], 2), ())
     object.__setattr__(inst, "hard", HardClauses([1, 0, 0], 2))
     with pytest.raises(ValueError, match="empty hard clause"):
-        search(inst, [(1, None)], time.monotonic())
+        search(inst, 1, None, 0, bytearray(3), time.monotonic())
 
 
 # -- instances and the builder -------------------------------------------------
