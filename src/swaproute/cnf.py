@@ -12,8 +12,9 @@ variable stands for.
 
 Every new instance checks its arena in one pass: in the compiled kernel
 (``_kernel.c``, loaded by :mod:`swaproute.kernel`) when the process has
-one, else in Python here (:func:`_arena_top`).  Both passes give the same
-verdict, and on a fault the same Python clause-by-clause pass names it.
+one, else in Python here (:func:`_arena_top`).  Both read the list one
+item at a time and give the same verdict, and on a fault the Python pass
+names the first one in arena order.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
-from operator import eq, index, itemgetter, not_
+from operator import eq, index, not_
 from typing import Iterable, Iterator, Sequence
 
 from . import kernel
 
 Clause = tuple[int, ...]
-
-PIECE = 4096  # about this many literals per piece of a pass over an arena
 
 
 def make_clause(lits: Iterable[int]) -> Clause:
@@ -92,18 +91,6 @@ class HardClauses:
     def __repr__(self) -> str:
         return f"HardClauses({tuple(self)!r})"
 
-    def pieces(self) -> Iterator[list[int]]:
-        """The arena in slices of whole clauses, each of at least
-        :data:`PIECE` literals (the last may be shorter) and at most
-        :data:`PIECE` plus the widest clause."""
-        lits = self.lits
-        index = lits.index
-        start, end = 0, len(lits)
-        while start < end:
-            stop = index(0, min(start + PIECE, end) - 1) + 1
-            yield lits[start:stop]
-            start = stop
-
 
 @dataclass(frozen=True)
 class Model:
@@ -135,51 +122,36 @@ class MaxSatInstance:
     max_var: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        hard = clauses = self.hard
+        hard = self.hard
         if not isinstance(hard, HardClauses):
-            clauses = tuple(clauses)
+            clauses = tuple(hard)
+            for clause in clauses:
+                self._check(clause)
             hard = HardClauses.of(clauses)
             object.__setattr__(self, "hard", hard)
         object.__setattr__(self, "soft", tuple(self.soft))
-        # One pass over the arena (see _arena_top) and the set of soft
-        # literals find whether anything is wrong.  Only on a fault does the
-        # clause-by-clause check run, to name the first fault in clause order.
-        nv = self.num_vars
         lits = hard.lits
         if not isinstance(lits, list):
             raise TypeError(f"the hard clause arena must be a list, not {type(lits).__name__}")
-        top = _arena_top(lits, hard.count, nv)
-        soft_lits = set(chain.from_iterable(c for c, _ in self.soft))
-        max_var = max(top or 0, max(soft_lits), -min(soft_lits)) if soft_lits else top or 0
+        max_var = _arena_top(lits, hard.count, self.num_vars)
+        for clause, weight in self.soft:
+            max_var = max(max_var, self._check(clause))
+            if weight < 1:
+                raise ValueError(f"soft weight must be >= 1, got {weight}")
         object.__setattr__(self, "max_var", max_var)
-        in_range = max_var <= nv and 0 not in soft_lits
-        non_empty = all(c for c, _ in self.soft)
-        if not (top is not None and in_range and non_empty and all(w >= 1 for _, w in self.soft)):
-            for clause in clauses if clauses is not hard else _split(lits):
-                self._check(clause)
-            for clause, weight in self.soft:
-                self._check(clause)
-                if weight < 1:
-                    raise ValueError(f"soft weight must be >= 1, got {weight}")
-            # Every clause is sound, so the arena's 0s disagree with its
-            # count, or its last clause is not closed.
-            zeros = sum(1 for lit in lits if _is_zero(lit))
-            if zeros > hard.count:
-                raise ValueError(f"literal 0 out of range (num_vars={nv})")
-            if lits and not _is_zero(lits[-1]):
-                raise ValueError("the last hard clause is not closed by a 0")
-            raise ValueError(f"{hard.count} hard clauses, {zeros} closed by a 0")
 
-    def _check(self, clause: Clause):
+    def _check(self, clause: Clause) -> int:
+        """The largest variable ``clause`` uses; raises on an empty clause
+        or a literal that is not an int in 1..num_vars or its negation."""
         if not clause:
             raise ValueError("empty clause")
-        for lit in clause:
-            try:
-                var = abs(index(lit))
-            except TypeError:
-                raise TypeError(f"literal {lit!r} is not an int") from None
-            if not 1 <= var <= self.num_vars:
-                raise ValueError(f"literal {lit} out of range (num_vars={self.num_vars})")
+        top = 0
+        for item in clause:
+            lit = _literal(item, self.num_vars)
+            if not lit:
+                raise ValueError(f"literal {item} out of range (num_vars={self.num_vars})")
+            top = max(top, abs(lit))
+        return top
 
     @property
     def soft_weight_total(self) -> int:
@@ -188,19 +160,22 @@ class MaxSatInstance:
     def hard_satisfied(self, model: Model) -> bool:
         """True when every hard clause has a literal that holds under ``model``.
 
-        Reads every clause, a piece of whole clauses at a time: each item
-        becomes one byte, 1 for a literal that holds, 0 for one that does
-        not, 2 for a clause's closing 0, after a 2 that opens the piece.
-        With the 0 bytes deleted, a falsified clause leaves its 2 right
-        after another 2.  A variable the model does not cover holds in
-        neither polarity.
+        Reads the arena one item at a time, as the compiled kernel's passes
+        do: a clause's closing 0 that comes before any of its literals held
+        is a falsified clause.  A variable the model does not cover holds
+        in neither polarity.
         """
         nv = self.num_vars
         vals = model.values[1 : nv + 1]
-        pad = (0,) * (nv - len(vals))
-        truth = [2, *vals, *pad, *pad, *map(not_, reversed(vals))]  # -v lands on the negative index
-        for piece in self.hard.pieces():
-            if b"\2\2" in bytes(itemgetter(0, *piece)(truth)).translate(None, b"\0"):
+        pad = (False,) * (nv - len(vals))
+        truth = [False, *vals, *pad, *pad, *map(not_, reversed(vals))]  # -v lands on the negative index
+        held = False
+        for lit in self.hard.lits:
+            if lit:
+                held = held or truth[lit]
+            elif held:
+                held = False
+            else:
                 return False
         return True
 
@@ -208,61 +183,63 @@ class MaxSatInstance:
         return sum(w for clause, w in self.soft if not any(model.holds(lit) for lit in clause))
 
 
-def _arena_top(lits: list, count: int, nv: int) -> int | None:
-    """The largest variable that the arena ``lits`` of ``count`` hard
-    clauses over variables 1..nv uses (0 when there is no clause), or None
-    when something is wrong: an item that is not an int in -nv..nv, a
-    clause that is empty or not closed by a 0, or a count that disagrees
-    with the 0s.
+def _literal(item, nv: int) -> int:
+    """``item`` as an int in -nv..nv (0 included); raises TypeError or
+    ValueError naming it otherwise."""
+    try:
+        lit = index(item)
+    except TypeError:
+        raise TypeError(f"literal {item!r} is not an int") from None
+    if not -nv <= lit <= nv:
+        raise ValueError(f"literal {item} out of range (num_vars={nv})")
+    return lit
 
-    The compiled kernel walks the list in place when this process has
-    one; otherwise the set of items and one lookup per item give the
-    same verdict.
+
+def _arena_top(lits: list, count: int, nv: int) -> int:
+    """The largest variable that the arena ``lits`` of ``count`` hard
+    clauses over variables 1..nv uses (0 when there is no clause).
+
+    Raises TypeError or ValueError for the first fault in arena order: an
+    item that is not an int in -nv..nv, or a clause that is empty; then,
+    after the last item, a count that disagrees with the 0s or a last
+    clause not closed by a 0.  The compiled kernel checks the list in place
+    when this process has one; the Python pass below, the same loop, runs
+    otherwise and to name a fault the kernel found.
     """
     lib = kernel.load()
     if lib is not None and 0 <= count <= sys.maxsize and 0 <= nv <= sys.maxsize:  # C longs
         top = lib.sr_check(lits, len(lits), count, nv)
-        return None if top < 0 else top
-    if not lits:
-        return 0 if count == 0 else None
-    try:
-        used = set(lits)
-        top = max(max(used), -min(used))
-        if top > nv:
-            return None
-        # Each item becomes one byte, 0 for a closing 0 and 1 for a literal
-        # (an item that is not an int fails the lookup).  A piece opens with
-        # the byte of the item before it, a 0 before the first, so an empty
-        # clause shows as a 0 right after a 0.
-        ends = [0, *repeat(1, 2 * top)]
-        zeros = 0
-        for i in range(0, len(lits), PIECE):
-            piece = bytes(itemgetter(*(lits[i - 1 : i + PIECE] if i else [0, *lits[:PIECE]]))(ends))
-            if b"\0\0" in piece:
-                return None
-            zeros += piece.count(0, 1)
-    except (TypeError, IndexError):
-        return None
-    return top if zeros == count and not piece[-1] else None
-
-
-def _is_zero(item) -> bool:
-    """True for an int item that is 0, a clause's closing 0."""
-    try:
-        return index(item) == 0
-    except TypeError:
-        return False
-
-
-def _split(lits: list) -> Iterator[tuple]:
-    """Each run of items closed by a 0, whatever the arena's count says,
-    and the unclosed run at its end, if any."""
-    start = 0
-    for stop in [i for i, item in enumerate(lits) if _is_zero(item)]:
-        yield tuple(lits[start:stop])
-        start = stop + 1
-    if start < len(lits):
-        yield tuple(lits[start:])
+        if top >= 0:
+            return top
+    top = zeros = 0
+    closed = True  # no clause is open
+    for lit in lits:
+        if lit.__class__ is not int:
+            lit = _literal(lit, nv)
+        if lit > 0:
+            if lit > top:
+                if lit > nv:
+                    raise ValueError(f"literal {lit} out of range (num_vars={nv})")
+                top = lit
+            closed = False
+        elif lit:
+            if -lit > top:
+                if -lit > nv:
+                    raise ValueError(f"literal {lit} out of range (num_vars={nv})")
+                top = -lit
+            closed = False
+        elif closed:
+            raise ValueError("empty clause")
+        else:
+            zeros += 1
+            closed = True
+    if zeros > count:
+        raise ValueError(f"literal 0 out of range (num_vars={nv})")
+    if not closed:
+        raise ValueError("the last hard clause is not closed by a 0")
+    if zeros != count:
+        raise ValueError(f"{count} hard clauses, {zeros} closed by a 0")
+    return top
 
 
 class InstanceBuilder:

@@ -273,51 +273,40 @@ def _search_python(instance: MaxSatInstance, upper: int, until: float | None, lo
     trail: list[int] = []
     exhausted = False  # set by unit clauses that contradict each other
 
-    # The hard clauses are read a piece of whole clauses at a time: one
-    # lookup translates the piece, the 0 that closes each clause stays 0
-    # (variable 0's index form), and a clause's width shows in which of its
-    # next items is that 0.  A 0 where a clause should open is an empty
-    # clause, which is refused.  Unit clauses are asserted at level 0 as
-    # they are read.
-    for piece in instance.hard.pieces():
+    # The hard clauses are read one item at a time, as the compiled
+    # kernel's set-up reads them: each clause is gathered in index form up
+    # to its closing 0, and the deadline is read before every 65,536 items
+    # (the kernel's SETUP_MASK).  Unit clauses are asserted at level 0 as
+    # they are read; an empty clause is refused.
+    hard = instance.hard.lits
+    cl: list[int] = []
+    for start in range(0, len(hard), 65536):
         if until is not None and time.monotonic() >= until:
             return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
-        piece = itemgetter(0, *piece)(code)  # a leading 0 keeps even a one-item piece a tuple
-        i = 1
-        end = len(piece)
-        while i < end:
-            a = piece[i]
-            if not a:
-                raise ValueError("empty hard clause")
-            b = piece[i + 1]
-            if not b:
+        for lit in hard[start : start + 65536]:
+            if lit:
+                cl.append(code[lit])
+                continue
+            width = len(cl)
+            if width > 2:
+                watches[cl[0] ^ 1].append(cl)
+                watches[cl[1] ^ 1].append(cl)
+                cl = []
+            elif width == 2:
+                a, b = cl
+                implied[a ^ 1].append(b)
+                implied[b ^ 1].append(a)
+                cl.clear()
+            elif width:
+                a = cl.pop()
                 if not lv[a]:
                     lv[a] = 1
                     lv[a ^ 1] = -1
                     trail.append(a)
                 elif lv[a] == -1:
                     exhausted = True
-                i += 2
-                continue
-            d = piece[i + 2]
-            if not d:
-                implied[a ^ 1].append(b)
-                implied[b ^ 1].append(a)
-                i += 3
-                continue
-            e = piece[i + 3]
-            if not e:  # the commonest widths, built at their exact size
-                cl = [a, b, d]
-                i += 4
-            elif not piece[i + 4]:
-                cl = [a, b, d, e]
-                i += 5
             else:
-                j = piece.index(0, i + 5)
-                cl = list(piece[i:j])
-                i = j + 1
-            watches[a ^ 1].append(cl)
-            watches[b ^ 1].append(cl)
+                raise ValueError("empty hard clause")
     implied = [x or () for x in implied]  # most literals force nothing; they share one ()
 
     # Soft clauses: count non-false literals; at zero the clause is

@@ -188,10 +188,12 @@ def test_other_threads_run_during_a_solve():
 FAULTS = ("out of range", "literal 0", "miscount", "unclosed", "empty clause", "not an int")
 
 
-def random_arena(rng: random.Random, fault: str | None) -> tuple[list, int, int]:
-    """An arena of random clauses over 1..nv, its count and nv, with one
-    fault of the given kind planted (none for None)."""
-    nv = rng.randint(1, 40)
+def random_arena(rng: random.Random, fault: str | None, nv: int | None = None) -> tuple[list, int, int]:
+    """An arena of random clauses over 1..nv (nv random for None), its
+    count and nv, with one fault of the given kind planted (none for
+    None).  A faulty arena is sometimes followed by a second faulty one
+    over the same variables, so that two faults compete."""
+    nv = nv or rng.randint(1, 40)
     clauses = [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), rng.randint(1, min(nv, 5)))]
                for _ in range(rng.randint(1 if fault else 0, 12))]
     lits = [item for c in clauses for item in (*c, 0)]
@@ -216,7 +218,35 @@ def random_arena(rng: random.Random, fault: str | None) -> tuple[list, int, int]
         lits[rng.randrange(len(lits))] = rng.choice(("1", 1.0, 2.5, None, 0.0, b"\0", (1,)))
     elif rng.random() < 0.2 and lits:
         lits[rng.choice(literals)] = True  # an int subclass: literal 1
+    if fault and rng.random() < 0.2:
+        more, more_count, _ = random_arena(rng, rng.choice(FAULTS), nv)
+        lits += more
+        count += more_count
     return lits, count, nv
+
+
+def first_fault(lits: list, count: int, nv: int):
+    """The type and message of the arena's first fault, named clause by
+    clause (each run of items up to an int 0), then by its 0s; None when
+    it has none."""
+    zeros = [i for i, item in enumerate(lits) if isinstance(item, int) and item == 0]
+    start = 0
+    for stop in [*zeros, len(lits)]:
+        if stop < len(lits) and stop == start:
+            return ValueError, "empty clause"
+        for item in lits[start:stop]:
+            if not isinstance(item, int):
+                return TypeError, f"literal {item!r} is not an int"
+            if not 0 < abs(item) <= nv:
+                return ValueError, f"literal {item} out of range (num_vars={nv})"
+        start = stop + 1
+    if len(zeros) > count:
+        return ValueError, f"literal 0 out of range (num_vars={nv})"
+    if lits and len(lits) - 1 not in zeros[-1:]:
+        return ValueError, "the last hard clause is not closed by a 0"
+    if len(zeros) != count:
+        return ValueError, f"{count} hard clauses, {len(zeros)} closed by a 0"
+    return None
 
 
 def verdict(lits: list, count: int, nv: int):
@@ -230,14 +260,16 @@ def verdict(lits: list, count: int, nv: int):
 def test_the_compiled_and_python_arena_checks_agree(without_kernel):
     rng = random.Random("arena-check")
     arenas = [random_arena(rng, fault) for _ in range(100) for fault in (None, *FAULTS)]
+    arenas.append(([True, -1, 0], 1, 3))  # literal 1 written as True, the largest item
     compiled = [verdict(*arena) for arena in arenas]
     without_kernel()
-    assert [verdict(*arena) for arena in arenas] == compiled
-    for (lits, count, nv), got, fault in zip(arenas, compiled, [None, *FAULTS] * 100):
-        if fault is None:
-            assert got == max(map(abs, lits), default=0), (lits, count)
-        else:
-            assert isinstance(got, tuple), (fault, lits, count)
+    python = [verdict(*arena) for arena in arenas]
+    for arena, *got in zip(arenas, compiled, python):
+        # the first fault in arena order, or the largest variable as an int;
+        # two joined faults may cancel out (an unclosed last clause that the
+        # next arena's empty clause closes) and leave a sound arena
+        want = first_fault(*arena) or max(map(abs, arena[0]), default=0)
+        assert got == [want, want] and [type(v) for v in got] == [type(want)] * 2, (arena, got)
 
 
 def test_emit_wcnf_is_the_same_text_without_the_kernel(without_kernel, tmp_path):

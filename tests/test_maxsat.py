@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from swaproute import cnf, kernel, maxsat
+from swaproute import kernel, maxsat
 from swaproute.arch import NoiseModel, load_arch
 from swaproute.circuit import Circuit, Gate, generate_qaoa_maxcut
 from swaproute.cnf import HardClauses, InstanceBuilder, MaxSatInstance, Model, make_clause
@@ -294,10 +294,14 @@ def test_hard_satisfied_matches_per_clause_definition():
             model = out.model  # satisfying
         else:
             model = Model((False, *(rng.random() < 0.5 for _ in range(inst.num_vars))))
-        expected = all(any(model.holds(lit) for lit in clause) for clause in inst.hard)
+        if rng.random() < 0.3:  # a model that covers only some variables
+            model = Model(model.values[: rng.randint(0, inst.num_vars)])
+        covered = len(model.values) - 1
+        # a variable the model does not cover holds in neither polarity
+        expected = all(any(abs(lit) <= covered and model.holds(lit) for lit in clause) for clause in inst.hard)
         assert inst.hard_satisfied(model) is expected
-        verdicts.add(expected)
-    assert verdicts == {True, False}
+        verdicts.add((expected, covered < inst.num_vars))
+    assert verdicts == {(True, False), (False, False), (True, True), (False, True)}
 
 
 def test_builtin_deterministic():
@@ -630,16 +634,16 @@ def qaoa8_tokyo():
 
 @pytest.mark.parametrize("which", ["first", "straddling", "last"])
 def test_hard_satisfied_finds_the_one_falsified_clause(qaoa8_tokyo, which):
-    # The re-check reads the arena a piece at a time.  The QAOA-8 Tokyo
+    # The re-check reads the arena one item at a time.  The QAOA-8 Tokyo
     # instance with one clause's signs turned so that a satisfying model
-    # falsifies that clause alone, at the arena's start, across the first
-    # piece's nominal end or last, keeps its layout and is refused.
+    # falsifies that clause alone, at the arena's start, across item 4,096
+    # or last, keeps its layout and is refused.
     inst, model = qaoa8_tokyo
     clauses = list(inst.hard)
     starts = list(itertools.accumulate((len(c) + 1 for c in clauses), initial=0))
     at = {
         "first": 0,
-        "straddling": next(i for i, s in enumerate(starts) if s < cnf.PIECE <= s + len(clauses[i])),
+        "straddling": next(i for i, s in enumerate(starts) if s < 4096 <= s + len(clauses[i])),
         "last": len(clauses) - 1,
     }[which]
     clauses[at] = tuple(-lit if model.holds(lit) else lit for lit in clauses[at])
