@@ -31,16 +31,19 @@
  * Build: cc -O2 -shared -fPIC.  Only the C library is used.
  */
 
+#define _GNU_SOURCE /* mremap */
 #include <limits.h>
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 #include <time.h>
 
 typedef long long i64;
 
 #define CHECK_MASK 2047  /* deadline and signals every 2,048 propagations */
 #define SETUP_MASK 65535 /* the set-up's deadline every 65,536 hard clause items */
+#define MAP_INTS 262144  /* a clause arena of this many ints or more is a mapping of its own (mremap) */
 
 enum { EV_DONE, EV_INCUMBENT, EV_INTERRUPTED, EV_NOMEM };
 enum { ERR_NONE, ERR_EMPTY_CLAUSE, ERR_NOMEM, ERR_MALFORMED, ERR_EXPIRED };
@@ -229,6 +232,29 @@ static int push(Vec *v, int x) {
 
 static int code(int lit) { return lit > 0 ? 2 * lit : -2 * lit + 1; }
 
+/* The clause arena moved from `old_cap` ints to `cap`, contents kept.  A
+ * timed search learns clauses until its deadline, so its arena's last
+ * doublings depend on the host's speed; as a mapping that mremap grows
+ * without a copy and munmap gives back, they leave no freed copy in the
+ * heap, and peak memory does not depend on how far the search got. */
+static int *arena_resize(int *old, long old_cap, long cap) {
+#ifdef MREMAP_MAYMOVE
+    if (cap >= MAP_INTS) {
+        size_t was = (size_t)old_cap * sizeof(int), bytes = (size_t)cap * sizeof(int);
+        void *a = old_cap >= MAP_INTS ? mremap(old, was, bytes, MREMAP_MAYMOVE)
+                                      : mmap(NULL, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (a == MAP_FAILED)
+            return NULL;
+        if (old_cap < MAP_INTS) {
+            memcpy(a, old, was);
+            free(old);
+        }
+        return a;
+    }
+#endif
+    return realloc(old, (size_t)cap * sizeof(int));
+}
+
 static int reserve(S *s, long need) {
     if (s->alen + need <= s->acap)
         return 0;
@@ -237,7 +263,7 @@ static int reserve(S *s, long need) {
     long cap = 2 * s->acap > s->alen + need ? 2 * s->acap : s->alen + need;
     if (cap > INT_MAX)
         cap = INT_MAX;
-    int *a = realloc(s->arena, (size_t)cap * sizeof(int));
+    int *a = arena_resize(s->arena, s->acap, cap);
     if (!a)
         return -1;
     s->arena = a;
@@ -254,6 +280,12 @@ void sr_free(S *s) {
     if (s->implied)
         for (int l = 0; l < s->size; l++)
             free(s->implied[l].d);
+#ifdef MREMAP_MAYMOVE
+    if (s->acap >= MAP_INTS) { /* a mapping (see arena_resize), so not freed below */
+        munmap(s->arena, (size_t)s->acap * sizeof(int));
+        s->arena = NULL;
+    }
+#endif
     void *blocks[] = {s->lv, s->lvl, s->rsn, s->seen, s->mark, s->watches, s->implied, s->socc_at,
                       s->socc, s->preferred, s->saved, s->model, s->stamp, s->arena, s->soft_at,
                       s->soft_lits, s->weight, s->sfree, s->falsified, s->trail, s->trail_lim, s->learnt,
