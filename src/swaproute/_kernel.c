@@ -14,13 +14,15 @@
  * kernel's lists, so both take the same decisions and learn the same
  * clauses.  A solver runs one search, with one bound and one deadline,
  * over its own set-up of the clauses: the caller creates it with sr_new,
- * runs it with sr_run (which returns at each new incumbent and is called
- * again to go on), reads its counters, model and saved polarities with
- * sr_result and frees it with sr_free.  sr_run searches without the
- * interpreter lock, so the caller's other threads run meanwhile.  Every
- * 2,048 propagations it checks the deadline and, holding the lock, checks
- * the interpreter's pending signals, which stop the search at once when a
- * handler raises.
+ * runs it with sr_run, reads its counters, model and saved polarities with
+ * sr_result and frees it with sr_free.  sr_run returns the weight of each
+ * new incumbent and is called again to go on, from the top of its loop; it
+ * returns RUN_DONE once the search is over (exhausted, out of time or
+ * interrupted) and RUN_NOMEM when memory ran out.  It searches without the
+ * interpreter lock, so the caller's other threads run meanwhile.  It checks
+ * the deadline as it starts and every 2,048 propagations, and then, holding
+ * the lock, checks the interpreter's pending signals, which stop the search
+ * at once when a handler raises.
  *
  * The hard clauses are read where they lie: in the caller's Python list
  * of DIMACS literals, each clause closed by a 0 (`cnf.HardClauses.lits`),
@@ -45,8 +47,8 @@ typedef long long i64;
 #define SETUP_MASK 65535 /* the set-up's deadline every 65,536 hard clause items */
 #define MAP_INTS 262144  /* a clause arena of this many ints or more is a mapping of its own (mremap) */
 
-enum { EV_DONE, EV_INCUMBENT, EV_INTERRUPTED, EV_NOMEM };
-enum { ERR_NONE, ERR_EMPTY_CLAUSE, ERR_NOMEM, ERR_MALFORMED, ERR_EXPIRED };
+enum { RUN_DONE = -1, RUN_NOMEM = -2 }; /* sr_run's codes; any other return is an incumbent's weight */
+enum { ERR_NONE, ERR_EMPTY_CLAUSE, ERR_NOMEM, ERR_MALFORMED };
 
 /* The interpreter's functions (see sr_init).  A list's item is a borrowed
  * reference; PyLong_AsLong gives -1 with an exception set for an item
@@ -175,8 +177,7 @@ typedef struct {
     signed char *lv; /* 1 true, -1 false, 0 unassigned */
     int *lvl;        /* decision level, under the true literal */
     int *rsn;        /* reason, under the true literal */
-    char *seen;      /* conflict analysis marks, under the true literal */
-    char *mark;      /* literals already in a bound conflict */
+    char *seen;      /* marks of conflict analysis and of a bound conflict's duplicates; all clear between */
     Vec *watches;    /* long clauses to visit when the key turns true */
     Vec *implied;    /* binary clauses: literals the key forces */
     int *socc_at;    /* soft clauses containing a literal: socc[socc_at[l] .. socc_at[l + 1]] */
@@ -206,7 +207,7 @@ typedef struct {
     /* search state */
     int *trail, *trail_lim, *learnt, *kept, *confl;
     int tn, qhead, dl, nxt;
-    int resume, exhausted, has_model;
+    int exhausted, has_model;
     i64 lb, best, lower, next_reduce, gap;
     i64 decisions, conflicts, props;
 } S;
@@ -286,7 +287,7 @@ void sr_free(S *s) {
         s->arena = NULL;
     }
 #endif
-    void *blocks[] = {s->lv, s->lvl, s->rsn, s->seen, s->mark, s->watches, s->implied, s->socc_at,
+    void *blocks[] = {s->lv, s->lvl, s->rsn, s->seen, s->watches, s->implied, s->socc_at,
                       s->socc, s->preferred, s->saved, s->model, s->stamp, s->arena, s->soft_at,
                       s->soft_lits, s->weight, s->sfree, s->falsified, s->trail, s->trail_lim, s->learnt,
                       s->kept, s->confl};
@@ -303,8 +304,9 @@ void sr_free(S *s) {
  * with the saved value true when polarity[v] is non-zero, false
  * otherwise.  It reduces its learned clauses after `reduce_first`
  * conflicts, then after gaps `reduce_growth` longer each time.  The
- * set-up stops at `until` too.  Needs sr_init.  On failure returns NULL
- * with *err set. */
+ * set-up reads `until` too and stops reading the hard clauses once it has
+ * passed; the search then ends as it starts.  Needs sr_init.  On failure
+ * returns NULL with *err set. */
 S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, int nsoft, i64 upper, double until,
           i64 lower, const char *polarity, int reduce_first, int reduce_growth, int *err) {
     *err = ERR_NOMEM;
@@ -323,7 +325,6 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
     s->lvl = calloc((size_t)size, sizeof(int));
     s->rsn = calloc((size_t)size, sizeof(int));
     s->seen = calloc((size_t)size, 1);
-    s->mark = calloc((size_t)size, 1);
     s->watches = calloc((size_t)size, sizeof(Vec));
     s->implied = calloc((size_t)size, sizeof(Vec));
     s->socc_at = calloc((size_t)size + 1, sizeof(int));
@@ -342,7 +343,7 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
     s->falsified = malloc(((size_t)nsoft + 1) * sizeof(int));
     s->acap = 1024;
     s->arena = malloc((size_t)s->acap * sizeof(int));
-    if (!s->lv || !s->lvl || !s->rsn || !s->seen || !s->mark || !s->watches ||
+    if (!s->lv || !s->lvl || !s->rsn || !s->seen || !s->watches ||
         !s->implied || !s->socc_at || !s->preferred || !s->saved || !s->model || !s->stamp || !s->trail ||
         !s->trail_lim || !s->learnt || !s->kept || !s->confl || !s->soft_at || !s->weight || !s->sfree ||
         !s->falsified || !s->arena)
@@ -351,12 +352,11 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
 
     /* Hard clauses, in order: units, asserted at level 0 as they are read,
      * binary implications and watched clauses. */
-    for (long i = 0; i < nhard; i++) {
+    long i;
+    for (i = 0; i < nhard; i++) {
         int bad;
-        if (!(i & SETUP_MASK) && now() >= until) {
-            *err = ERR_EXPIRED;
-            goto fail;
-        }
+        if (!(i & SETUP_MASK) && now() >= until)
+            break;
         long v = item(hard, i, &bad);
         if (bad || v > nv || v < -nv) {
             if (bad)
@@ -398,7 +398,7 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
                 goto nomem;
         }
     }
-    if (c.n) {
+    if (i == nhard && c.n) {
         *err = ERR_MALFORMED; /* the last clause is not closed */
         goto fail;
     }
@@ -546,11 +546,13 @@ static int reduce(S *s) {
     return 0;
 }
 
-/* The search; *ts is the saved interpreter state while the lock is let go, NULL while it is held. */
-static int run(S *s, void **ts) {
+/* The search, from the top of its loop: a new incumbent's weight, or
+ * RUN_DONE or RUN_NOMEM.  *ts is the saved interpreter state while the
+ * lock is let go, NULL while it is held. */
+static i64 run(S *s, void **ts) {
     signed char *lv = s->lv;
     int *lvl = s->lvl, *rsn = s->rsn, *saved = s->saved, *preferred = s->preferred;
-    char *seen = s->seen, *mark = s->mark;
+    char *seen = s->seen;
     Vec *watches = s->watches, *implied = s->implied;
     int *socc_at = s->socc_at, *socc = s->socc, *sfree = s->sfree, *falsified = s->falsified;
     int *soft_at = s->soft_at, *soft_lits = s->soft_lits;
@@ -571,13 +573,8 @@ static int run(S *s, void **ts) {
 #define ASSIGN(lit, reason) (lv[lit] = 1, lv[(lit) ^ 1] = -1, lvl[lit] = dl, rsn[lit] = (reason), \
                              trail[tn++] = (lit))
 
-    if (s->resume) {
-        s->resume = 0;
-        LOAD();
-        goto after_leaf;
-    }
     if (s->exhausted || (until < INFINITY && now() >= until))
-        return EV_DONE;
+        return RUN_DONE;
     LOAD();
     for (;;) {
         /* -- unit propagation: binary implications, then watched clauses */
@@ -590,7 +587,7 @@ static int run(S *s, void **ts) {
                 *ts = NULL;
                 if (py.check()) {
                     STORE();
-                    return EV_INTERRUPTED;
+                    return RUN_DONE; /* the handler's exception is raised as the call returns */
                 }
                 *ts = py.save();
                 if (until < INFINITY && now() > until)
@@ -649,7 +646,7 @@ static int run(S *s, void **ts) {
                         c[k] = np;
                         if (push(&watches[q ^ 1], cr)) {
                             STORE();
-                            return EV_NOMEM; /* the caller frees the solver */
+                            return RUN_NOMEM; /* the caller frees the solver */
                         }
                         break;
                     }
@@ -688,14 +685,9 @@ static int run(S *s, void **ts) {
                 for (int x = 1; x <= s->nv; x++)
                     s->model[x] = lv[2 * x] == 1;
                 s->has_model = 1;
-                s->resume = 1;
+                s->exhausted = best <= s->lower;
                 STORE();
-                return EV_INCUMBENT;
-            after_leaf:
-                if (best <= s->lower) {
-                    s->exhausted = 1;
-                    break;
-                }
+                return best;
             }
             /* Bound conflict: the earliest-falsified soft clauses whose
              * weight reaches the incumbent's cannot all stay falsified. */
@@ -706,8 +698,8 @@ static int run(S *s, void **ts) {
                 int si = falsified[k];
                 for (int m = soft_at[si]; m < soft_at[si + 1]; m++) {
                     int q = soft_lits[m];
-                    if (!mark[q]) {
-                        mark[q] = 1;
+                    if (!seen[q]) {
+                        seen[q] = 1;
                         cl[cn++] = q;
                     }
                 }
@@ -716,7 +708,7 @@ static int run(S *s, void **ts) {
                     break;
             }
             for (int k = 0; k < cn; k++)
-                mark[cl[k]] = 0;
+                seen[cl[k]] = 0;
         }
 
         /* -- conflict analysis at the clause's highest level */
@@ -838,14 +830,14 @@ static int run(S *s, void **ts) {
             int b = kept[1];
             if (push(&implied[u ^ 1], b) || push(&implied[b ^ 1], u)) {
                 STORE();
-                return EV_NOMEM;
+                return RUN_NOMEM;
             }
             r = -b;
         } else if (kn > 2) {
             if (reserve(s, 2 + kn) || push(&watches[u ^ 1], (int)s->alen) ||
                 push(&watches[kept[1] ^ 1], (int)s->alen)) {
                 STORE();
-                return EV_NOMEM;
+                return RUN_NOMEM;
             }
             r = (int)s->alen;
             s->arena[r] = kn;
@@ -858,7 +850,7 @@ static int run(S *s, void **ts) {
             s->tn = tn;
             if (reduce(s)) {
                 STORE();
-                return EV_NOMEM;
+                return RUN_NOMEM;
             }
             s->gap += s->reduce_growth;
             s->next_reduce += s->gap;
@@ -866,18 +858,18 @@ static int run(S *s, void **ts) {
     }
 done:
     STORE();
-    return EV_DONE;
+    return RUN_DONE;
 #undef LOAD
 #undef STORE
 #undef ASSIGN
 }
 
-int sr_run(S *s) {
+i64 sr_run(S *s) {
     void *ts = py.save();
-    int event = run(s, &ts);
+    i64 got = run(s, &ts);
     if (ts)
         py.restore(ts);
-    return event;
+    return got;
 }
 
 /* out: decisions, conflicts, propagations, incumbent weight, exhausted,

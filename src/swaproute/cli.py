@@ -17,7 +17,7 @@ from .arch import load_arch, load_noise
 from .circuit import Circuit, emit_qasm, generate_qaoa_maxcut, parse_qasm
 from .driver import DriverConfig, SizeRun, as_cyclic_blocks, solve_best, solve_cyclic, solve_global
 from .encoder import EncodeOptions, encode
-from .errors import SolveTimeoutError, SwaprouteError, UnroutableError
+from .errors import EncodingIntegrityError, SolveTimeoutError, SwaprouteError, UnroutableError
 from .kernel import name as kernel_name
 from .maxsat import emit_wcnf
 from .solution import SliceStats, apply_routing
@@ -27,7 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_SOLUTION = 2  # budget expired without any incumbent
 EXIT_UNROUTABLE = 3  # hard-unsat: no routing with n swaps per slot
-EXIT_INTERNAL = 4  # the routing found fails verification: a fault in swaproute, not in its input
+EXIT_INTERNAL = 4  # a model or routing fails swaproute's own checks: a fault in swaproute, not in its input
 
 _MAP_COMMENT = "initial_map:"
 
@@ -371,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnroutableError as exc:
         print(f"unroutable: {exc}", file=sys.stderr)
         return EXIT_UNROUTABLE
+    except EncodingIntegrityError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (SwaprouteError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -122,6 +122,8 @@ class MaxSatInstance:
     max_var: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
         hard = self.hard
         if not isinstance(hard, HardClauses):
             clauses = tuple(hard)

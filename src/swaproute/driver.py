@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .arch import ConnectivityGraph, NoiseModel, diameter
 from .circuit import Circuit, slice_circuit
 from .encoder import EncodeOptions, decode, encode
-from .errors import EncodingError, SolveTimeoutError, UnroutableError
+from .errors import EncodingIntegrityError, SolveTimeoutError, UnroutableError
 from .maxsat import SolveOutcome, SolveStatus, solve_builtin, solve_external
 from .solution import QubitMap, RoutingSolution, SliceStats
 
@@ -269,7 +269,7 @@ def solve_cyclic(
         raise ValueError("cycles must be >= 1")
     base = solve_sliced(block, g, cfg, slice_size or len(block.slots) or 1, cyclic=True)
     if base.final_map != base.initial_map:
-        raise EncodingError("cyclic solve produced a block that does not return to its initial map; this is a bug")
+        raise EncodingIntegrityError("cyclic solve produced a block that does not return to its initial map")
     return _concatenate([base] * cycles, base.per_slice_stats, cfg)
 
 

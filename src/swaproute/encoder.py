@@ -83,7 +83,7 @@ from typing import NamedTuple
 from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, orbit_minima, swap_weight
 from .circuit import Circuit
 from .cnf import InstanceBuilder, MaxSatInstance, Model
-from .errors import EncodingError, UnroutableError
+from .errors import EncodingError, EncodingIntegrityError, UnroutableError
 from .solution import Edge, QubitMap, RoutingSolution
 
 NOOP: Edge = (0, 0)  # synthetic pair: swap p0 with itself; touches nothing
@@ -329,7 +329,7 @@ def decode(model: Model, instance: MaxSatInstance, *, status: str = "best_effort
     into a bogus routing.
     """
     if not instance.hard_satisfied(model):
-        raise EncodingError("model does not satisfy the hard constraints")
+        raise EncodingIntegrityError("model does not satisfy the hard constraints")
     layout: Layout | None = instance.layout
     if layout is None:
         raise EncodingError("instance carries no variable layout; cannot decode")
@@ -343,7 +343,7 @@ def decode(model: Model, instance: MaxSatInstance, *, status: str = "best_effort
         picks = hops[(k - 1) * n + i - 1][0]
         hits = [pair for pair, s in zip(pairs, picks) if model[s]]
         if len(hits) != 1:
-            raise EncodingError(f"slot {k} swap {i}: expected exactly one chosen pair, got {hits}")
+            raise EncodingIntegrityError(f"slot {k} swap {i}: expected exactly one chosen pair, got {hits}")
         return hits[0]
 
     def active_map(k: int) -> dict[int, int]:
@@ -351,10 +351,10 @@ def decode(model: Model, instance: MaxSatInstance, *, status: str = "best_effort
         for q in active:
             spots = [p for p, v in enumerate(layers[k][q]) if model[v]]
             if len(spots) != 1:
-                raise EncodingError(f"q{q} occupies {len(spots)} places at slot {k}")
+                raise EncodingIntegrityError(f"q{q} occupies {len(spots)} places at slot {k}")
             out[q] = spots[0]
         if len(set(out.values())) != len(out):
-            raise EncodingError(f"decoded map at slot {k} is not injective")
+            raise EncodingIntegrityError(f"decoded map at slot {k} is not injective")
         return out
 
     swaps: list[tuple[Edge, ...]] = []
@@ -366,7 +366,7 @@ def decode(model: Model, instance: MaxSatInstance, *, status: str = "best_effort
     if pinned_initial is not None:
         for q in active:
             if pinned_initial[q] != decoded[0][q]:
-                raise EncodingError(f"decoded initial position of q{q} disagrees with the pin")
+                raise EncodingIntegrityError(f"decoded initial position of q{q} disagrees with the pin")
         initial = pinned_initial
     else:
         placement = [-1] * num_logical
@@ -383,6 +383,6 @@ def decode(model: Model, instance: MaxSatInstance, *, status: str = "best_effort
     for k, live in enumerate(solution.map_sequence, start=1):
         for q in active:
             if live[q] != decoded[k][q]:
-                raise EncodingError(f"replayed position of q{q} at slot {k} disagrees with the model")
+                raise EncodingIntegrityError(f"replayed position of q{q} at slot {k} disagrees with the model")
     return solution
 

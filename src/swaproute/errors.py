@@ -25,7 +25,12 @@ class NoiseModelError(SwaprouteError):
 
 
 class EncodingError(SwaprouteError):
-    """Inconsistent encoding request or a model that violates hard constraints."""
+    """Inconsistent encoding or decoding request."""
+
+
+class EncodingIntegrityError(EncodingError):
+    """A model, or the routing decoded from it, fails swaproute's own
+    cross-checks: a fault in swaproute, not in its input."""
 
 
 class SolverIntegrityError(SwaprouteError):

@@ -147,7 +147,7 @@ def _open(path: Path):
                            ctypes.c_longlong, ptr, ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int)]
     lib.sr_new.restype = ptr
     lib.sr_run.argtypes = [ptr]
-    lib.sr_run.restype = ctypes.c_int
+    lib.sr_run.restype = ctypes.c_longlong
     lib.sr_result.argtypes = [ptr, i64p, ctypes.c_char_p, ptr]
     lib.sr_result.restype = None
     lib.sr_free.argtypes = [ptr]

@@ -91,8 +91,8 @@ class _BudgetExpired(Exception):
 PROBE_SHARE = 0.25  # share of a solve's budget the zero-cost probe may use
 REDUCE_FIRST = 2000  # a search's conflicts before its first learned-clause reduction
 REDUCE_GROWTH = 300  # each gap between reductions is this many conflicts longer than the one before
-_EV_DONE, _EV_INCUMBENT = 0, 1  # sr_run's events (_kernel.c)
-_ERR_EMPTY_CLAUSE, _ERR_NOMEM, _ERR_EXPIRED = 1, 2, 4  # sr_new's errors (_kernel.c)
+_RUN_DONE = -1  # sr_run's code for a search that is over (_kernel.c); a weight is >= 0
+_ERR_EMPTY_CLAUSE, _ERR_NOMEM = 1, 2  # sr_new's errors (_kernel.c)
 
 
 def solve_builtin(instance: MaxSatInstance, budget: float | None = None) -> SolveOutcome:
@@ -159,21 +159,22 @@ def _search_c(instance: MaxSatInstance, upper: int, until: float | None, lower: 
     compiled kernel (``_kernel.c``, loaded by :mod:`swaproute.kernel`).
 
     The kernel reads the hard clauses where they lie, in the instance's
-    list of DIMACS literals (``HardClauses.lits``), with the deadline
-    read every 65,536 items, and refuses an empty clause as the Python
-    set-up does.  It returns at each incumbent, which is timed and logged
-    here, and is then called again.  Every 2,048 propagations it checks
-    its deadline, lets other threads run, and checks the interpreter's
-    pending signals, so Ctrl-C ends an uncapped solve with
-    KeyboardInterrupt.
+    list of DIMACS literals (``HardClauses.lits``), and refuses an empty
+    clause as the Python set-up does.  The set-up reads the deadline
+    every 65,536 items and stops reading once it has passed; the search
+    reads it as it starts and every 2,048 propagations, so a search whose
+    set-up stopped early ends at once.  The kernel returns each
+    incumbent's weight, timed and logged here, and is then called again,
+    from the top of its loop.  Every 2,048 propagations it also lets
+    other threads run and checks the interpreter's pending signals, so
+    Ctrl-C ends an uncapped solve with KeyboardInterrupt.  Every outcome
+    comes from :func:`_outcome`.
     """
     import ctypes
 
     lib = kernel.load()
     if len(polarity) != instance.num_vars + 1:  # the kernel reads and writes that many bytes
         raise ValueError(f"polarity holds {len(polarity)} values, not {instance.num_vars + 1}")
-    if until is not None and time.monotonic() >= until:
-        return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
     lits = instance.hard.lits
     soft = array("i")
     for c, _ in instance.soft:
@@ -186,8 +187,6 @@ def _search_c(instance: MaxSatInstance, upper: int, until: float | None, lower: 
         upper, math.inf if until is None else until, lower, saved, REDUCE_FIRST, REDUCE_GROWTH, ctypes.byref(err),
     )
     if not solver:
-        if err.value == _ERR_EXPIRED:
-            return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
         if err.value == _ERR_NOMEM:
             raise MemoryError("the compiled search kernel could not set up its clauses")
         raise ValueError("empty hard clause" if err.value == _ERR_EMPTY_CLAUSE else "malformed clause arena")
@@ -195,11 +194,10 @@ def _search_c(instance: MaxSatInstance, upper: int, until: float | None, lower: 
     incumbents: list[tuple[float, int]] = []
     stage = "probe" if upper <= instance.soft_weight_total else "branch and bound"
     try:
-        while (event := lib.sr_run(solver)) == _EV_INCUMBENT:
-            lib.sr_result(solver, out, None, None)
-            incumbents.append((time.monotonic() - t0, out[3]))
-            logger.info("incumbent: cost %d at %.3f s (%s)", out[3], incumbents[-1][0], stage)
-        if event != _EV_DONE:  # an interrupt raises its exception as the call returns
+        while (weight := lib.sr_run(solver)) >= 0:
+            incumbents.append((time.monotonic() - t0, weight))
+            logger.info("incumbent: cost %d at %.3f s (%s)", weight, incumbents[-1][0], stage)
+        if weight != _RUN_DONE:  # RUN_NOMEM; an interrupt raised its exception as the call returned
             raise MemoryError("the compiled search kernel ran out of memory")
         values = ctypes.create_string_buffer(instance.num_vars + 1)
         lib.sr_result(solver, out, values, saved)
@@ -215,16 +213,18 @@ def _search_python(instance: MaxSatInstance, upper: int, until: float | None, lo
     """One branch-and-bound search over a fresh clause set-up: the reference kernel.
 
     The search looks for models that falsify less than ``upper`` and
-    stops at the time ``until`` (None for never); the set-up reads it
-    too, and a search whose time has passed does not start.  Every model
-    is known to falsify at least ``lower``, so an incumbent that reaches
-    it is optimal.  ``polarity[v]`` is 1 when variable v's saved value is
-    true: the search starts from it and writes back the values it saved,
-    so a later search can start where this one left off.  Refuting
-    ``upper`` proves every model falsifies at least that much, and is
-    reported as ``HARD_UNSAT``: hard unsatisfiability when ``upper`` is
-    above the total soft weight.  A search that runs out of time returns its incumbent as a satisfiable
-    bound, or unknown.  Times are seconds since ``t0``.
+    stops at the time ``until`` (None for never).  The set-up reads it
+    too, and stops reading the hard clauses once it has passed; the loop
+    reads it before its first step, so the search then ends at once.
+    Every outcome comes from :func:`_outcome`.  Every model is known to
+    falsify at least ``lower``, so an incumbent that reaches it is
+    optimal.  ``polarity[v]`` is 1 when variable v's saved value is true:
+    the search starts from it and writes back the values it saved, so a
+    later search can start where this one left off.  Refuting ``upper``
+    proves every model falsifies at least that much, and is reported as
+    ``HARD_UNSAT``: hard unsatisfiability when ``upper`` is above the
+    total soft weight.  A search that runs out of time returns its
+    incumbent as a satisfiable bound, or unknown.  Times are seconds since ``t0``.
 
     Branching takes the lowest unassigned variable id.  A variable that
     occurs in a soft clause is set true if it occurs positively in one
@@ -253,8 +253,6 @@ def _search_python(instance: MaxSatInstance, upper: int, until: float | None, lo
     function's own locals, and no closure or generator captures any of
     it, so the loop reads fast locals, not cell variables.
     """
-    if until is not None and time.monotonic() >= until:
-        return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
     nv = instance.num_vars
     size = 2 * nv + 2
     # code[lit] is a DIMACS literal's index form; -v lands on Python's
@@ -276,13 +274,13 @@ def _search_python(instance: MaxSatInstance, upper: int, until: float | None, lo
     # The hard clauses are read one item at a time, as the compiled
     # kernel's set-up reads them: each clause is gathered in index form up
     # to its closing 0, and the deadline is read before every 65,536 items
-    # (the kernel's SETUP_MASK).  Unit clauses are asserted at level 0 as
-    # they are read; an empty clause is refused.
+    # (the kernel's SETUP_MASK) to stop once it has passed.  Unit clauses
+    # are asserted at level 0 as they are read; an empty clause is refused.
     hard = instance.hard.lits
     cl: list[int] = []
     for start in range(0, len(hard), 65536):
         if until is not None and time.monotonic() >= until:
-            return SolveOutcome(SolveStatus.UNKNOWN, None, None, time.monotonic() - t0)
+            break
         for lit in hard[start : start + 65536]:
             if lit:
                 cl.append(code[lit])

@@ -15,7 +15,7 @@ from swaproute import cli, driver
 from swaproute.arch import ConnectivityGraph, load_arch
 from swaproute.circuit import parse_qasm
 from swaproute.cli import main
-from swaproute.cnf import MaxSatInstance
+from swaproute.cnf import MaxSatInstance, Model
 from swaproute.encoder import EncodeOptions, encode
 from swaproute.errors import SolveTimeoutError, UnroutableError
 from swaproute.maxsat import emit_wcnf
@@ -306,6 +306,54 @@ def test_a_routing_that_fails_verification_exits_4(tmp_path, monkeypatch, capsys
     assert run(argv) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert re.search(r"^internal error: .*non-edge \(0,2\)", err, re.M)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["hard clauses", "cross-check"])
+def test_a_model_that_fails_decode_exits_4(tmp_path, monkeypatch, capsys, check):
+    # The solver's model with two values flipped: the hard-clause re-check
+    # refuses it, and with that check passed over, decode's cross-check of
+    # the placements does.
+    solve = driver.solve_builtin
+
+    def faulty(instance, budget):
+        out = solve(instance, budget)
+        values = list(out.model.values)
+        values[1] = not values[1]
+        values[2] = not values[2]
+        return dataclasses.replace(out, model=Model(tuple(values)))
+
+    monkeypatch.setattr(driver, "solve_builtin", faulty)
+    if check == "cross-check":
+        monkeypatch.setattr(MaxSatInstance, "hard_satisfied", lambda self, model: True)
+    qasm, out = tmp_path / "qaoa4.qasm", tmp_path / "routed.qasm"
+    assert run(["gen-qaoa", "--qubits", "4", "--cycles", "1", "--seed", "0", "--output", str(qasm)]) == 0
+    argv = ["map", "--input", str(qasm), "--arch", "line:4", "--strategy", "global", "--output", str(out)]
+    assert run(argv) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    expected = "model does not satisfy the hard constraints" if check == "hard clauses" else "places at slot"
+    assert re.search(rf"^internal error: .*{expected}", err, re.M)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_cyclic_block_that_does_not_close_exits_4(tmp_path, monkeypatch, capsys):
+    # One more swap in the block's last slot flips its permutation's
+    # parity, so the block cannot end where it started.
+    sliced = driver.solve_sliced
+
+    def open_block(*args, **kwargs):
+        solution = sliced(*args, **kwargs)
+        return dataclasses.replace(solution, swaps=(*solution.swaps[:-1], (*solution.swaps[-1], (0, 1))))
+
+    monkeypatch.setattr(driver, "solve_sliced", open_block)
+    qasm, out = tmp_path / "qaoa.qasm", tmp_path / "routed.qasm"
+    assert run(["gen-qaoa", "--qubits", "4", "--cycles", "2", "--seed", "3", "--output", str(qasm)]) == 0
+    assert run(["map", "--input", str(qasm), "--arch", "line:4", "--strategy", "cyclic",
+                "--cyclic-block-slots", "12", "--output", str(out)]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert re.search(r"^internal error: cyclic solve produced a block that does not return", err, re.M)
     assert "Traceback" not in err
     assert not out.exists()
 

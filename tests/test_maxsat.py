@@ -506,6 +506,20 @@ def test_kernels_agree_call_by_call():
                           tuple(w for _, w in out.incumbents), out.lower_bound, out.model) for out in (probe, bnb)]
                         + [after_probe, bytes(polarity)])
         assert runs[0] == runs[1], name
+    # A deadline that has passed: the set-up stops reading at once (the
+    # routing instance), or reads none (no hard clauses), and the search
+    # ends before its first step, leaving the saved polarities as given.
+    expired = {"line4-8s": dict(trajectory_instances())["line4-8s"],
+               "no hard": MaxSatInstance(3, (), (((1,), 2), ((-2, 3), 1)))}
+    for name, inst in expired.items():
+        given = bytes(v % 2 for v in range(inst.num_vars + 1))
+        for search in (maxsat._search_python, maxsat._search_c):
+            polarity = bytearray(given)
+            now = time.monotonic()
+            out = search(inst, inst.soft_weight_total + 1, now - 1.0, 1, polarity, now)
+            assert (out.status, out.model, out.decisions, out.conflicts, out.propagations, out.incumbents,
+                    out.lower_bound) == (SolveStatus.UNKNOWN, None, 0, 0, 0, (), 1), (name, search.__name__)
+            assert polarity == given, (name, search.__name__)
 
 
 def test_probe_verdict_is_logged(caplog):
@@ -569,6 +583,10 @@ def test_instance_rejects_literal_out_of_range(side, lit):
 def test_instance_rejects_zero_soft_weight():
     with pytest.raises(ValueError, match=re.escape("soft weight must be >= 1, got 0")):
         MaxSatInstance(2, ((1, 2),), (((1,), 3), ((2,), 0)))
+    # and a variable count below zero, which no kernel or WCNF header can hold
+    for nv in (-1, -3):
+        with pytest.raises(ValueError, match=re.escape(f"num_vars must be >= 0, got {nv}")):
+            MaxSatInstance(nv, HardClauses([], 0), ())
 
 
 def test_instance_names_the_first_fault_in_clause_order():
