@@ -1,7 +1,8 @@
 /* The search of swaproute.maxsat in C: the same branch and bound, step
  * for step, as the Python reference kernel `maxsat._search_python`, and
- * the passes over an instance's hard clauses that run at every instance
- * and every WCNF file: the arena check and the writer of the hard lines.
+ * the passes over a whole clause arena: the encoder's stamp of one swap
+ * position's clauses at every position, the check of every new instance,
+ * the re-check of a model and the writer of a WCNF file's hard lines.
  *
  * Literals are in index form (MiniSat; Een & Sorensson, SAT 2003):
  * variable v is 2v and its negation 2v + 1.  Clauses of three literals or
@@ -24,11 +25,12 @@
  * the lock, checks the interpreter's pending signals, which stop the search
  * at once when a handler raises.
  *
- * The hard clauses are read where they lie: in the caller's Python list
+ * The hard clauses are read where they lie: in the caller's int32 array
  * of DIMACS literals, each clause closed by a 0 (`cnf.HardClauses.lits`),
- * one item at a time through the interpreter's own functions.  sr_init
- * hands over those functions' addresses once per process, so this file
- * needs no Python headers.
+ * as a raw `const int *`, and sr_stamp writes the encoder's copies into
+ * an array of the same kind.  sr_init hands over the few interpreter
+ * functions used (the lock, signals and the WCNF text's str) once per
+ * process, so this file needs no Python headers.
  *
  * Build: cc -O2 -shared -fPIC.  Only the C library is used.
  */
@@ -50,17 +52,11 @@ typedef long long i64;
 enum { RUN_DONE = -1, RUN_NOMEM = -2 }; /* sr_run's codes; any other return is an incumbent's weight */
 enum { ERR_NONE, ERR_EMPTY_CLAUSE, ERR_NOMEM, ERR_MALFORMED };
 
-/* The interpreter's functions (see sr_init).  A list's item is a borrowed
- * reference; PyLong_AsLong gives -1 with an exception set for an item
- * that is not an int or does not fit a long. */
+/* The interpreter's functions (see sr_init). */
 static struct {
     void *(*save)(void);                  /* PyEval_SaveThread */
     void (*restore)(void *);              /* PyEval_RestoreThread */
     int (*check)(void);                   /* PyErr_CheckSignals */
-    void *(*list_item)(void *, long);     /* PyList_GetItem */
-    long (*as_long)(void *);              /* PyLong_AsLong */
-    void *(*error)(void);                 /* PyErr_Occurred */
-    void (*clear)(void);                  /* PyErr_Clear */
     void *(*latin1)(const char *, long, const char *); /* PyUnicode_DecodeLatin1 */
 } py;
 
@@ -69,31 +65,15 @@ void sr_init(void *const *api) {
     memcpy(&py, api, sizeof py);
 }
 
-/* Item i of a Python list as a long.  Returns 0 with *bad set, and the
- * interpreter's exception left set, when there is no such item or it is
- * not an int that fits. */
-static long item(void *list, long i, int *bad) {
-    void *x = py.list_item(list, i);
-    long v = x ? py.as_long(x) : -1;
-    *bad = v == -1 && (!x || py.error());
-    return *bad ? 0 : v;
-}
-
-/* Check a list of `n` DIMACS items that should hold `count` hard clauses
- * over variables 1..nv: every item an int in -nv..nv, every clause closed
- * by a 0 and none empty, and `count` 0s.  Returns the largest variable
- * used (0 for no clause), or -1 when anything is wrong; the interpreter's
- * exception, if one was raised, is cleared, as the caller names the fault
- * itself. */
-long sr_check(void *list, long n, long count, long nv) {
+/* Check `n` DIMACS items that should hold `count` hard clauses over
+ * variables 1..nv: every item in -nv..nv, every clause closed by a 0 and
+ * none empty, and `count` 0s.  Returns the largest variable used (0 for no
+ * clause), or -1 when anything is wrong; the caller names the fault. */
+long sr_check(const int *lits, long n, long count, long nv) {
     long top = 0, zeros = 0;
-    int open = 0, bad;
+    int open = 0;
     for (long i = 0; i < n; i++) {
-        long v = item(list, i, &bad);
-        if (bad) {
-            py.clear();
-            return -1;
-        }
+        long v = lits[i];
         if (!v) {
             if (!open)
                 return -1; /* an empty clause */
@@ -110,6 +90,51 @@ long sr_check(void *list, long n, long count, long nv) {
         open = 1;
     }
     return open || zeros != count ? -1 : top;
+}
+
+/* 1 when each hard clause in the `n` checked items of `lits` has a literal
+ * that holds under `values`, else 0.  values[v] is variable v's value for
+ * v < nvals; a variable from nvals on holds in neither polarity. */
+int sr_satisfied(const int *lits, long n, const char *values, long nvals) {
+    int held = 0;
+    for (long i = 0; i < n; i++) {
+        long v = lits[i];
+        if (v > 0)
+            held |= v < nvals && values[v];
+        else if (v)
+            held |= -v < nvals && !values[-v];
+        else if (held)
+            held = 0;
+        else
+            return 0;
+    }
+    return 1;
+}
+
+/* Move `copies` copies of a block of `n` items, one after another at
+ * `at`, in place: in copy j every literal is moved j * stride away from
+ * 0, and every 0 stays.  Returns -1, moving nothing, when `stride` is
+ * negative or a copy would leave the range of an int, else 0. */
+int sr_stamp(int *at, long n, long copies, long stride) {
+    if (stride < 0)
+        return -1;
+    if (copies < 2 || !stride)
+        return 0; /* nothing moves */
+    if (stride > INT_MAX || copies > INT_MAX)
+        return -1;
+    i64 hi = 0, lo = 0, reach = (copies - 1) * (i64)stride; /* the block's extremes, and 0 */
+    for (long i = 0; i < n; i++) {
+        hi = at[i] > hi ? at[i] : hi;
+        lo = at[i] < lo ? at[i] : lo;
+    }
+    if (hi + reach > INT_MAX || lo - reach < INT_MIN)
+        return -1;
+    for (long j = 1; j < copies; j++) {
+        int d = (int)(j * stride), *c = at + j * n;
+        for (long i = 0; i < n; i++)
+            c[i] += d * ((c[i] > 0) - (c[i] < 0));
+    }
+    return 0;
 }
 
 /* Write v in decimal at p; returns the end. */
@@ -136,20 +161,16 @@ static char *put_long(char *p, long v) {
     return end;
 }
 
-/* The WCNF text of items start..stop-1 of a checked list of hard clauses,
- * as a new str: each literal and a space, and each closing 0 as "0", a
- * newline and `prefix` (the next hard line's weight and a space).  `buf`
- * holds `cap` bytes.  Returns NULL when the text does not fit or an item
- * is not an int (with the interpreter's exception set for the latter). */
-void *sr_wcnf(void *list, long start, long stop, char *buf, long cap, const char *prefix, long plen) {
+/* The WCNF text of items start..stop-1 of checked hard clauses, as a new
+ * str: each literal and a space, and each closing 0 as "0", a newline and
+ * `prefix` (the next hard line's weight and a space).  `buf` holds `cap`
+ * bytes.  Returns NULL when the text does not fit. */
+void *sr_wcnf(const int *lits, long start, long stop, char *buf, long cap, const char *prefix, long plen) {
     char *p = buf, *end = buf + cap - 24 - plen; /* room for one more item */
-    int bad;
     for (long i = start; i < stop; i++) {
         if (p > end)
             return NULL;
-        long v = item(list, i, &bad);
-        if (bad)
-            return NULL;
+        int v = lits[i];
         if (v) {
             p = put_long(p, v);
             *p++ = ' ';
@@ -296,9 +317,9 @@ void sr_free(S *s) {
     free(s);
 }
 
-/* Set up a solver over the first `nhard` items of `hard`, a Python list
- * of DIMACS hard clauses, each closed by a 0, and `nsoft` soft clauses
- * laid out the same way in an int array, with their weights.  It searches
+/* Set up a solver over the first `nhard` items of `hard`, DIMACS hard
+ * clauses each closed by a 0, and `nsoft` soft clauses laid out the same
+ * way in `soft`, with their weights.  It searches
  * below `upper` until the monotonic time `until` (infinity for none), and
  * stops as optimal at an incumbent of `lower` or less.  Variable v starts
  * with the saved value true when polarity[v] is non-zero, false
@@ -307,7 +328,7 @@ void sr_free(S *s) {
  * set-up reads `until` too and stops reading the hard clauses once it has
  * passed; the search then ends as it starts.  Needs sr_init.  On failure
  * returns NULL with *err set. */
-S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, int nsoft, i64 upper, double until,
+S *sr_new(int nv, const int *hard, long nhard, const int *soft, const i64 *weight, int nsoft, i64 upper, double until,
           i64 lower, const char *polarity, int reduce_first, int reduce_growth, int *err) {
     *err = ERR_NOMEM;
     if (nv < 0 || nv > (INT_MAX - 2) / 2 || nsoft < 0)
@@ -354,18 +375,15 @@ S *sr_new(int nv, void *hard, long nhard, const int *soft, const i64 *weight, in
      * binary implications and watched clauses. */
     long i;
     for (i = 0; i < nhard; i++) {
-        int bad;
         if (!(i & SETUP_MASK) && now() >= until)
             break;
-        long v = item(hard, i, &bad);
-        if (bad || v > nv || v < -nv) {
-            if (bad)
-                py.clear();
+        int v = hard[i];
+        if (v > nv || v < -nv) {
             *err = ERR_MALFORMED;
             goto fail;
         }
         if (v) {
-            if (push(&c, code((int)v)))
+            if (push(&c, code(v)))
                 goto nomem;
             continue;
         }

@@ -21,10 +21,13 @@ p before, unless a chosen swap touches p (frame axioms), and a chosen
 swap on (u, v) moves whatever is on u to v and back (move
 axioms).  Every transition is thus the permutation its swap picks, so
 the maps of later slots are injective without (A), and the encoding
-grows linearly in n.  Soft constraints reward no-op swaps, so a
-minimum-weight solution inserts the fewest swaps.  The instance carries
-its :class:`Layout`, from which ``decode(model, instance)`` alone
-reads a model back.
+grows linearly in n.  Ids repeat with a fixed stride from one swap
+position to the next, so the first position's (C) and (D) clauses are
+written once and stamped, moved by the stride, at every position in
+order (:func:`~swaproute.cnf.stamp`).  Soft constraints reward no-op
+swaps, so a minimum-weight solution inserts the fewest swaps.  The
+instance carries its :class:`Layout`, from which ``decode(model,
+instance)`` alone reads a model back.
 
 (C') is one binary clause per pair of neighbouring positions in a slot,
 "if position i is a no-op, so is position i+1", so none at n = 1.  It
@@ -77,12 +80,13 @@ gate weights, and a noise model measured per edge leaves none.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arch import ConnectivityGraph, NoiseModel, cx_weight, diameter, orbit_minima, swap_weight
 from .circuit import Circuit
-from .cnf import InstanceBuilder, MaxSatInstance, Model
+from .cnf import InstanceBuilder, MaxSatInstance, Model, stamp
 from .errors import EncodingError, EncodingIntegrityError, UnroutableError
 from .solution import Edge, QubitMap, RoutingSolution
 
@@ -196,11 +200,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         hops += [(builder.new_vars(len(pairs)), layer()) for _ in range(opt.n)]
         maps.append(hops[-1][1])
     first, last = maps[0], maps[K]
-    # Every variable exists now.  Clauses take their negative literals
-    # from this one table, not from ``-v`` at each use: each ``-v`` below
-    # -5 is a new int object, and at device scale those objects would be
-    # about a third of an instance's memory.
-    neg = [-v for v in range(builder.num_vars + 1)]
+    stride = len(pairs) + len(active) * P  # from each swap position's ids to the next's
 
     # Hard A: the initial map is a total injective function.  The
     # transitions (D) are permutations, so every later map inherits it.
@@ -210,7 +210,8 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         builder.at_most_one_pairwise([first[q][p] for q in active])
 
     # Hard B, C', D and the closing clauses are written straight into the
-    # builder's clause list, each clause's literals followed by a 0, and
+    # builder's int32 clause arena (B and D through a list, which takes
+    # small tuples faster), each clause's literals followed by a 0, and
     # each block adds the number of clauses it wrote.
     #
     # Hard B: wherever one operand of slot k's gate sits, the other sits
@@ -218,22 +219,25 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # so one clause per operand and place says the gate acts on an edge.
     touching = [[j for j, e in enumerate(pairs) if j and p in e] for p in range(P)]  # where p's edges sit in pairs
     neighbours = [[u + v - p for u, v in edges if p in (u, v)] for p in range(P)]  # the far end of each edge
-    hard = builder.hard
+    hard, block = builder.hard, []
     for k, gate in enumerate(slot_gates, start=1):
         for x, y in (gate.operands, gate.operands[::-1]):
             xrow, yrow = maps[k][x], maps[k][y]
             for p, far in enumerate(neighbours):
-                hard += (neg[xrow[p]], *map(yrow.__getitem__, far), 0)
+                block += (-xrow[p], *map(yrow.__getitem__, far), 0)
+    hard.fromlist(block)
     builder.hard_count += 2 * K * P
 
     # Hard C: each swap position picks exactly one pair (possibly the no-op).
-    for picks, _ in hops:
-        builder.exactly_one(picks)
+    start, count = len(hard), builder.hard_count
+    builder.exactly_one(hops[0][0])
+    hard[start:] = stamp(hard[start:], len(hops), stride)
+    builder.hard_count += (len(hops) - 1) * (builder.hard_count - count)
     # Hard C': a slot's no-op positions come after its swaps (see the
     # module docstring).
     for j in range(len(hops)):
         if (j + 1) % opt.n:
-            hard += (neg[hops[j][0][0]], hops[j + 1][0][0], 0)
+            hard.extend((-hops[j][0][0], hops[j + 1][0][0], 0))
     builder.hard_count += len(hops) - K
 
     # Hard D: each swap position carries its layer before into its layer
@@ -245,19 +249,20 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
     # lets (A) stop at slot 0, and they let propagation run from later
     # maps back to earlier ones.  Forward halves plus (A) at every slot
     # would also be sound, but the search then slows by orders of
-    # magnitude.
-    for (picks, after), before in zip(hops, [first, *(a for _, a in hops)]):
-        fires = [(*map(picks.__getitem__, at), 0) for at in touching]  # each closes its clause
-        rows = [(before[q], after[q]) for q in active]
+    # magnitude.  One position's block, from the slot 0 map, is stamped.
+    picks, after = hops[0]
+    fires = [(*map(picks.__getitem__, at), 0) for at in touching]  # each closes its clause
+    rows = [(first[q], after[q]) for q in active]
+    block = []
+    for brow, arow in rows:
+        for b, a, f in zip(brow, arow, fires):
+            block += (-b, a, *f, b, -a, *f)
+    for s, (u, v) in zip(picks[1:], edges):
         for brow, arow in rows:
-            for b, a, f in zip(brow, arow, fires):
-                hard += (neg[b], a, *f, b, neg[a], *f)
-        for s, (u, v) in zip(picks[1:], edges):
-            ns = neg[s]
-            for brow, arow in rows:
-                bu, bv = brow[u], brow[v]
-                au, av = arow[u], arow[v]
-                hard += (ns, neg[bu], av, 0, ns, bu, neg[av], 0, ns, neg[bv], au, 0, ns, bv, neg[au], 0)
+            bu, bv = brow[u], brow[v]
+            au, av = arow[u], arow[v]
+            block += (-s, -bu, av, 0, -s, bu, -av, 0, -s, -bv, au, 0, -s, bv, -au, 0)
+    hard += stamp(array("i", block), len(hops), stride)
     builder.hard_count += len(hops) * len(active) * (2 * P + 4 * len(edges))
 
     # Soft: reward no-ops (unweighted), or charge log-fidelities (weighted),
@@ -274,26 +279,26 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         for picks, _ in hops:
             builder.add_soft([picks[0]], least_swap)
             for s, w in zip(picks[1:], swap_w):
-                builder.add_soft([neg[s]], w - least_swap)
+                builder.add_soft([-s], w - least_swap)
         for k, gate in enumerate(slot_gates, start=1):
             arow, brow = (maps[k][q] for q in gate.operands)
             for (u, v), w in zip(edges, cx_w):
-                builder.add_soft([neg[arow[u]], neg[brow[v]]], w - least_cx)
-                builder.add_soft([neg[arow[v]], neg[brow[u]]], w - least_cx)
+                builder.add_soft([-arow[u], -brow[v]], w - least_cx)
+                builder.add_soft([-arow[v], -brow[u]], w - least_cx)
         offset = K * least_cx
 
     if opt.pinned_initial is not None:
         for q in active:
-            hard += (first[q][opt.pinned_initial[q]], 0)
+            hard.extend((first[q][opt.pinned_initial[q]], 0))
         builder.hard_count += len(active)
     if opt.pinned_final is not None:
         for q in active:
-            hard += (last[q][opt.pinned_final[q]], 0)
+            hard.extend((last[q][opt.pinned_final[q]], 0))
         builder.hard_count += len(active)
     if opt.cyclic:
         for q in active:
             for f, l in zip(first[q], last[q]):
-                hard += (neg[f], l, 0, f, neg[l], 0)
+                hard.extend((-f, l, 0, f, -l, 0))
         builder.hard_count += 2 * len(active) * P
 
     # Hard E: canonical initial placement (see the module docstring).
@@ -305,7 +310,7 @@ def encode(circuit: Circuit, g: ConnectivityGraph, opt: EncodeOptions = EncodeOp
         largest = {o: p for p, o in enumerate(orbit)}
         off = [p for p in range(P) if largest[orbit[p]] != p]
         for p in off:
-            hard += (neg[first[active[0]][p]], 0)
+            hard.extend((-first[active[0]][p], 0))
         builder.hard_count += len(off)
 
     return builder.build(Layout(circuit.num_logical, active, pairs, maps, hops, opt.pinned_initial, offset))

@@ -1,14 +1,14 @@
 """The compiled kernel: build it once per user, load it once per process.
 
 ``_kernel.c`` is the search of :mod:`swaproute.maxsat` in C, one search
-per call over its own clause set-up, with the two other passes over a
-whole clause list: the check of every new
-:class:`~swaproute.cnf.MaxSatInstance`'s hard clauses and the writer of
-their WCNF lines.  The first of these a process runs calls :func:`load`,
+per call over its own clause set-up, and the passes over a whole int32
+clause arena (:class:`~swaproute.cnf.HardClauses`): the encoder's stamp,
+the check of every new instance, the re-check of a model and the writer
+of WCNF lines.  The first of these a process runs calls :func:`load`,
 which finds a build of the current source in the user's cache or
-compiles one there with the system's ``cc -O2 -shared -fPIC``, and
-loads it with :mod:`ctypes`.  Nothing here runs at import, so parsing a
-circuit and ``verify`` never touch a compiler or :mod:`ctypes`; encoding,
+compiles one there with the system's ``cc -O2 -shared -fPIC``, and loads
+it with :mod:`ctypes`.  Nothing here runs at import, so parsing a circuit
+and ``verify`` never touch a compiler or :mod:`ctypes`; encoding,
 ``emit-wcnf`` and ``map`` do.
 
 The cache is ``$XDG_CACHE_HOME/swaproute``, else ``~/.cache/swaproute``,
@@ -130,8 +130,7 @@ def _open(path: Path):
     process's other threads keep running, and takes it back
     (``PyEval_RestoreThread``) every few thousand propagations to call
     ``PyErr_CheckSignals``: a signal handler's exception, Ctrl-C's
-    KeyboardInterrupt, ends the call.  It reads a clause list's items
-    with ``PyList_GetItem`` and ``PyLong_AsLong`` while it holds the lock.
+    KeyboardInterrupt, ends the call.  An arena is passed as its buffer's address.
     """
     import ctypes
 
@@ -139,11 +138,13 @@ def _open(path: Path):
     ptr, obj, long, i64p = ctypes.c_void_p, ctypes.py_object, ctypes.c_long, ctypes.POINTER(ctypes.c_longlong)
     lib.sr_init.argtypes = [ctypes.POINTER(ptr)]
     lib.sr_init.restype = None
-    lib.sr_check.argtypes = [obj, long, long, long]
+    lib.sr_check.argtypes = [ptr, long, long, long]
     lib.sr_check.restype = long
-    lib.sr_wcnf.argtypes = [obj, long, long, ctypes.c_char_p, long, ctypes.c_char_p, long]
+    lib.sr_satisfied.argtypes = [ptr, long, ctypes.c_char_p, long]  # both return an int, ctypes' default
+    lib.sr_stamp.argtypes = [ptr, long, long, long]
+    lib.sr_wcnf.argtypes = [ptr, long, long, ctypes.c_char_p, long, ctypes.c_char_p, long]
     lib.sr_wcnf.restype = obj
-    lib.sr_new.argtypes = [ctypes.c_int, obj, long, ptr, ptr, ctypes.c_int, ctypes.c_longlong, ctypes.c_double,
+    lib.sr_new.argtypes = [ctypes.c_int, ptr, long, ptr, ptr, ctypes.c_int, ctypes.c_longlong, ctypes.c_double,
                            ctypes.c_longlong, ptr, ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_int)]
     lib.sr_new.restype = ptr
     lib.sr_run.argtypes = [ptr]
@@ -153,8 +154,7 @@ def _open(path: Path):
     lib.sr_free.argtypes = [ptr]
     lib.sr_free.restype = None
     api = ctypes.pythonapi
-    functions = (api.PyEval_SaveThread, api.PyEval_RestoreThread, api.PyErr_CheckSignals, api.PyList_GetItem,
-                 api.PyLong_AsLong, api.PyErr_Occurred, api.PyErr_Clear, api.PyUnicode_DecodeLatin1)
+    functions = (api.PyEval_SaveThread, api.PyEval_RestoreThread, api.PyErr_CheckSignals, api.PyUnicode_DecodeLatin1)
     lib.sr_init((ptr * len(functions))(*(ctypes.cast(f, ptr) for f in functions)))
     return lib
 

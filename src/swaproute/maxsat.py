@@ -158,17 +158,17 @@ def _search_c(instance: MaxSatInstance, upper: int, until: float | None, lower: 
     """The search of :func:`_search_python`, decision for decision, in the
     compiled kernel (``_kernel.c``, loaded by :mod:`swaproute.kernel`).
 
-    The kernel reads the hard clauses where they lie, in the instance's
-    list of DIMACS literals (``HardClauses.lits``), and refuses an empty
-    clause as the Python set-up does.  The set-up reads the deadline
-    every 65,536 items and stops reading once it has passed; the search
-    reads it as it starts and every 2,048 propagations, so a search whose
-    set-up stopped early ends at once.  The kernel returns each
-    incumbent's weight, timed and logged here, and is then called again,
-    from the top of its loop.  Every 2,048 propagations it also lets
-    other threads run and checks the interpreter's pending signals, so
-    Ctrl-C ends an uncapped solve with KeyboardInterrupt.  Every outcome
-    comes from :func:`_outcome`.
+    The kernel reads the instance's int32 arrays in place (``hard.lits``,
+    and the ``soft_arrays`` that both searches of a solve share) and
+    refuses an empty clause as the Python set-up does.  The set-up reads
+    the deadline every 65,536 items and stops reading once it has passed;
+    the search reads it as it starts and every 2,048 propagations, so a
+    search whose set-up stopped early ends at once.  The kernel returns
+    each incumbent's weight, timed and logged here, and is then called
+    again, from the top of its loop.  Every 2,048 propagations it also
+    lets other threads run and checks the interpreter's pending signals,
+    so Ctrl-C ends an uncapped solve with KeyboardInterrupt.  Every
+    outcome comes from :func:`_outcome`.
     """
     import ctypes
 
@@ -176,14 +176,11 @@ def _search_c(instance: MaxSatInstance, upper: int, until: float | None, lower: 
     if len(polarity) != instance.num_vars + 1:  # the kernel reads and writes that many bytes
         raise ValueError(f"polarity holds {len(polarity)} values, not {instance.num_vars + 1}")
     lits = instance.hard.lits
-    soft = array("i")
-    for c, _ in instance.soft:
-        soft.fromlist([*c, 0])
-    weights = array("q", [w for _, w in instance.soft])
+    soft, weights = instance.soft_arrays
     saved = (ctypes.c_char * len(polarity)).from_buffer(polarity)
     err = ctypes.c_int()
     solver = lib.sr_new(
-        instance.num_vars, lits, len(lits), soft.buffer_info()[0], weights.buffer_info()[0], len(instance.soft),
+        instance.num_vars, lits.buffer_info()[0], len(lits), soft.buffer_info()[0], weights.buffer_info()[0], len(weights),
         upper, math.inf if until is None else until, lower, saved, REDUCE_FIRST, REDUCE_GROWTH, ctypes.byref(err),
     )
     if not solver:
@@ -623,7 +620,7 @@ def wcnf_chunks(instance: MaxSatInstance) -> Iterator[str]:
         yield "".join([f"{w} {' '.join(map('%d'.__mod__, c))} 0\n" for c, w in soft[i : i + WCNF_CHUNK]])
 
 
-def _hard_text(lits: list[int], max_var: int, prefix: str) -> Iterator[str]:
+def _hard_text(lits: array, max_var: int, prefix: str) -> Iterator[str]:
     """The text of each :data:`WCNF_CHUNK` items of the arena ``lits``
     over variables 1..max_var: each literal and a space, and each closing
     0 as ``0``, a newline and ``prefix``.
@@ -654,7 +651,7 @@ def _hard_text(lits: list[int], max_var: int, prefix: str) -> Iterator[str]:
     cap = min(WCNF_CHUNK, len(lits)) * (24 + len(head))
     buf = ctypes.create_string_buffer(cap)
     for i in range(0, len(lits), WCNF_CHUNK):
-        yield lib.sr_wcnf(lits, i, min(i + WCNF_CHUNK, len(lits)), buf, cap, head, len(head))
+        yield lib.sr_wcnf(lits.buffer_info()[0], i, min(i + WCNF_CHUNK, len(lits)), buf, cap, head, len(head))
 
 
 def emit_wcnf(instance: MaxSatInstance) -> str:
@@ -719,7 +716,10 @@ def parse_wcnf(text: str) -> MaxSatInstance:
             count += 1
         else:
             soft.append((lits, weight))
-    return MaxSatInstance(max(declared, max_var), HardClauses(hard, count), tuple(soft), None)
+    try:
+        return MaxSatInstance(max(declared, max_var), HardClauses(hard, count), tuple(soft), None)
+    except ValueError as exc:  # a literal or variable count beyond int32
+        raise SolverOutputError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,16 @@ def test_criterion_2_running_example_family():
 
 
 def test_criterion_3_maxsat_micro_examples():
-    # one hard clause, soft {b} and the soft formula {a and not b}
+    # one hard clause, soft {b} and the soft formula {a and not b}, the
+    # latter as a selector s with hard clauses s -> a, s -> not b and soft {s}
     b = InstanceBuilder()
     va, vb = b.new_var(), b.new_var()
     b.add_hard([-va, vb])
     b.add_soft([vb], 1)
-    b.add_soft_formula([[va], [-vb]], 1)
+    s = b.new_var()
+    b.add_hard([-s, va])
+    b.add_hard([-s, -vb])
+    b.add_soft([s], 1)
     out = solve_builtin(b.build())
     assert out.status is SolveStatus.OPTIMAL
     assert out.falsified_weight == 1  # exactly one soft formula satisfied

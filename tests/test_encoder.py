@@ -219,8 +219,8 @@ def test_hard_count_grows_linearly_with_swap_positions():
 
 
 def test_encoded_instance_shares_its_negative_literals():
-    # Every clause takes its negative literals from one table, so a hard
-    # clause costs its tuple and not a fresh int per negated id.
+    # The clause arena is an int32 array, so a hard clause costs its items'
+    # four bytes each, not an int object per literal.
     c, g = generate_qaoa_maxcut(8, 1, 7), load_arch("tokyo")
     tracemalloc.start()
     try:

@@ -1,25 +1,30 @@
 """The compiled kernel's build cache, its fallback, Ctrl-C, and its
-passes over the clause list against their Python references."""
+passes over the int32 clause arena against their Python references."""
 
 import hashlib
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 
 import pytest
 
+from conftest import random_circuit
 from swaproute import kernel, maxsat
-from swaproute.arch import load_arch
+from swaproute.arch import NoiseModel, diameter, load_arch
 from swaproute.cli import main as cli_main
 from swaproute.circuit import Circuit, Gate, emit_qasm, generate_qaoa_maxcut
-from swaproute.cnf import HardClauses, MaxSatInstance
+from swaproute.cnf import INT32_MAX, HardClauses, MaxSatInstance, Model, stamp
 from swaproute.encoder import EncodeOptions, encode
+from swaproute.errors import SolverOutputError
+from swaproute.solution import QubitMap
 from test_encoder import GOLDEN_WCNF_SHA256, golden_cases
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -182,10 +187,12 @@ def test_other_threads_run_during_a_solve():
     assert sum(start < t < start + out.elapsed for t in ticks) > 50
 
 
-# -- the passes over the clause list, compiled and in Python -----------------
+# -- the passes over the clause arena, compiled and in Python ----------------
 
 
-FAULTS = ("out of range", "literal 0", "miscount", "unclosed", "empty clause", "not an int")
+FAULTS = ("out of range", "literal 0", "miscount", "unclosed", "empty clause")
+# items that no int32 arena holds: refused as the arena is made, before any check
+UNFIT = ("1", 1.0, 2.5, None, 0.0, b"\0", (1,), INT32_MAX + 1, -INT32_MAX - 2, 2**70, -(2**63))
 
 
 def random_arena(rng: random.Random, fault: str | None, nv: int | None = None) -> tuple[list, int, int]:
@@ -200,7 +207,7 @@ def random_arena(rng: random.Random, fault: str | None, nv: int | None = None) -
     count = len(clauses)
     literals = [i for i, item in enumerate(lits) if item]
     if fault == "out of range":
-        lits[rng.choice(literals)] = rng.choice((nv + 1, -nv - 1, nv + rng.randint(2, 10**6), 2**70, -(2**63)))
+        lits[rng.choice(literals)] = rng.choice((nv + 1, -nv - 1, nv + rng.randint(2, 10**6), INT32_MAX, -INT32_MAX - 1))
     elif fault == "literal 0":
         lits[rng.choice(literals)] = 0
     elif fault == "miscount":
@@ -214,8 +221,6 @@ def random_arena(rng: random.Random, fault: str | None, nv: int | None = None) -
         at = rng.choice([0] + [i + 1 for i, item in enumerate(lits) if not item])
         lits.insert(at, 0)
         count += 1
-    elif fault == "not an int":
-        lits[rng.randrange(len(lits))] = rng.choice(("1", 1.0, 2.5, None, 0.0, b"\0", (1,)))
     elif rng.random() < 0.2 and lits:
         lits[rng.choice(literals)] = True  # an int subclass: literal 1
     if fault and rng.random() < 0.2:
@@ -227,16 +232,14 @@ def random_arena(rng: random.Random, fault: str | None, nv: int | None = None) -
 
 def first_fault(lits: list, count: int, nv: int):
     """The type and message of the arena's first fault, named clause by
-    clause (each run of items up to an int 0), then by its 0s; None when
-    it has none."""
-    zeros = [i for i, item in enumerate(lits) if isinstance(item, int) and item == 0]
+    clause (each run of items up to a 0), then by its 0s; None when it has
+    none."""
+    zeros = [i for i, item in enumerate(lits) if item == 0]
     start = 0
     for stop in [*zeros, len(lits)]:
         if stop < len(lits) and stop == start:
             return ValueError, "empty clause"
         for item in lits[start:stop]:
-            if not isinstance(item, int):
-                return TypeError, f"literal {item!r} is not an int"
             if not 0 < abs(item) <= nv:
                 return ValueError, f"literal {item} out of range (num_vars={nv})"
         start = stop + 1
@@ -270,6 +273,114 @@ def test_the_compiled_and_python_arena_checks_agree(without_kernel):
         # next arena's empty clause closes) and leave a sound arena
         want = first_fault(*arena) or max(map(abs, arena[0]), default=0)
         assert got == [want, want] and [type(v) for v in got] == [type(want)] * 2, (arena, got)
+
+
+def test_an_arena_refuses_an_item_that_is_not_an_int32_as_it_is_made():
+    # The first such item in list order is named, whatever else is wrong
+    # with the arena, and whichever kernel the process has.
+    rng = random.Random("arena-int32")
+    for _ in range(300):
+        lits, count, nv = random_arena(rng, rng.choice((None, *FAULTS)))
+        for _ in range(rng.randint(1, 2)):
+            lits.insert(rng.randint(0, len(lits)), rng.choice(UNFIT))
+        item = next(x for x in lits if not isinstance(x, int) or not -INT32_MAX - 1 <= x <= INT32_MAX)
+        if isinstance(item, int):
+            want = ValueError, f"literal {item} does not fit in int32"
+        else:
+            want = TypeError, f"literal {item!r} is not an int"
+        with pytest.raises(want[0]) as info:
+            HardClauses(lits, count)
+        assert str(info.value) == want[1]
+    # a variable count, a clause or a WCNF file beyond int32
+    for nv in (INT32_MAX + 1, 2**70):
+        with pytest.raises(ValueError, match=re.escape(f"num_vars {nv} does not fit in int32")):
+            MaxSatInstance(nv, (), ())
+    for hard, soft in ((((1, 2**70),), ()), ((), (((-(2**40),), 1),))):
+        with pytest.raises(ValueError, match=r"literal -?\d+ does not fit in int32"):
+            MaxSatInstance(3, hard, soft)
+    assert MaxSatInstance(INT32_MAX, ((INT32_MAX, -1),), ()).max_var == INT32_MAX
+    for text in (f"p wcnf {2**31} 1 2\n2 1 0\n", "p wcnf 3 2 9\n9 1 0\n1 -2147483648 0\n", "h 1 2147483648 0\n"):
+        with pytest.raises(SolverOutputError, match="does not fit in int32"):
+            maxsat.parse_wcnf(text)
+
+
+def reference_stamp(block: list, copies: int, stride: int):
+    """The stamped items, or None when the stride is negative or the last
+    copy's move takes an item, or 0, out of int32."""
+    out = [x + j * stride if x > 0 else x - j * stride if x else 0 for j in range(copies) for x in block]
+    reach = max(copies - 1, 0) * stride
+    return out if stride >= 0 and all(-INT32_MAX - 1 <= x <= INT32_MAX for x in (*out, reach, -reach)) else None
+
+
+def test_the_compiled_and_python_stamps_agree(without_kernel, tmp_path):
+    rng = random.Random("stamp")
+    blocks = []  # random ones, of any content, and at the edges of int32
+    for _ in range(200):
+        lits, _, nv = random_arena(rng, rng.choice((None, *FAULTS)))
+        blocks.append((lits, rng.randint(0, 6), rng.choice((0, 1, nv, nv + rng.randint(1, 1000)))))
+    blocks += [([], 3, 5), ([0, 0], 3, 2**40), ([INT32_MAX - 20, 0], 3, 10), ([INT32_MAX - 20, 0], 4, 10),
+               ([-1, 0], 2, INT32_MAX), ([-2, 0], 2, INT32_MAX), ([1, 0], 2, INT32_MAX), ([-INT32_MAX - 1, 0], 1, 5),
+               ([-INT32_MAX - 1, 0], 2, 1), ([2, 0], 1, 2**40), ([1, 0], 2, 2**40), ([1, 0], 2, -1), ([0], 1, -1)]
+    want = [reference_stamp(*block) for block in blocks]
+    assert 10 < want.count(None) < 50  # both kinds, mostly stamped
+    # every encoding path: the golden cases, and random circuits at n = 1, 2
+    # and 3, each plain, weighted, pinned at both ends or cyclic
+    cases = [(c, g, opt) for _, c, g, opt in golden_cases(tmp_path)]
+    for _ in range(24):
+        g = load_arch(rng.choice(("line:4", "cycle:6", "grid:3x3", "tokyo")))
+        c = random_circuit(rng, rng.randint(2, min(5, g.num_physical)), rng.randint(1, 6))
+        n = rng.randint(1, min(3, diameter(g)))
+        kind = rng.choice(("plain", "weighted", "pinned", "cyclic"))
+        if kind == "weighted":
+            opt = EncodeOptions(n=n, weighted=NoiseModel({e: rng.uniform(0.9, 0.999) for e in g.edges}, {}))
+        elif kind == "pinned":
+            ends = [QubitMap(tuple(rng.sample(range(g.num_physical), c.num_logical))) for _ in range(2)]
+            opt = EncodeOptions(n=n, pinned_initial=ends[0], pinned_final=ends[1], canonical_placement=False)
+        else:
+            opt = EncodeOptions(n=n, cyclic=kind == "cyclic")
+        cases.append((c, g, opt))
+
+    def stamped(block, copies, stride):
+        try:
+            return stamp(array("i", block), copies, stride).tolist()
+        except ValueError as exc:
+            assert str(exc) == f"{copies} copies {stride} apart move a literal out of int32"
+            return None
+
+    def run():
+        stamps = [stamped(*block) for block in blocks]
+        arenas = [(i.hard.lits, i.hard.count, i.max_var, i.num_vars, i.soft) for i in
+                  (encode(c, g, opt) for c, g, opt in cases)]
+        return stamps, arenas
+
+    compiled = run()
+    assert compiled[0] == want
+    without_kernel()
+    assert run() == compiled
+
+
+def test_the_compiled_and_python_model_rechecks_agree(without_kernel):
+    rng = random.Random("model-recheck")
+    cases = []
+    for _ in range(400):
+        lits, count, nv = random_arena(rng, None)
+        inst = MaxSatInstance(nv, HardClauses(lits, count), ())
+        values = [False, *(rng.random() < 0.5 for _ in range(nv))]
+        clauses = list(inst.hard)
+        for clause in rng.sample(clauses, min(len(clauses), rng.randint(0, 2))):  # planted: falsified
+            for lit in clause:
+                values[abs(lit)] = lit < 0
+        if rng.random() < 0.3:  # a model that covers only some variables, or more than nv
+            values = values[: rng.randint(0, nv)] if rng.random() < 0.8 else values + [True] * 3
+        model = Model(tuple(values))
+        # a variable the model does not cover holds in neither polarity
+        want = all(any(abs(lit) < len(values) and model.holds(lit) for lit in c) for c in clauses)
+        cases.append((inst, model, want))
+    assert {want for *_, want in cases} == {True, False}
+    compiled = [inst.hard_satisfied(model) for inst, model, _ in cases]
+    without_kernel()
+    python = [inst.hard_satisfied(model) for inst, model, _ in cases]
+    assert compiled == python == [want for *_, want in cases]
 
 
 def test_emit_wcnf_is_the_same_text_without_the_kernel(without_kernel, tmp_path):

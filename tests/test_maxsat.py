@@ -33,13 +33,17 @@ def stub_cmd(mode: str) -> str:
 
 def conjunctive_soft_instance() -> MaxSatInstance:
     # hard: (not a or b); soft: {b}, {a and not b}.  The conjunction is a
-    # soft *formula*, so it rides behind a selector variable; splitting it
+    # soft *formula*, so it rides behind a selector variable s, with hard
+    # clauses s -> a and s -> not b and the soft unit {s}; splitting it
     # into two unit clauses would change the objective.
     b = InstanceBuilder()
     a, bb = b.new_var(), b.new_var()
     b.add_hard([-a, bb])
     b.add_soft([bb], 1)
-    b.add_soft_formula([[a], [-bb]], 1)
+    s = b.new_var()
+    b.add_hard([-s, a])
+    b.add_hard([-s, -bb])
+    b.add_soft([s], 1)
     return b.build()
 
 
@@ -620,7 +624,7 @@ def test_hard_is_a_view_of_the_clause_arena():
     b.add_hard([-4])
     hard = b.build().hard
     clauses = ((1, -2), (3, 4), (-3, -4), (-4,))
-    assert hard.lits == [1, -2, 0, 3, 4, 0, -3, -4, 0, -4, 0]
+    assert hard.lits.tolist() == [1, -2, 0, 3, 4, 0, -3, -4, 0, -4, 0]
     assert len(hard) == 4 and bool(hard)
     assert tuple(hard) == clauses and list(hard) == list(clauses)
     assert hard == clauses and clauses == hard and hard == list(clauses)
@@ -666,7 +670,7 @@ def test_hard_satisfied_finds_the_one_falsified_clause(qaoa8_tokyo, which):
     }[which]
     clauses[at] = tuple(-lit if model.holds(lit) else lit for lit in clauses[at])
     turned = MaxSatInstance(inst.num_vars, clauses, inst.soft)
-    assert turned.hard.lits[starts[at]:starts[at + 1]] == [*clauses[at], 0]
+    assert turned.hard.lits[starts[at]:starts[at + 1]].tolist() == [*clauses[at], 0]
     assert [c for c in turned.hard if not any(model.holds(lit) for lit in c)] == [clauses[at]]
     assert inst.hard_satisfied(model) and not turned.hard_satisfied(model)
 
